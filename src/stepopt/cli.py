@@ -10,7 +10,8 @@ Commands:
   against reference solutions,
 * ``dump-weights`` - emit the solver weight table of a schedule file.
 
-Exit codes: 0 on success, 1 on numeric failure, 2 on usage errors.
+Exit codes: 0 on success, 1 on numeric failure, 2 on usage errors and
+bad input files.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .schedules import (
     uniform_t_grid,
 )
 from .simulator import evaluate_schedules, load_model
-from .weights import OrderSchedule, weights_lagrange, weights_taylor
+from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
 
 __all__ = ["main", "entry_point"]
 
@@ -89,6 +90,14 @@ def _orders_from_args(args, N: int) -> OrderSchedule:
         raise UsageError(f"bad --order: {exc}") from None
 
 
+def _read_input(read, path):
+    """Read a schedule or model file; one that fails validation is bad input."""
+    try:
+        return read(path)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad input file {path}: {exc}") from None
+
+
 def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
     grid = schedule_file.to_grid()
     orders = OrderSchedule(tuple(schedule_file.orders))
@@ -96,7 +105,7 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
     table = build(grid, orders)
     steps = []
     for n in range(1, grid.n_steps + 1):
-        pairs = [[j, table.entries[(n, j)]] for j in range(orders.k[n - 1])]
+        pairs = [[j, w] for j, w in enumerate(table.step_weights(n).tolist())]
         steps.append({"n": n, "weights": pairs})
     payload = {"anchor": table.scale_anchor, "steps": steps}
     with open(path, "w", encoding="utf-8") as fh:
@@ -173,8 +182,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise UsageError("--seeds must be at least 1")
-    model = load_model(args.model)
-    files = [ScheduleFile.read(p) for p in args.steps]
+    model = _read_input(load_model, args.model)
+    files = [_read_input(ScheduleFile.read, p) for p in args.steps]
     first = files[0]
     for f in files[1:]:
         if (f.T, f.eps) != (first.T, first.eps) or f.schedule_family != first.schedule_family:
@@ -218,7 +227,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_dump_weights(args) -> int:
-    _dump_weight_table(ScheduleFile.read(args.steps), args.out)
+    _dump_weight_table(_read_input(ScheduleFile.read, args.steps), args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -231,7 +240,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", default="3", help="max order, or comma list k1,k2,...")
     p.add_argument("--p", type=int, default=1, choices=(0, 1, 2, 3),
                    help="error-proxy exponent (1: pixel-space, 2: latent-space)")
-    p.add_argument("--kind", choices=("lagrange", "taylor"), default="lagrange")
+    p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default="lagrange")
     p.add_argument("--rho", type=int, default=7, help="exponent of the edm scheme")
     p.add_argument("--beta-min", type=float, default=0.1)
     p.add_argument("--beta-max", type=float, default=20.0)

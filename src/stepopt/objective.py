@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedules import NoiseSchedule
-from .weights import OrderSchedule, _signed_group_sums, _table_entries
+from .weights import POLYNOMIAL_KINDS, OrderSchedule, _point_totals, step_weight_array
 
 __all__ = [
     "ConstraintViolationError",
@@ -31,9 +31,6 @@ __all__ = [
     "objective_value",
     "objective_gradient",
 ]
-
-POLYNOMIAL_KINDS = ("lagrange", "taylor")
-
 
 class ConstraintViolationError(ValueError):
     """Raised when interior nodes break the strict monotonicity constraint."""
@@ -112,9 +109,8 @@ def _full_lambda(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
 
 
 def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> float:
-    anchor = lam_full[-1]
-    entries = _table_entries(lam_full, spec.orders, spec.polynomial_kind, anchor)
-    signed = _signed_group_sums(entries, spec.orders)
+    w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[-1])
+    signed = _point_totals(w, spec.orders)
     factors = score_error_weight(spec.schedule, lam_full[:-1], spec.p)
     mu = spec.abs_smoothing
     smoothed = np.abs(signed) if mu == 0.0 else np.sqrt(signed * signed + mu * mu)

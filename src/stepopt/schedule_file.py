@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .schedules import LambdaGrid
+from .schedules import LambdaGrid, NoiseSchedule
+from .weights import POLYNOMIAL_KINDS, OrderSchedule
 
 __all__ = ["ScheduleFile", "SCHEMA_VERSION"]
 
@@ -38,6 +39,15 @@ class ScheduleFile:
     converged: bool | None = None
 
     def __post_init__(self):
+        if self.schema_version != SCHEMA_VERSION:
+            raise ValueError(
+                f"schema version {self.schema_version} is not supported (need {SCHEMA_VERSION})"
+            )
+        if self.polynomial_kind not in POLYNOMIAL_KINDS:
+            raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
+        # both raise ValueError on an unknown family or invalid orders
+        NoiseSchedule.from_name(self.schedule_family)
+        OrderSchedule(tuple(self.orders))
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
         if len(self.orders) != self.N:

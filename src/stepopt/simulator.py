@@ -18,15 +18,13 @@ schedules and ``-1`` for variance-exploding ones.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .schedules import LambdaGrid, NoiseSchedule
-from .weights import OrderSchedule, _step_weights
+from .weights import OrderSchedule, step_weight_array
 
 __all__ = [
     "AnalyticModel",
@@ -199,13 +197,14 @@ def _sample_batch(
     """Run the multistep update on a (S, dim) batch of start states.
 
     ``predict(x, lam, alpha, sigma)`` returns the prediction batch at one
-    node.  Weights are integrated per step with the step's own endpoint
-    as scale anchor, so the per-step coefficient of each prediction is
-    simply alpha at the new node times the stored weight.
+    node.  Each step's weights are scaled with the step's own endpoint
+    as anchor, so the per-step coefficient of each prediction is simply
+    alpha at the new node times the stored weight.
     """
     lam = grid.lam
     n_steps = grid.n_steps
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
+    w = step_weight_array(lam, orders, kind, lam[1:])
     x = np.array(x_start, dtype=float, copy=True)
     history: list[np.ndarray] = []
     for n in range(1, n_steps + 1):
@@ -213,10 +212,9 @@ def _sample_batch(
             raise FloatingPointError(f"sampler state non-finite entering step {n}")
         history.append(predict(x, lam[n - 1], float(alphas[n - 1]), float(sigmas[n - 1])))
         k = orders.k[n - 1]
-        w = _step_weights(lam, n, k, kind, shift=float(lam[n]))
         x = (sigmas[n] / sigmas[n - 1]) * x
         for j in range(k):
-            x += alphas[n] * w[j] * history[n - k + j]
+            x += alphas[n] * w[n - 1, j] * history[n - k + j]
     if not np.all(np.isfinite(x)):
         raise FloatingPointError(f"sampler state non-finite after step {n_steps}")
     return x
@@ -295,14 +293,6 @@ def reference_solution(model: AnalyticModel, schedule: NoiseSchedule, x_T, T: fl
     return out if x_T.ndim == 2 else out[0]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("STEPOPT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def evaluate_schedules(
     model: AnalyticModel,
     schedule: NoiseSchedule,
@@ -348,24 +338,9 @@ def evaluate_schedules(
     def predict(x, lam, alpha, sigma):
         return _posterior_mean(model, x, alpha, sigma)
 
-    def run_grid(grid: LambdaGrid) -> np.ndarray:
-        workers = _worker_count()
-        if workers == 1 or seeds < 2 * workers:
-            return _sample_batch(grid, orders, kind, schedule, predict, x_T)
-        chunks = np.array_split(np.arange(seeds), workers)
-        out = np.empty_like(x_T)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                lambda idx: _sample_batch(grid, orders, kind, schedule, predict, x_T[idx]),
-                chunks,
-            )
-            for idx, part in zip(chunks, parts):
-                out[idx] = part
-        return out
-
     reports = []
     for grid, label in zip(schedules, labels):
-        x_out = run_grid(grid)
+        x_out = _sample_batch(grid, orders, kind, schedule, predict, x_T)
         errors = np.linalg.norm(x_out - x_ref, axis=1)
         reports.append(
             SimulationReport(

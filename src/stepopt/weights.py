@@ -8,20 +8,24 @@ finite-difference stencils.  The update coefficient attached to each
 function value is the exact integral of ``exp(lam)`` times the matching
 basis polynomial over the step interval.
 
-Because raw coefficients carry a factor ``exp(lam)`` that can overflow
-for schedules reaching large log-SNR, every table stores weights
-pre-multiplied by ``exp(-scale_anchor)``.  The anchor defaults to the
-largest grid value, keeping all stored magnitudes of order one; the
-downstream objective is scale invariant in its minimizer, so the anchor
-never changes any decision.
+All weights come from one array kernel, :func:`step_weight_array`,
+which treats every step of a grid at once.  Because raw coefficients
+carry a factor ``exp(lam)`` that can overflow for schedules reaching
+large log-SNR, every table stores weights pre-multiplied by
+``exp(-scale_anchor)``.  The anchor defaults to the largest grid value,
+keeping all stored magnitudes of order one; the downstream objective is
+scale invariant in its minimizer, so the anchor never changes any
+decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .schedules import LambdaGrid
 
@@ -29,8 +33,10 @@ __all__ = [
     "OrderSchedule",
     "WeightTable",
     "AggregatedCoefficients",
+    "POLYNOMIAL_KINDS",
     "exp_poly_integral",
     "lagrange_basis",
+    "step_weight_array",
     "weights_lagrange",
     "weights_taylor",
     "aggregate",
@@ -38,11 +44,16 @@ __all__ = [
 
 MAX_ORDER = 4
 MAX_TAYLOR_ORDER = 3
+POLYNOMIAL_KINDS = ("lagrange", "taylor")
 
 # Below this interval width the antiderivative difference cancels
 # (absolute error ~ eps * m! against a value ~ h^(m+1)); switch to a
 # positive-term series, which is uniformly accurate there.
 _SERIES_WIDTH = 0.25
+# ascending coefficients of the antiderivative polynomials S_0 .. S_3 below
+_ANTIDERIVATIVE = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [2.0, -2.0, 1.0, 0.0], [-6.0, 6.0, -3.0, 1.0]]
+)
 
 
 @dataclass(frozen=True)
@@ -73,14 +84,21 @@ class OrderSchedule:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Scaled solver weights keyed by (step index n, basis index j)."""
+    """Scaled solver weights, one row per step.
 
-    entries: dict[tuple[int, int], float]
+    Row ``n - 1`` holds the ``k_n`` weights of step ``n``, one per basis
+    index j (evaluation point ``n - k_n + j``), followed by zeros.
+    """
+
+    weights: np.ndarray  # (N, max order)
+    orders: OrderSchedule
     scale_anchor: float
 
+    def __post_init__(self):
+        self.weights.setflags(write=False)
+
     def step_weights(self, n: int) -> np.ndarray:
-        js = sorted(j for (m, j) in self.entries if m == n)
-        return np.array([self.entries[(n, j)] for j in js])
+        return self.weights[n - 1, : self.orders.k[n - 1]]
 
 
 @dataclass(frozen=True)
@@ -96,75 +114,58 @@ class AggregatedCoefficients:
         c.setflags(write=False)
 
 
+def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
+    """``M[n, m] = int_0^h[n] exp(u) u^m du`` for ``m < count <= 4``.
+
+    Exact to round-off for any h > 0: wide intervals use the closed-form
+    antiderivative
+
+        d/du [exp(u) * S_m(u)] = exp(u) u^m,  S_m(u) = u^m - m S_(m-1)(u),
+
+    and narrow ones the (all-positive) power series of the moments.
+    Moments that overflow come back as ``inf``.
+    """
+    h = np.asarray(h, dtype=float)[:, None]
+    m = np.arange(count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.exp(h) * (h**m @ _ANTIDERIVATIVE[:count, :count].T) - _ANTIDERIVATIVE[:count, 0]
+    narrow = h[:, 0] < _SERIES_WIDTH
+    if narrow.any():
+        hn = h[narrow]
+        term = hn ** (m + 1) / (m + 1)
+        total = term.copy()
+        for k in range(1, 62):
+            term *= hn * (m + k) / (k * (m + k + 1))
+            total += term
+            if np.all(term <= 1e-18 * total):
+                break
+        out[narrow] = total
+    return out
+
+
 def exp_poly_integral(coeffs, a: float, b: float, shift: float = 0.0) -> float:
     """Exact integral of ``exp(lam - shift) * p(lam)`` over [a, b].
 
     ``coeffs`` are ascending polynomial coefficients, degree at most 3.
     The integral is evaluated in the local coordinate ``u = lam - a``:
     re-expand the polynomial around ``a``, then combine the moments
-    ``int_0^h exp(u) u^m du`` via the closed-form antiderivative
-
-        d/du [exp(u) * (u^m - m u^(m-1) + m(m-1) u^(m-2) - ...)] = exp(u) u^m,
-
-    switching to the (all-positive) power series of those moments on
-    narrow intervals where the antiderivative difference cancels.
+    ``int_0^h exp(u) u^m du`` of the weight kernel.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0 or coeffs.size > 4:
         raise ValueError("polynomial degree must be between 0 and 3")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-
-    h = b - a
-    q = _shift_poly(coeffs, a)
-    try:
-        total = 0.0
-        for m, qm in enumerate(q):
-            if qm != 0.0:
-                total += qm * _exp_moment(m, h)
-        value = math.exp(a - shift) * total
-    except OverflowError:
-        raise OverflowError(
-            f"integral of exp(lam - {shift}) over [{a}, {b}] is not finite"
-        ) from None
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"integral of exp(lam - {shift}) over [{a}, {b}] is not finite"
-        )
+    # Taylor coefficients of p at a: the polynomial in powers of u
+    q = np.array(
+        [P.polyval(a, P.polyder(coeffs, m)) / math.factorial(m) for m in range(coeffs.size)]
+    )
+    moments = _exp_moments(np.array([b - a]), q.size)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.exp(a - shift) * (q @ moments))
+    if not np.isfinite(value):
+        raise OverflowError(f"integral of exp(lam - {shift}) over [{a}, {b}] is not finite")
     return value
-
-
-def _shift_poly(coeffs, a: float) -> list[float]:
-    """Coefficients of p(a + u) in powers of u (repeated synthetic division)."""
-    q = list(map(float, coeffs))
-    d = len(q) - 1
-    for i in range(d):
-        for j in range(d - 1, i - 1, -1):
-            q[j] += a * q[j + 1]
-    return q
-
-
-def _exp_moment(m: int, h: float) -> float:
-    """int_0^h exp(u) u^m du, exact to round-off for any h > 0."""
-    if h >= _SERIES_WIDTH:
-        # exp(h) * S_m(h) - S_m(0) with S_m the antiderivative polynomial
-        s_h = (
-            1.0,
-            h - 1.0,
-            h * h - 2.0 * h + 2.0,
-            ((h - 3.0) * h + 6.0) * h - 6.0,
-        )[m]
-        s_0 = (1.0, -1.0, 2.0, -6.0)[m]
-        return math.exp(h) * s_h - s_0
-    term = h ** (m + 1) / (m + 1)
-    total = term
-    k = 1
-    while True:
-        term *= h * (m + k) / (k * (m + k + 1))
-        total += term
-        if term <= 1e-18 * total or k > 60:
-            return total
-        k += 1
 
 
 def lagrange_basis(nodes, j: int) -> np.ndarray:
@@ -174,114 +175,126 @@ def lagrange_basis(nodes, j: int) -> np.ndarray:
         raise ValueError(f"basis index {j} out of range for {nodes.size} nodes")
     if np.unique(nodes).size != nodes.size:
         raise ValueError("interpolation nodes must be distinct")
-    return np.array(_lagrange_coeffs(list(map(float, nodes)), j))
+    others = np.delete(nodes, j)
+    return np.atleast_1d(np.poly(others))[::-1] / np.prod(nodes[j] - others)
 
 
-def _lagrange_coeffs(nodes: list[float], j: int) -> list[float]:
-    coeffs = [1.0]
-    denom = 1.0
-    for i, node in enumerate(nodes):
-        if i == j:
-            continue
-        # multiply by (u - node)
-        coeffs = [0.0] + coeffs
-        for m in range(len(coeffs) - 1):
-            coeffs[m] -= node * coeffs[m + 1]
-        denom *= nodes[j] - node
-    return [c / denom for c in coeffs]
+@lru_cache(maxsize=64)
+def _layout(orders: OrderSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays that depend only on the order schedule.
 
-
-def _taylor_value_polys(local_nodes: list[float]) -> list[list[float]]:
-    """Per-function-value coefficient polynomials of the Taylor variant.
-
-    ``local_nodes`` are the evaluation points relative to the newest one
-    (so the last entry is 0).  The constant term sits entirely on the
-    newest value; the first derivative uses the two newest values and the
-    second derivative the three newest, with stencils that vanish on
-    constants.
+    ``points[n-1, j] = n - k_n + j`` is the evaluation point (and grid
+    node) behind basis index j of step n; ``real`` marks ``j < k_n``;
+    ``block`` marks the real ``k_n x k_n`` block of each step's system.
     """
-    k = len(local_nodes)
-    if k == 1:
-        return [[1.0]]
-    a = -local_nodes[-2]  # gap to the previous node
-    if k == 2:
-        return [[0.0, -1.0 / a], [1.0, 1.0 / a]]
-    b = local_nodes[-2] - local_nodes[-3]  # gap between the two older nodes
-    return [
-        [0.0, 0.0, 1.0 / (b * (a + b))],
-        [0.0, -1.0 / a, -1.0 / (a * b)],
-        [1.0, 1.0 / a, 1.0 / (a * (a + b))],
-    ]
+    k = np.array(orders.k)
+    K = int(k.max())
+    points = np.arange(1, k.size + 1)[:, None] - k[:, None] + np.arange(K)
+    real = np.arange(K) < k[:, None]
+    block = real[:, :, None] & real[:, None, :]
+    for arr in (points, real, block):
+        arr.setflags(write=False)
+    return points, real, block
 
 
-def _step_weights(lam, n: int, k: int, kind: str, shift: float) -> list[float]:
-    """Scaled weights of step ``n`` (1-based), one per basis index j.
+def _lagrange_local(u: np.ndarray, block: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Solve ``V^T w = M`` per step, V the local Vandermonde matrix.
 
-    Work happens in the local coordinate ``u = lam - lam[n-1]`` so the
-    polynomial expansion stays well conditioned regardless of where the
-    grid sits on the log-SNR axis.  All basis polynomials of the step
-    share the same exponential moments.
+    Weight j is the integral of basis polynomial j, whose ascending
+    coefficients form row j of ``V^(-T)``.  Entries past ``k_n`` are
+    padded with identity rows and zero moments, so their weights solve
+    to exactly zero.
     """
-    origin = lam[n - 1]
-    h = lam[n] - origin
-    local_nodes = [lam[n - k + i] - origin for i in range(k)]
-    if kind == "lagrange":
-        polys = [_lagrange_coeffs(local_nodes, j) for j in range(k)]
-    elif kind == "taylor":
-        if k > MAX_TAYLOR_ORDER:
-            raise ValueError(
-                f"taylor weights support order <= {MAX_TAYLOR_ORDER}, got {k}"
-            )
-        polys = _taylor_value_polys(local_nodes)
-    else:
+    K = u.shape[1]
+    system = np.where(block, u[:, None, :] ** np.arange(K)[:, None], np.eye(K))  # u_j^m
+    return np.linalg.solve(system, moments[:, :, None])[:, :, 0]
+
+
+def _taylor_local(h: np.ndarray, k: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Taylor weights from first- and second-derivative stencils.
+
+    The constant term sits entirely on the newest value; the first
+    derivative uses the two newest values (gap ``a``) and the second
+    derivative the three newest (older gap ``b``), with stencils that
+    vanish on constants.
+    """
+    N, K = moments.shape
+    m0, m1, m2 = np.pad(moments, ((0, 0), (0, 3 - K))).T
+    a = np.concatenate(([1.0], h[:-1]))
+    b = np.concatenate(([1.0, 1.0], h[:-2]))[:N]
+    by_age = np.stack(
+        (
+            m0 + m1 / a + m2 / (a * (a + b)),
+            -m1 / a - m2 / (a * b),
+            m2 / (b * (a + b)),
+        ),
+        axis=1,
+    )  # column d multiplies the value d steps older than the newest
+    age = k[:, None] - 1 - np.arange(K)
+    return np.where(age >= 0, np.take_along_axis(by_age, np.clip(age, 0, 2), axis=1), 0.0)
+
+
+def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarray:
+    """Weights of every step at once, as an ``(N, max order)`` array.
+
+    Row ``n - 1`` holds the weights of step ``n`` (1-based), one per
+    basis index j, multiplied by ``exp(lam[n-1] - shift)``; entries past
+    ``k_n`` are exactly zero.  ``shift`` is a scalar anchor or one value
+    per step.  Work happens in the local coordinate ``u = lam -
+    lam[n-1]`` so the polynomial expansion stays well conditioned
+    regardless of where the grid sits on the log-SNR axis.
+    """
+    lam = np.asarray(lam, dtype=float)
+    N = lam.size - 1
+    if len(orders) != N:
+        raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
+    if kind not in POLYNOMIAL_KINDS:
         raise ValueError(f"unknown polynomial kind {kind!r}")
-    try:
-        scale = math.exp(origin - shift)
-        moments = [_exp_moment(m, h) for m in range(k)]
-    except OverflowError:
-        raise OverflowError(
-            f"weights of step {n} are not finite at scale anchor {shift}"
-        ) from None
-    return [scale * math.fsum(c * moments[m] for m, c in enumerate(p)) for p in polys]
+    points, real, block = _layout(orders)
+    K = real.shape[1]
+    if kind == "taylor" and K > MAX_TAYLOR_ORDER:
+        raise ValueError(f"taylor weights support order <= {MAX_TAYLOR_ORDER}, got {K}")
+    h = np.diff(lam)
+    moments = np.where(real, _exp_moments(h, K), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "lagrange":
+            u = lam[np.minimum(points, N)] - lam[:-1, None]
+            local = _lagrange_local(u, block, moments)
+        else:
+            local = _taylor_local(h, real.sum(axis=1), moments)
+        w = local * np.exp(lam[:-1] - shift)[:, None]
+    if not np.isfinite(w).all():
+        n = int(np.argmin(np.isfinite(w).all(axis=1))) + 1
+        anchor = np.broadcast_to(shift, (N,))[n - 1]
+        raise OverflowError(f"weights of step {n} are not finite at scale anchor {anchor}")
+    return w
 
 
-def _table_entries(lam: np.ndarray, orders: OrderSchedule, kind: str, anchor: float) -> dict:
-    if len(orders) != lam.size - 1:
-        raise ValueError(
-            f"order schedule covers {len(orders)} steps but grid has {lam.size - 1}"
-        )
-    entries: dict[tuple[int, int], float] = {}
-    for n, k in enumerate(orders.k, start=1):
-        for j, w in enumerate(_step_weights(lam, n, k, kind, anchor)):
-            entries[(n, j)] = float(w)
-    return entries
-
-
-def _build_table(grid: LambdaGrid, orders: OrderSchedule, kind: str, scale_anchor) -> WeightTable:
+def _table(grid: LambdaGrid, orders: OrderSchedule, kind: str, scale_anchor) -> WeightTable:
     anchor = float(grid.lam[-1]) if scale_anchor is None else float(scale_anchor)
-    entries = _table_entries(grid.lam, orders, kind, anchor)
-    return WeightTable(entries=entries, scale_anchor=anchor)
+    w = step_weight_array(grid.lam, orders, kind, anchor)
+    return WeightTable(weights=w, orders=orders, scale_anchor=anchor)
 
 
 def weights_lagrange(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -> WeightTable:
     """Weights of the interpolating-polynomial solver on the given grid."""
-    return _build_table(grid, orders, "lagrange", scale_anchor)
+    return _table(grid, orders, "lagrange", scale_anchor)
 
 
 def weights_taylor(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -> WeightTable:
     """Weights of the Taylor-expansion solver on the given grid."""
-    return _build_table(grid, orders, "taylor", scale_anchor)
+    return _table(grid, orders, "taylor", scale_anchor)
 
 
-def _signed_group_sums(entries: dict, orders: OrderSchedule) -> np.ndarray:
-    """Total weight multiplying each evaluation point i = n - k_n + j."""
-    sums = np.zeros(len(orders))
-    for (n, j), w in entries.items():
-        sums[n - orders.k[n - 1] + j] += w
-    return sums
+def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
+    """Signed total weight multiplying each evaluation point i = n - k_n + j."""
+    points = _layout(orders)[0]
+    N = points.shape[0]
+    # padded entries are zero, so the bins they land in do not matter
+    return np.bincount(points.ravel(), weights=w.ravel(), minlength=points.max() + 1)[:N]
 
 
 def aggregate(table: WeightTable, orders: OrderSchedule) -> AggregatedCoefficients:
     """Absolute per-evaluation-point totals of the table's weights."""
-    signed = _signed_group_sums(table.entries, orders)
+    signed = _point_totals(table.weights, orders)
     return AggregatedCoefficients(c=np.abs(signed), scale_anchor=table.scale_anchor)

@@ -84,7 +84,7 @@ def test_criterion_1_weight_sum_identity():
             )
             table = build(grid, orders)
             for n in range(1, N + 1):
-                total = math.fsum(w for (m, _), w in table.entries.items() if m == n)
+                total = math.fsum(table.step_weights(n))
                 expect = math.exp(lam[n] - table.scale_anchor) - math.exp(
                     lam[n - 1] - table.scale_anchor
                 )

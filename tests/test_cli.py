@@ -228,6 +228,35 @@ class TestExitCodes:
             "--seeds", "4", "--out", str(tmp_path / "r.json"),
         ) == 2
 
+    def test_invalid_input_files_are_2(self, tmp_path, model_file):
+        a = tmp_path / "a.json"
+        assert run(
+            "baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
+            "--N", "3", "--out", str(a),
+        ) == 0
+        lam = json.loads(a.read_text())["lambda"]
+        reversed_lam = _edited(a, tmp_path / "rev.json", **{"lambda": lam[::-1]})
+        out = str(tmp_path / "r.json")
+        assert run("simulate", "--model", model_file, "--steps", reversed_lam,
+                   "--seeds", "4", "--out", out) == 2
+        assert run("dump-weights", "--steps", reversed_lam, "--out", out) == 2
+        family = _edited(a, tmp_path / "family.json", schedule_family="vp-quadratic")
+        assert run("simulate", "--model", model_file, "--steps", family,
+                   "--seeds", "4", "--out", out) == 2
+        bad_model = tmp_path / "bad-model.json"
+        bad_model.write_text(json.dumps(
+            {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))
+        assert run("simulate", "--model", str(bad_model), "--steps", str(a),
+                   "--seeds", "4", "--out", out) == 2
+
+
+def _edited(src, dst, **changes):
+    """Copy of a schedule file with some top-level fields replaced."""
+    payload = json.loads(src.read_text())
+    payload.update(changes)
+    dst.write_text(json.dumps(payload, indent=2) + "\n")
+    return str(dst)
+
 
 class TestScheduleFile:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -261,6 +290,26 @@ class TestScheduleFile:
                 orders=[1, 1], polynomial_kind="lagrange", p=1,
                 objective=1.0, init="uniform-t",
             )
+
+    def _baseline(self, tmp_path):
+        sched = tmp_path / "s.json"
+        assert run(
+            "baseline", "--scheme", "uniform-lambda", "--schedule", "ve-edm",
+            "--N", "3", "--out", str(sched),
+        ) == 0
+        return sched
+
+    def test_rejects_other_schema_version(self, tmp_path):
+        bad = _edited(self._baseline(tmp_path), tmp_path / "v99.json", schema_version=99)
+        with pytest.raises(ValueError, match="schema version"):
+            ScheduleFile.read(bad)
+        assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+
+    def test_rejects_unknown_polynomial_kind(self, tmp_path):
+        bad = _edited(self._baseline(tmp_path), tmp_path / "cheb.json", polynomial_kind="chebyshev")
+        with pytest.raises(ValueError, match="polynomial kind"):
+            ScheduleFile.read(bad)
+        assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
 
 
 class TestDumpWeights:

@@ -10,8 +10,8 @@ from stepopt.objective import (
     objective_value,
     score_error_weight,
 )
-from stepopt.schedules import NoiseSchedule
-from stepopt.weights import OrderSchedule
+from stepopt.schedules import LambdaGrid, NoiseSchedule
+from stepopt.weights import OrderSchedule, aggregate, weights_lagrange
 
 VE = NoiseSchedule.ve_edm()
 VP = NoiseSchedule.vp_linear()
@@ -120,16 +120,14 @@ class TestObjectiveValue:
         v = [objective_value(spec, x) for x in xs]
         ratio_default = v[0] / v[1]
 
-        # recompute with a different anchor by shifting the whole problem
-        # through the weights API directly
-        from stepopt.weights import _signed_group_sums, _table_entries
-
+        # recompute with a different anchor through the public weights API
         def value_with_anchor(interior, anchor):
             full = np.concatenate(([lam_T], interior, [lam_eps]))
-            entries = _table_entries(full, spec.orders, "lagrange", anchor)
-            signed = _signed_group_sums(entries, spec.orders)
+            t = np.exp(-full)  # any decreasing times; the weights read only lam
+            grid = LambdaGrid(lam=full, t=t, T=t[0], eps=t[-1])
+            agg = aggregate(weights_lagrange(grid, spec.orders, scale_anchor=anchor), spec.orders)
             factors = score_error_weight(VP, full[:-1], 1)
-            return float(np.sum(factors * np.abs(signed)))
+            return float(np.sum(factors * agg.c))
 
         ratio_other = value_with_anchor(xs[0], 0.0) / value_with_anchor(xs[1], 0.0)
         assert ratio_other == pytest.approx(ratio_default, rel=1e-12)

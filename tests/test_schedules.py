@@ -67,6 +67,25 @@ class TestTOfLambda:
         back = schedule.t_of_lambda(schedule.lambda_of_t(t))
         assert np.max(np.abs(back - t) / t) < 1e-10
 
+    @pytest.mark.parametrize("schedule,lo,hi", ALL_FAMILIES)
+    def test_lambda_round_trip_to_high_log_snr(self, schedule, lo, hi):
+        lam_min, lam_max = schedule.lambda_domain()
+        lam = np.linspace(lam_min, min(9.0, lam_max), 2000)
+        back = schedule.lambda_of_t(schedule.t_of_lambda(lam))
+        assert np.max(np.abs(back - lam)) <= 1e-7
+
+    @pytest.mark.parametrize("schedule,lo,hi", ALL_FAMILIES)
+    def test_inverse_strictly_decreasing(self, schedule, lo, hi):
+        # decreasing, and in order with the forward map: mapped back, each
+        # node stays within half a spacing of where it was, so inverse
+        # nodes and forward-mapped endpoints of a grid interleave correctly
+        lam_min, lam_max = schedule.lambda_domain()
+        lam = np.linspace(lam_min, min(16.0, lam_max), 201)
+        t = schedule.t_of_lambda(lam)
+        assert np.all(np.diff(t) < 0)
+        back = schedule.lambda_of_t(t)
+        assert np.max(np.abs(back - lam)) < 0.5 * (lam[1] - lam[0])
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             VE.t_of_lambda(10.0)
@@ -122,6 +141,10 @@ class TestUniformLambdaGrid:
         lam_T = float(VP_LINEAR.lambda_of_t(1.0))
         lam_eps = float(VP_LINEAR.lambda_of_t(0.001))
         assert grid.lam.tolist() == [lam_T, lam_eps]
+
+    def test_vp_cosine_down_to_tiny_eps(self):
+        grid = uniform_lambda_grid(VP_COSINE, 20, 0.992, 1e-9)
+        assert np.all(np.diff(grid.t) < 0)
 
     def test_ve_geometric_progression(self):
         grid = uniform_lambda_grid(VE, 4, 80.0, 0.002)

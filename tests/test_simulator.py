@@ -293,13 +293,3 @@ class TestEvaluateSchedules:
             evaluate_schedules(
                 model, VP, [g1, g2], OrderSchedule.warmup(5, 3), "lagrange", 8, 0
             )
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        model = standard_test_mixture()
-        grid = uniform_lambda_grid(VP, 5, 1.0, 1e-3)
-        orders = OrderSchedule.warmup(5, 3)
-        monkeypatch.delenv("STEPOPT_THREADS", raising=False)
-        serial = evaluate_schedules(model, VP, [grid], orders, "lagrange", 64, 3)[0]
-        monkeypatch.setenv("STEPOPT_THREADS", "4")
-        threaded = evaluate_schedules(model, VP, [grid], orders, "lagrange", 64, 3)[0]
-        np.testing.assert_array_equal(serial.per_seed_errors, threaded.per_seed_errors)

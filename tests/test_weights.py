@@ -25,6 +25,23 @@ def gauss_legendre_oracle(coeffs, a, b, shift, n=64):
     return float(np.sum(w * np.exp(lam - shift) * p) * 0.5 * (b - a))
 
 
+def taylor_value_polys(local_nodes):
+    """Per-value coefficient polynomials of the Taylor solver, built from
+    divided differences at nodes given relative to the newest (last) one."""
+    k = len(local_nodes)
+    polys = []
+    for j in range(k):
+        f = np.eye(k)[j]
+        coeffs = [f[-1]]
+        if k >= 2:
+            coeffs.append((f[-1] - f[-2]) / (local_nodes[-1] - local_nodes[-2]))
+        if k >= 3:
+            older = (f[-2] - f[-3]) / (local_nodes[-2] - local_nodes[-3])
+            coeffs.append((coeffs[1] - older) / (local_nodes[-1] - local_nodes[-3]))
+        polys.append(coeffs)
+    return polys
+
+
 def grid_from_lambda(lam):
     """Wrap a raw increasing log-SNR array (times via the VE relation)."""
     lam = np.asarray(lam, dtype=float)
@@ -113,17 +130,18 @@ class TestLagrangeWeights:
         # cross-checked against the quadrature oracle
         grid = grid_from_lambda([0.0, 1.0, 2.0])
         table = weights_lagrange(grid, OrderSchedule((1, 2)), scale_anchor=0.0)
-        assert table.entries[(2, 0)] == pytest.approx(-E, rel=1e-12)
-        assert table.entries[(2, 1)] == pytest.approx(E * E, rel=1e-12)
+        w = table.step_weights(2)
+        assert w[0] == pytest.approx(-E, rel=1e-12)
+        assert w[1] == pytest.approx(E * E, rel=1e-12)
         for j in range(2):
             oracle = gauss_legendre_oracle(lagrange_basis([0.0, 1.0], j), 1.0, 2.0, 0.0)
-            assert table.entries[(2, j)] == pytest.approx(oracle, rel=1e-12)
+            assert w[j] == pytest.approx(oracle, rel=1e-12)
 
     def test_first_order_weight(self):
         grid = grid_from_lambda([-1.0, 0.5, 2.0])
         table = weights_lagrange(grid, OrderSchedule((1, 1)), scale_anchor=0.0)
-        assert table.entries[(1, 0)] == pytest.approx(math.exp(0.5) - math.exp(-1.0), rel=1e-12)
-        assert table.entries[(2, 0)] == pytest.approx(math.exp(2.0) - math.exp(0.5), rel=1e-12)
+        assert table.step_weights(1)[0] == pytest.approx(math.exp(0.5) - math.exp(-1.0), rel=1e-12)
+        assert table.step_weights(2)[0] == pytest.approx(math.exp(2.0) - math.exp(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("build,cap", [(weights_lagrange, 4), (weights_taylor, 3)])
     def test_weight_sum_identity(self, build, cap):
@@ -134,17 +152,40 @@ class TestLagrangeWeights:
             orders = random_orders(rng, N, cap)
             table = build(grid, orders)
             for n in range(1, N + 1):
-                total = math.fsum(w for (m, _), w in table.entries.items() if m == n)
+                total = math.fsum(table.step_weights(n))
                 expect = math.exp(grid.lam[n] - table.scale_anchor) - math.exp(
                     grid.lam[n - 1] - table.scale_anchor
                 )
                 assert total == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("build,cap", [(weights_lagrange, 4), (weights_taylor, 3)])
+    def test_mixed_orders_match_quadrature_oracle(self, build, cap):
+        rng = np.random.default_rng(77)
+        for _ in range(40):
+            grid = random_grid(rng, min_gap=0.05)
+            orders = random_orders(rng, grid.n_steps, cap)
+            table = build(grid, orders)
+            lam, anchor = grid.lam, table.scale_anchor
+            for n, k in enumerate(orders.k, start=1):
+                local = lam[n - k : n] - lam[n - 1]
+                polys = (
+                    [lagrange_basis(local, j) for j in range(k)]
+                    if build is weights_lagrange
+                    else taylor_value_polys(local)
+                )
+                oracle = [
+                    gauss_legendre_oracle(p, 0.0, lam[n] - lam[n - 1], anchor - lam[n - 1])
+                    for p in polys
+                ]
+                w = table.step_weights(n)
+                np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-10 * np.max(np.abs(oracle)))
+                assert np.all(table.weights[n - 1, k:] == 0.0)
+
     def test_all_weights_finite(self):
         rng = np.random.default_rng(5)
         grid = random_grid(rng)
         table = weights_lagrange(grid, OrderSchedule.warmup(grid.n_steps, 3))
-        assert all(math.isfinite(w) for w in table.entries.values())
+        assert np.all(np.isfinite(table.weights))
 
     def test_scale_anchor_proportionality(self):
         grid = grid_from_lambda([-2.0, -0.5, 1.0, 2.5, 4.0])
@@ -152,8 +193,10 @@ class TestLagrangeWeights:
         t_a = weights_lagrange(grid, orders, scale_anchor=4.0)
         t_b = weights_lagrange(grid, orders, scale_anchor=2.0)
         factor = math.exp(4.0 - 2.0)
-        for key, w in t_a.entries.items():
-            assert w * factor == pytest.approx(t_b.entries[key], rel=1e-12)
+        for n in range(1, 5):
+            np.testing.assert_allclose(
+                t_a.step_weights(n) * factor, t_b.step_weights(n), rtol=1e-12
+            )
         c_a = aggregate(t_a, orders).c
         c_b = aggregate(t_b, orders).c
         np.testing.assert_allclose(c_a * factor, c_b, rtol=1e-12)
@@ -170,8 +213,8 @@ class TestLagrangeWeights:
         moved = weights_lagrange(
             grid_from_lambda(lam + const), orders, scale_anchor=lam[-1] + const
         )
-        for key, w in base.entries.items():
-            assert moved.entries[key] == pytest.approx(w, rel=1e-10)
+        for n in range(1, 7):
+            np.testing.assert_allclose(moved.step_weights(n), base.step_weights(n), rtol=1e-10)
 
 
 class TestTaylorWeights:
@@ -180,15 +223,16 @@ class TestTaylorWeights:
         orders = OrderSchedule((1, 1))
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
-        assert tl.entries == pytest.approx(tt.entries)
+        for n in (1, 2):
+            assert tl.step_weights(n) == pytest.approx(tt.step_weights(n))
 
     def test_second_order_matches_lagrange_on_uniform_grid(self):
         grid = grid_from_lambda(np.linspace(-1.0, 3.0, 5))
         orders = OrderSchedule((1, 2, 2, 2))
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
-        for key, w in tl.entries.items():
-            assert tt.entries[key] == pytest.approx(w, rel=1e-12)
+        for n in range(1, grid.n_steps + 1):
+            np.testing.assert_allclose(tt.step_weights(n), tl.step_weights(n), rtol=1e-12)
 
     def test_second_order_matches_lagrange_on_any_grid(self):
         # the two-value secant slope reproduces the linear interpolant
@@ -196,25 +240,25 @@ class TestTaylorWeights:
         orders = OrderSchedule((1, 2, 2))
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
-        for key, w in tl.entries.items():
-            assert tt.entries[key] == pytest.approx(w, rel=1e-12)
+        for n in range(1, grid.n_steps + 1):
+            np.testing.assert_allclose(tt.step_weights(n), tl.step_weights(n), rtol=1e-12)
 
     def test_third_order_differs_on_nonuniform_grid(self):
         grid = grid_from_lambda([-1.0, 0.2, 0.9, 2.6])
         orders = OrderSchedule((1, 2, 3))
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
-        assert abs(tl.entries[(3, 0)] - tt.entries[(3, 0)]) > 1e-6
+        assert abs(tl.step_weights(3)[0] - tt.step_weights(3)[0]) > 1e-6
 
     def test_second_derivative_stencil_annihilates_constants(self):
-        from stepopt.weights import _taylor_value_polys
-
-        polys = _taylor_value_polys([-1.7, -0.6, 0.0])
-        quad_coeffs = [p[2] for p in polys]
-        assert math.fsum(quad_coeffs) == pytest.approx(0.0, abs=1e-12)
-        # linear stencil is zero-sum as well
-        lin_coeffs = [p[1] for p in polys]
-        assert math.fsum(lin_coeffs) == pytest.approx(0.0, abs=1e-12)
+        # derivative stencils are zero-sum, so on a constant prediction
+        # only the newest value's constant term is left: the weights of a
+        # step sum to the exact integral of exp over it
+        grid = grid_from_lambda([-1.7, -0.6, 0.0, 1.1])
+        table = weights_taylor(grid, OrderSchedule((1, 2, 3)), scale_anchor=0.0)
+        for n in (2, 3):
+            expect = math.exp(grid.lam[n]) - math.exp(grid.lam[n - 1])
+            assert math.fsum(table.step_weights(n)) == pytest.approx(expect, rel=1e-12)
 
     def test_order_cap(self):
         grid = grid_from_lambda([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -241,11 +285,11 @@ class TestAggregate:
         orders = OrderSchedule((1, 2, 3))
         table = weights_lagrange(grid, orders)
         agg = aggregate(table, orders)
-        e = table.entries
+        w1, w2, w3 = (table.step_weights(n) for n in (1, 2, 3))
         expect = [
-            abs(e[(1, 0)] + e[(2, 0)] + e[(3, 0)]),
-            abs(e[(2, 1)] + e[(3, 1)]),
-            abs(e[(3, 2)]),
+            abs(w1[0] + w2[0] + w3[0]),
+            abs(w2[1] + w3[1]),
+            abs(w3[2]),
         ]
         np.testing.assert_allclose(agg.c, expect, rtol=1e-14)
         assert agg.c.shape == (3,)
