@@ -28,13 +28,7 @@ from . import __version__
 from .objective import ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile
-from .schedules import (
-    DomainError,
-    NoiseSchedule,
-    edm_grid,
-    uniform_lambda_grid,
-    uniform_t_grid,
-)
+from .schedules import SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
 
@@ -45,11 +39,6 @@ _DEFAULT_RANGES = {
     "vp-linear": (1.0, 1e-3),
     "vp-cosine": (0.992, 1e-3),
     "ve-edm": (80.0, 0.002),
-}
-_BASELINE_BUILDERS = {
-    "uniform-t": lambda sched, N, T, eps, rho: uniform_t_grid(sched, N, T, eps),
-    "uniform-lambda": lambda sched, N, T, eps, rho: uniform_lambda_grid(sched, N, T, eps),
-    "edm": edm_grid,
 }
 
 
@@ -117,7 +106,7 @@ def _cmd_baseline(args) -> int:
     schedule = _schedule_from_args(args)
     T, eps = _range_from_args(args)
     orders = _orders_from_args(args, args.N)
-    grid = _BASELINE_BUILDERS[args.scheme](schedule, args.N, T, eps, args.rho)
+    grid = scheme_grid(args.scheme, schedule, args.N, T, eps, args.rho)
     spec = ObjectiveSpec(
         schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind
     )
@@ -136,24 +125,24 @@ def _cmd_optimize(args) -> int:
     schedule = _schedule_from_args(args)
     T, eps = _range_from_args(args)
     orders = _orders_from_args(args, args.N)
-    spec = ObjectiveSpec(
-        schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind
-    )
-    inits = (
-        ("uniform-t", "uniform-lambda", "edm") if args.init == "best-of-3" else (args.init,)
-    )
-    results = []
-    for init in inits:
-        try:
-            config = OptimizerConfig(
+    inits = SCHEMES if args.init == "best-of-3" else (args.init,)
+    # flags first: the spec maps T and eps, where a domain error exits 1
+    try:
+        configs = [
+            OptimizerConfig(
                 init=init,
                 rho=args.rho,
                 margin=args.margin,
                 max_iters=args.max_iters,
             )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        results.append((init, optimize_steps(spec, config)))
+            for init in inits
+        ]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    spec = ObjectiveSpec(
+        schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind
+    )
+    results = [(config.init, optimize_steps(spec, config)) for config in configs]
     init_name, best = min(results, key=lambda pair: pair[1].objective)
     out = ScheduleFile.from_grid(
         best.grid,
@@ -259,16 +248,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("baseline", help="write a reference discretization")
-    p.add_argument("--scheme", choices=tuple(_BASELINE_BUILDERS), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     _add_spec_flags(p)
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("optimize", help="minimize the bound objective over interior nodes")
-    p.add_argument(
-        "--init",
-        choices=("uniform-t", "uniform-lambda", "edm", "best-of-3"),
-        default="best-of-3",
-    )
+    p.add_argument("--init", choices=SCHEMES + ("best-of-3",), default="best-of-3")
     p.add_argument("--margin", type=float, default=None, help="minimum log-SNR gap")
     p.add_argument("--max-iters", type=int, default=500)
     _add_spec_flags(p)

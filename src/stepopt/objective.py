@@ -17,7 +17,7 @@ Gradients are computed by central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,8 @@ class ObjectiveSpec:
     p: int = 1
     polynomial_kind: str = "lagrange"
     abs_smoothing: float = 1e-10
+    # (lambda at T, lambda at eps), the fixed endpoint values of every grid
+    lambda_endpoints: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -64,13 +66,11 @@ class ObjectiveSpec:
             raise ValueError(
                 f"order schedule covers {len(self.orders)} steps, expected {self.N}"
             )
-
-    @property
-    def lambda_endpoints(self) -> tuple[float, float]:
-        return (
+        endpoints = (
             float(self.schedule.lambda_of_t(self.T)),
             float(self.schedule.lambda_of_t(self.eps)),
         )
+        object.__setattr__(self, "lambda_endpoints", endpoints)
 
 
 def score_error_weight(schedule: NoiseSchedule, lam, p: int):

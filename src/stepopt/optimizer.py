@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import ObjectiveSpec, objective_gradient, objective_value
-from .schedules import LambdaGrid, edm_grid, uniform_lambda_grid, uniform_t_grid
+from .schedules import SCHEMES, LambdaGrid, scheme_grid
 
 __all__ = [
     "InfeasibleError",
@@ -35,7 +35,14 @@ __all__ = [
     "INIT_SCHEMES",
 ]
 
-INIT_SCHEMES = ("uniform-t", "uniform-lambda", "edm", "explicit")
+INIT_SCHEMES = SCHEMES + ("explicit",)
+
+# stationarity tolerance on the projected-gradient norm
+_GRAD_TOL = 1e-8
+# an accepted step shorter than this (max norm) ends the run as converged
+_STEP_TOL = 1e-10
+# initial trust radius as a share of the mean node gap span / N
+_RADIUS0_SHARE = 0.1
 
 
 class InfeasibleError(ValueError):
@@ -49,9 +56,6 @@ class OptimizerConfig:
     explicit_grid: LambdaGrid | None = None
     margin: float | None = None  # None: max(1e-4, 1e-3 * span / N)
     max_iters: int = 500
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    tr_radius0: float | None = None  # None: 0.1 * span / N
 
     def __post_init__(self):
         if self.init not in INIT_SCHEMES:
@@ -62,10 +66,6 @@ class OptimizerConfig:
             raise ValueError("margin must be at least 1e-4")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.tr_radius0 is not None and self.tr_radius0 <= 0:
-            raise ValueError("tr_radius0 must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,8 @@ def feasibility_project(grid_interior, lam_T: float, lam_eps: float, delta: floa
 
 
 def _initial_grid(spec: ObjectiveSpec, config: OptimizerConfig) -> LambdaGrid:
-    if config.init == "uniform-t":
-        return uniform_t_grid(spec.schedule, spec.N, spec.T, spec.eps)
-    if config.init == "uniform-lambda":
-        return uniform_lambda_grid(spec.schedule, spec.N, spec.T, spec.eps)
-    if config.init == "edm":
-        return edm_grid(spec.schedule, spec.N, spec.T, spec.eps, config.rho)
+    if config.init != "explicit":
+        return scheme_grid(config.init, spec.schedule, spec.N, spec.T, spec.eps, config.rho)
     grid = config.explicit_grid
     if grid.n_steps != spec.N:
         raise ValueError(
@@ -202,7 +198,7 @@ def optimize_steps(
     g = objective_gradient(spec, x)
     B = np.eye(x.size)
     scaled = False
-    radius = config.tr_radius0 if config.tr_radius0 is not None else 0.1 * span / spec.N
+    radius = _RADIUS0_SHARE * span / spec.N
     radius_max = span
     converged = False
     iterations = 0
@@ -213,7 +209,7 @@ def optimize_steps(
         )
 
     for iterations in range(1, config.max_iters + 1):
-        if projected_gradient_norm(x, g) <= config.grad_tol:
+        if projected_gradient_norm(x, g) <= _GRAD_TOL:
             converged = True
             iterations -= 1
             break
@@ -221,20 +217,14 @@ def optimize_steps(
         trial = feasibility_project(x + step, lam_T, lam_eps, delta)
         actual_step = trial - x
         step_norm = float(np.max(np.abs(actual_step)))
-        if step_norm == 0.0:
-            radius *= 0.25
-            if radius < 1e-14:
-                break
-            continue
+        # a step that the projection cancels predicts no decrease (-0.0)
         predicted = -(float(g @ actual_step) + 0.5 * float(actual_step @ B @ actual_step))
-        if predicted <= 0.0:
-            radius *= 0.25
-            if radius < 1e-14:
-                break
-            continue
-        f_trial = objective_value(spec, trial)
-        ratio = (f - f_trial) / predicted
-        if f_trial < f and ratio > 1e-4:
+        accept = False
+        if predicted > 0.0:
+            f_trial = objective_value(spec, trial)
+            ratio = (f - f_trial) / predicted
+            accept = f_trial < f and ratio > 1e-4
+        if accept:
             g_trial = objective_gradient(spec, trial)
             y = g_trial - g
             if not scaled:
@@ -251,13 +241,13 @@ def optimize_steps(
                 radius = min(2.0 * radius, radius_max)
             elif ratio < 0.25:
                 radius *= 0.25
-            if step_norm <= config.step_tol:
+            if step_norm <= _STEP_TOL:
                 converged = True
                 break
         else:
             radius *= 0.25
         if radius < 1e-14:
-            converged = projected_gradient_norm(x, g) <= config.grad_tol
+            converged = projected_gradient_norm(x, g) <= _GRAD_TOL
             break
 
     grid = _finish_grid(spec, x)
@@ -274,8 +264,4 @@ def optimize_steps(
 def _finish_grid(spec: ObjectiveSpec, interior: np.ndarray) -> LambdaGrid:
     lam_T, lam_eps = spec.lambda_endpoints
     lam = np.concatenate(([lam_T], interior, [lam_eps]))
-    t = np.empty_like(lam)
-    t[0], t[-1] = spec.T, spec.eps
-    if interior.size:
-        t[1:-1] = spec.schedule.t_of_lambda(interior)
-    return LambdaGrid(lam=lam, t=t, T=spec.T, eps=spec.eps)
+    return LambdaGrid.from_lambda(spec.schedule, lam, spec.T, spec.eps)

@@ -52,10 +52,8 @@ class ScheduleFile:
             raise ValueError("node arrays must have N + 1 entries")
         if len(self.orders) != self.N:
             raise ValueError("orders must have N entries")
-        if not all(b > a for a, b in zip(self.lam, self.lam[1:])):
-            raise ValueError("log-SNR nodes must be strictly increasing")
-        if not all(b < a for a, b in zip(self.t, self.t[1:])):
-            raise ValueError("time nodes must be strictly decreasing")
+        # node order and exact endpoint times, as a grid requires them
+        self.to_grid()
 
     @classmethod
     def from_grid(

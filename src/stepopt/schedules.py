@@ -25,7 +25,7 @@ times (decreasing) and as half log-SNR values (increasing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +36,15 @@ __all__ = [
     "uniform_t_grid",
     "uniform_lambda_grid",
     "edm_grid",
+    "scheme_grid",
     "FAMILIES",
+    "SCHEMES",
 ]
 
 FAMILIES = ("vp_linear", "vp_cosine", "ve_edm")
+
+# baseline grid schemes, in the order best-of-3 optimization tries them
+SCHEMES = ("uniform-t", "uniform-lambda", "edm")
 
 # CLI / JSON names for the families.
 _FAMILY_NAMES = {
@@ -69,6 +74,7 @@ class NoiseSchedule:
     beta_min: float = 0.1
     beta_max: float = 20.0
     cosine_shift: float = 0.008
+    _lambda_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -77,6 +83,10 @@ class NoiseSchedule:
             raise ValueError("vp_linear requires 0 < beta_min < beta_max")
         if self.family == "vp_cosine" and self.cosine_shift <= 0:
             raise ValueError("vp_cosine requires a positive shift")
+        lo, hi = self.t_domain
+        lam_min = float(self.lambda_of_t(hi))
+        lam_max = float(self.lambda_of_t(lo)) if self.family == "ve_edm" else math.inf
+        object.__setattr__(self, "_lambda_domain", (lam_min, lam_max))
 
     # -- constructors ---------------------------------------------------
 
@@ -141,10 +151,12 @@ class NoiseSchedule:
         if self.family == "vp_linear":
             return -0.25 * t * t * (self.beta_max - self.beta_min) - 0.5 * t * self.beta_min
         if self.family == "vp_cosine":
+            # log(cos(theta_0 + d) / cos(theta_0)) with d = t / (1 + s) * pi / 2,
+            # expanded so that nothing cancels as t -> 0
             s = self.cosine_shift
-            half_pi = math.pi / 2.0
-            norm = math.log(math.cos(s / (1.0 + s) * half_pi))
-            return np.log(np.cos((t + s) / (1.0 + s) * half_pi)) - norm
+            d = t / (1.0 + s) * (math.pi / 2.0)
+            tan0 = math.tan(s / (1.0 + s) * (math.pi / 2.0))
+            return np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - tan0 * np.sin(d))
         return np.zeros_like(t)
 
     def alpha(self, t):
@@ -173,21 +185,16 @@ class NoiseSchedule:
 
     def lambda_domain(self) -> tuple[float, float]:
         """Range of attainable half log-SNR values (min at t_max, max at t_min)."""
-        lo, hi = self.t_domain
-        lam_min = float(self.lambda_of_t(hi))
-        if self.family == "ve_edm":
-            return (lam_min, float(self.lambda_of_t(lo)))
-        return (lam_min, math.inf)
+        return self._lambda_domain
 
     def t_of_lambda(self, lam):
         """Inverse of :meth:`lambda_of_t`, in closed form for every family.
 
         ``t`` is strictly decreasing in ``lam`` up to lam = 16 at least.
         Round trips hold ``t`` to 1e-10 relative for t >= 1e-5, and
-        ``lam`` to 1e-7 absolute for lam <= 9; beyond that the vp_cosine
-        forward map, not this inverse, loses digits.  Values within 1e-5 of the attainable range (e.g. endpoints quoted
-        to a few significant digits) are accepted and mapped onto the
-        boundary.
+        ``lam`` to 1e-7 absolute for lam <= 16.  Values within 1e-5 of
+        the attainable range (e.g. endpoints quoted to a few significant
+        digits) are accepted and mapped onto the boundary.
         """
         lam = np.asarray(lam, dtype=float)
         lam_min, lam_max = self.lambda_domain()
@@ -266,6 +273,20 @@ class LambdaGrid:
         lam.setflags(write=False)
         t.setflags(write=False)
 
+    @classmethod
+    def from_lambda(cls, schedule: NoiseSchedule, lam, T: float, eps: float) -> "LambdaGrid":
+        """Grid on the nodes ``lam``, whose first and last entries belong to T and eps.
+
+        The endpoint times are taken as given, so they stay exact; the
+        interior times come from the schedule's inverse map.
+        """
+        lam = np.asarray(lam, dtype=float)
+        t = np.empty_like(lam)
+        t[0], t[-1] = T, eps
+        if lam.size > 2:
+            t[1:-1] = schedule.t_of_lambda(lam[1:-1])
+        return cls(lam=lam, t=t, T=T, eps=eps)
+
     @property
     def n_steps(self) -> int:
         return self.lam.size - 1
@@ -297,11 +318,7 @@ def uniform_lambda_grid(schedule: NoiseSchedule, N: int, T: float, eps: float) -
     n = np.arange(N + 1)
     lam = lam_T + n / N * (lam_eps - lam_T)
     lam[0], lam[-1] = lam_T, lam_eps
-    t = np.empty(N + 1)
-    t[0], t[-1] = T, eps
-    if N > 1:
-        t[1:-1] = schedule.t_of_lambda(lam[1:-1])
-    return LambdaGrid(lam=lam, t=t, T=T, eps=eps)
+    return LambdaGrid.from_lambda(schedule, lam, T, eps)
 
 
 def edm_grid(schedule: NoiseSchedule, N: int, T: float, eps: float, rho: int = 7) -> LambdaGrid:
@@ -323,8 +340,20 @@ def edm_grid(schedule: NoiseSchedule, N: int, T: float, eps: float, rho: int = 7
     roots = root_T + n / N * (root_eps - root_T)
     lam = -rho * np.log(roots)
     lam[0], lam[-1] = lam_T, lam_eps
-    t = np.empty(N + 1)
-    t[0], t[-1] = T, eps
-    if N > 1:
-        t[1:-1] = schedule.t_of_lambda(lam[1:-1])
-    return LambdaGrid(lam=lam, t=t, T=T, eps=eps)
+    return LambdaGrid.from_lambda(schedule, lam, T, eps)
+
+
+def scheme_grid(
+    scheme: str, schedule: NoiseSchedule, N: int, T: float, eps: float, rho: int
+) -> LambdaGrid:
+    """Grid of the named baseline scheme (one of :data:`SCHEMES`).
+
+    ``rho`` is used by the ``edm`` scheme only.
+    """
+    if scheme == "uniform-t":
+        return uniform_t_grid(schedule, N, T, eps)
+    if scheme == "uniform-lambda":
+        return uniform_lambda_grid(schedule, N, T, eps)
+    if scheme == "edm":
+        return edm_grid(schedule, N, T, eps, rho)
+    raise ValueError(f"unknown grid scheme {scheme!r}; expected one of {SCHEMES}")

@@ -95,7 +95,6 @@ class SamplerRun:
     model: AnalyticModel
     schedule: NoiseSchedule
     seeds: int = 1
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.seeds < 1:
@@ -233,13 +232,6 @@ def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
     return out if x_T.ndim == 2 else out[0]
 
 
-def _dlog_sigma_dlam(schedule: NoiseSchedule, lam: float) -> float:
-    if schedule.family == "ve_edm":
-        return -1.0
-    alpha, _ = schedule.alpha_sigma_of_lambda(lam)
-    return -float(alpha) ** 2
-
-
 def _reference_batch(
     model: AnalyticModel,
     schedule: NoiseSchedule,
@@ -269,7 +261,8 @@ def _reference_batch(
         x = y.reshape(shape)
         alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
         pred = _posterior_mean(model, x, alpha, sigma)
-        return (_dlog_sigma_dlam(schedule, lam) * x + alpha * pred).ravel()
+        dlog_sigma = -1.0 if schedule.family == "ve_edm" else -alpha**2
+        return (dlog_sigma * x + alpha * pred).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -312,6 +305,8 @@ def evaluate_schedules(
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
+    if labels is not None and len(labels) != len(schedules):
+        raise ValueError(f"{len(labels)} labels given for {len(schedules)} grids")
     if not schedules:
         return []
     first = schedules[0]

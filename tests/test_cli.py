@@ -243,6 +243,11 @@ class TestExitCodes:
         family = _edited(a, tmp_path / "family.json", schedule_family="vp-quadratic")
         assert run("simulate", "--model", model_file, "--steps", family,
                    "--seeds", "4", "--out", out) == 2
+        t = json.loads(a.read_text())["t"]
+        moved_start = _edited(a, tmp_path / "start.json", t=[0.9, *t[1:]])
+        assert run("simulate", "--model", model_file, "--steps", moved_start,
+                   "--seeds", "4", "--out", out) == 2
+        assert run("dump-weights", "--steps", moved_start, "--out", out) == 2
         bad_model = tmp_path / "bad-model.json"
         bad_model.write_text(json.dumps(
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))

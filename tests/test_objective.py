@@ -194,6 +194,25 @@ class TestObjectiveGradient:
         with pytest.raises(ConstraintViolationError):
             objective_gradient(spec, np.array([lam_T + 1e-8, lam_eps - 1.0]))
 
+    def test_no_time_map_calls_once_spec_exists(self, monkeypatch):
+        # endpoints and the attainable log-SNR range are fixed per spec and
+        # per schedule, so evaluations never map a time again
+        cases = [(VP, 1.0, 1e-3), (VE, 80.0, 0.002), (NoiseSchedule.vp_cosine(), 0.992, 1e-3)]
+        specs = [make_spec(schedule, 4, T, eps, max_order=3) for schedule, T, eps in cases]
+        interiors = [np.linspace(*spec.lambda_endpoints, 5)[1:-1] for spec in specs]
+        calls = []
+        forward = NoiseSchedule.lambda_of_t
+
+        def counted(self, t):
+            calls.append(t)
+            return forward(self, t)
+
+        monkeypatch.setattr(NoiseSchedule, "lambda_of_t", counted)
+        for spec, interior in zip(specs, interiors):
+            objective_value(spec, interior)
+            objective_gradient(spec, interior)
+        assert calls == []
+
 
 def _richardson_gradient(spec, interior):
     """Extrapolated central differences at two step sizes."""

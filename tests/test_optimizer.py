@@ -172,5 +172,3 @@ class TestOptimizeSteps:
             OptimizerConfig(init="explicit")
         with pytest.raises(ValueError):
             OptimizerConfig(margin=1e-6)
-        with pytest.raises(ValueError):
-            OptimizerConfig(grad_tol=0.0)

@@ -257,6 +257,16 @@ class TestEvaluateSchedules:
             reports[0].per_seed_errors, reports[1].per_seed_errors
         )
 
+    def test_label_count_must_match(self):
+        model = standard_test_mixture()
+        grid = uniform_lambda_grid(VP, 5, 1.0, 1e-3)
+        orders = OrderSchedule.warmup(5, 3)
+        with pytest.raises(ValueError, match="labels"):
+            evaluate_schedules(
+                model, VP, [grid, grid], orders, "lagrange", seeds=4, rng_seed=5,
+                labels=["only-one"],
+            )
+
     def test_reproducible_across_calls(self):
         model = standard_test_mixture()
         grid = uniform_lambda_grid(VP, 5, 1.0, 1e-3)
