@@ -28,18 +28,14 @@ from . import __version__
 from .objective import ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile
-from .schedules import SCHEMES, DomainError, NoiseSchedule, scheme_grid
+from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
 
 __all__ = ["main", "entry_point"]
 
-_SCHEDULE_NAMES = ("vp-linear", "vp-cosine", "ve-edm")
-_DEFAULT_RANGES = {
-    "vp-linear": (1.0, 1e-3),
-    "vp-cosine": (0.992, 1e-3),
-    "ve-edm": (80.0, 0.002),
-}
+# default end time per family; the default start time is the top of its domain
+_DEFAULT_EPS = {"vp-linear": 1e-3, "vp-cosine": 1e-3, "ve-edm": 0.002}
 
 
 class UsageError(ValueError):
@@ -48,19 +44,19 @@ class UsageError(ValueError):
 
 def _schedule_from_args(args) -> NoiseSchedule:
     try:
-        if args.schedule == "vp-linear":
-            return NoiseSchedule.vp_linear(args.beta_min, args.beta_max)
-        if args.schedule == "vp-cosine":
-            return NoiseSchedule.vp_cosine(args.cosine_shift)
-        return NoiseSchedule.ve_edm()
+        return NoiseSchedule.from_name(
+            args.schedule,
+            beta_min=args.beta_min,
+            beta_max=args.beta_max,
+            cosine_shift=args.cosine_shift,
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _range_from_args(args) -> tuple[float, float]:
-    default_T, default_eps = _DEFAULT_RANGES[args.schedule]
-    T = args.T if args.T is not None else default_T
-    eps = args.eps if args.eps is not None else default_eps
+def _range_from_args(args, schedule: NoiseSchedule) -> tuple[float, float]:
+    T = args.T if args.T is not None else schedule.t_domain[1]
+    eps = args.eps if args.eps is not None else _DEFAULT_EPS[args.schedule]
     if not T > eps:
         raise UsageError(f"--T ({T}) must exceed --eps ({eps})")
     return T, eps
@@ -104,7 +100,7 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
 
 def _cmd_baseline(args) -> int:
     schedule = _schedule_from_args(args)
-    T, eps = _range_from_args(args)
+    T, eps = _range_from_args(args, schedule)
     orders = _orders_from_args(args, args.N)
     grid = scheme_grid(args.scheme, schedule, args.N, T, eps, args.rho)
     spec = ObjectiveSpec(
@@ -123,7 +119,7 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_optimize(args) -> int:
     schedule = _schedule_from_args(args)
-    T, eps = _range_from_args(args)
+    T, eps = _range_from_args(args, schedule)
     orders = _orders_from_args(args, args.N)
     inits = SCHEMES if args.init == "best-of-3" else (args.init,)
     # flags first: the spec maps T and eps, where a domain error exits 1
@@ -222,7 +218,7 @@ def _cmd_dump_weights(args) -> int:
 
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--schedule", choices=_SCHEDULE_NAMES, required=True)
+    p.add_argument("--schedule", choices=SCHEDULE_NAMES, required=True)
     p.add_argument("--N", type=int, required=True, help="number of steps")
     p.add_argument("--T", type=float, default=None, help="start time (family default)")
     p.add_argument("--eps", type=float, default=None, help="end time (family default)")

@@ -12,7 +12,9 @@ when a weight total crosses zero during iteration; ``mu = 0`` recovers
 the exact objective.
 
 Endpoints are fixed; only the ``N - 1`` interior log-SNR values vary.
-Gradients are computed by central finite differences.
+Gradients are central finite differences: the 2(N - 1) perturbed grids
+of one gradient go through one batched evaluation, rounded exactly as a
+loop over the coordinates would perturb them (see :func:`objective_gradient`).
 """
 
 from __future__ import annotations
@@ -108,13 +110,14 @@ def _full_lambda(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
     return full
 
 
-def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> float:
-    w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[-1])
+def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
+    """Objective of each full grid stacked along the leading axes of ``lam_full``."""
+    w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[..., -1:])
     signed = _point_totals(w, spec.orders)
-    factors = score_error_weight(spec.schedule, lam_full[:-1], spec.p)
+    factors = score_error_weight(spec.schedule, lam_full[..., :-1], spec.p)
     mu = spec.abs_smoothing
     smoothed = np.abs(signed) if mu == 0.0 else np.sqrt(signed * signed + mu * mu)
-    return float(np.sum(factors * smoothed))
+    return np.sum(factors * smoothed, axis=-1)
 
 
 def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
@@ -123,7 +126,7 @@ def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
     Raises :class:`ConstraintViolationError` on non-monotone input; the
     constraint is never silently repaired.
     """
-    return _evaluate(spec, _full_lambda(spec, lambda_interior))
+    return float(_evaluate(spec, _full_lambda(spec, lambda_interior)))
 
 
 def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
@@ -131,22 +134,30 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
 
     Step size is 1e-6 scaled by the coordinate magnitude; neighbors must
     be at least two steps away so perturbed points stay feasible.
+
+    All 2(N - 1) perturbed grids go through one batched evaluation, with
+    the values of a loop that moves coordinate i in place to ``x_i + h_i``,
+    then ``(x_i + h_i) - 2 h_i``, and restores it by adding ``h_i``:
+    coordinates j < i sit at that restored value, which can be an ulp off
+    ``x_j``.  Optimizer paths follow round-off, so these exact values are kept.
     """
     lam_full = _full_lambda(spec, lambda_interior)
     n_free = spec.N - 1
-    grad = np.empty(n_free)
-    steps = 1e-6 * np.maximum(1.0, np.abs(lam_full[1:-1]))
+    x = lam_full[1:-1]
+    steps = 1e-6 * np.maximum(1.0, np.abs(x))
     gaps = np.diff(lam_full)
     if n_free and np.any(np.minimum(gaps[:-1], gaps[1:]) < 2.0 * steps):
         raise ConstraintViolationError(
             "interior values too close to neighbors for finite differencing"
         )
-    for i in range(n_free):
-        h = steps[i]
-        lam_full[i + 1] += h
-        f_plus = _evaluate(spec, lam_full)
-        lam_full[i + 1] -= 2.0 * h
-        f_minus = _evaluate(spec, lam_full)
-        lam_full[i + 1] += h
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
+    plus = x + steps
+    minus = plus - 2.0 * steps
+    restored = minus + steps
+    i = np.arange(n_free)
+    # points[i, 0] and points[i, 1] are the grids of f(x + h_i e_i) and f(x - h_i e_i)
+    points = np.tile(lam_full, (n_free, 2, 1))
+    points[:, :, 1:-1] = np.where(i[:, None] > i, restored, x)[:, None, :]
+    points[i, 0, i + 1] = plus
+    points[i, 1, i + 1] = minus
+    f = _evaluate(spec, points)
+    return (f[:, 0] - f[:, 1]) / (2.0 * steps)

@@ -38,6 +38,7 @@ __all__ = [
     "edm_grid",
     "scheme_grid",
     "FAMILIES",
+    "SCHEDULE_NAMES",
     "SCHEMES",
 ]
 
@@ -52,6 +53,7 @@ _FAMILY_NAMES = {
     "vp-cosine": "vp_cosine",
     "ve-edm": "ve_edm",
 }
+SCHEDULE_NAMES = tuple(_FAMILY_NAMES)
 
 # vp_cosine has unbounded log-SNR at t = 1; cap the usable range below it.
 _COSINE_T_MAX = 0.992

@@ -9,7 +9,7 @@ function value is the exact integral of ``exp(lam)`` times the matching
 basis polynomial over the step interval.
 
 All weights come from one array kernel, :func:`step_weight_array`,
-which treats every step of a grid at once.  Because raw coefficients
+which treats every step of a grid, or of a stack of grids, at once.  Because raw coefficients
 carry a factor ``exp(lam)`` that can overflow for schedules reaching
 large log-SNR, every table stores weights pre-multiplied by
 ``exp(-scale_anchor)``.  The anchor defaults to the largest grid value,
@@ -115,7 +115,7 @@ class AggregatedCoefficients:
 
 
 def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
-    """``M[n, m] = int_0^h[n] exp(u) u^m du`` for ``m < count <= 4``.
+    """``M[..., n, m] = int_0^h[..., n] exp(u) u^m du`` for ``m < count <= 4``.
 
     Exact to round-off for any h > 0: wide intervals use the closed-form
     antiderivative
@@ -125,11 +125,11 @@ def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
     and narrow ones the (all-positive) power series of the moments.
     Moments that overflow come back as ``inf``.
     """
-    h = np.asarray(h, dtype=float)[:, None]
+    h = np.asarray(h, dtype=float)[..., None]
     m = np.arange(count)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.exp(h) * (h**m @ _ANTIDERIVATIVE[:count, :count].T) - _ANTIDERIVATIVE[:count, 0]
-    narrow = h[:, 0] < _SERIES_WIDTH
+    narrow = h[..., 0] < _SERIES_WIDTH
     if narrow.any():
         hn = h[narrow]
         term = hn ** (m + 1) / (m + 1)
@@ -205,9 +205,9 @@ def _lagrange_local(u: np.ndarray, block: np.ndarray, moments: np.ndarray) -> np
     padded with identity rows and zero moments, so their weights solve
     to exactly zero.
     """
-    K = u.shape[1]
-    system = np.where(block, u[:, None, :] ** np.arange(K)[:, None], np.eye(K))  # u_j^m
-    return np.linalg.solve(system, moments[:, :, None])[:, :, 0]
+    K = u.shape[-1]
+    system = np.where(block, u[..., None, :] ** np.arange(K)[:, None], np.eye(K))  # u_j^m
+    return np.linalg.solve(system, moments[..., None])[..., 0]
 
 
 def _taylor_local(h: np.ndarray, k: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -218,34 +218,43 @@ def _taylor_local(h: np.ndarray, k: np.ndarray, moments: np.ndarray) -> np.ndarr
     derivative the three newest (older gap ``b``), with stencils that
     vanish on constants.
     """
-    N, K = moments.shape
-    m0, m1, m2 = np.pad(moments, ((0, 0), (0, 3 - K))).T
-    a = np.concatenate(([1.0], h[:-1]))
-    b = np.concatenate(([1.0, 1.0], h[:-2]))[:N]
+    N, K = moments.shape[-2:]
+    pad = ((0, 0),) * (moments.ndim - 1) + ((0, 3 - K),)
+    m0, m1, m2 = np.moveaxis(np.pad(moments, pad), -1, 0)
+    # gap a between the two newest values, b between the next two; 1 where absent
+    a = np.ones_like(h)
+    a[..., 1:] = h[..., :-1]
+    b = np.ones_like(h)
+    b[..., 2:] = h[..., :-2]
     by_age = np.stack(
         (
             m0 + m1 / a + m2 / (a * (a + b)),
             -m1 / a - m2 / (a * b),
             m2 / (b * (a + b)),
         ),
-        axis=1,
+        axis=-1,
     )  # column d multiplies the value d steps older than the newest
     age = k[:, None] - 1 - np.arange(K)
-    return np.where(age >= 0, np.take_along_axis(by_age, np.clip(age, 0, 2), axis=1), 0.0)
+    taken = by_age[..., np.arange(N)[:, None], np.clip(age, 0, 2)]
+    return np.where(age >= 0, taken, 0.0)
 
 
 def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarray:
-    """Weights of every step at once, as an ``(N, max order)`` array.
+    """Weights of every step at once, as an ``(..., N, max order)`` array.
 
-    Row ``n - 1`` holds the weights of step ``n`` (1-based), one per
-    basis index j, multiplied by ``exp(lam[n-1] - shift)``; entries past
-    ``k_n`` are exactly zero.  ``shift`` is a scalar anchor or one value
-    per step.  Work happens in the local coordinate ``u = lam -
-    lam[n-1]`` so the polynomial expansion stays well conditioned
-    regardless of where the grid sits on the log-SNR axis.
+    ``lam`` holds one grid of ``N + 1`` nodes along its last axis; any
+    leading axes stack independent grids, and each one gets exactly the
+    weights a call with that grid alone returns.  Row ``n - 1`` holds the
+    weights of step ``n`` (1-based), one per basis index j, multiplied by
+    ``exp(lam[..., n-1] - shift)``; entries past ``k_n`` are exactly zero.
+    ``shift`` broadcasts against ``lam[..., :-1]``: a scalar anchor, one
+    anchor per grid (shape ``(..., 1)``), or one value per step.  Work
+    happens in the local coordinate ``u = lam - lam[n-1]`` so the
+    polynomial expansion stays well conditioned regardless of where the
+    grid sits on the log-SNR axis.
     """
     lam = np.asarray(lam, dtype=float)
-    N = lam.size - 1
+    N = lam.shape[-1] - 1
     if len(orders) != N:
         raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
     if kind not in POLYNOMIAL_KINDS:
@@ -258,15 +267,17 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     moments = np.where(real, _exp_moments(h, K), 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "lagrange":
-            u = lam[np.minimum(points, N)] - lam[:-1, None]
+            u = lam[..., np.minimum(points, N)] - lam[..., :-1, None]
             local = _lagrange_local(u, block, moments)
         else:
             local = _taylor_local(h, real.sum(axis=1), moments)
-        w = local * np.exp(lam[:-1] - shift)[:, None]
+        w = local * np.exp(lam[..., :-1] - shift)[..., None]
     if not np.isfinite(w).all():
-        n = int(np.argmin(np.isfinite(w).all(axis=1))) + 1
-        anchor = np.broadcast_to(shift, (N,))[n - 1]
-        raise OverflowError(f"weights of step {n} are not finite at scale anchor {anchor}")
+        first = tuple(np.argwhere(~np.isfinite(w).all(axis=-1))[0])  # (grid..., step - 1)
+        anchor = np.broadcast_to(shift, w.shape[:-1])[first]
+        raise OverflowError(
+            f"weights of step {first[-1] + 1} are not finite at scale anchor {anchor}"
+        )
     return w
 
 
@@ -287,11 +298,22 @@ def weights_taylor(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -
 
 
 def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
-    """Signed total weight multiplying each evaluation point i = n - k_n + j."""
+    """Signed total weight multiplying each evaluation point i = n - k_n + j.
+
+    ``w`` may stack grids along leading axes.  One ``np.bincount`` serves
+    the whole stack: each grid gets its own block of bins, so every bin
+    sums the same entries in the same order as for a single grid.
+    """
     points = _layout(orders)[0]
     N = points.shape[0]
+    bins = int(points.max()) + 1
+    lead = w.shape[:-2]
+    grids = math.prod(lead)
+    if lead:
+        points = points + bins * np.arange(grids)[:, None, None]
     # padded entries are zero, so the bins they land in do not matter
-    return np.bincount(points.ravel(), weights=w.ravel(), minlength=points.max() + 1)[:N]
+    totals = np.bincount(points.ravel(), weights=w.ravel(), minlength=grids * bins)
+    return totals.reshape(*lead, bins)[..., :N]
 
 
 def aggregate(table: WeightTable, orders: OrderSchedule) -> AggregatedCoefficients:

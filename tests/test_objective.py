@@ -213,6 +213,46 @@ class TestObjectiveGradient:
             objective_gradient(spec, interior)
         assert calls == []
 
+    @pytest.mark.parametrize("kind,cap", [("lagrange", 4), ("taylor", 3)])
+    def test_matches_in_place_loop_bitwise(self, kind, cap):
+        # optimizer paths follow round-off, so the batched gradient must
+        # reproduce the loop's perturbed values exactly, not only x +- h
+        rng = np.random.default_rng(17)
+        cases = [(VP, 1.0, 1e-3), (NoiseSchedule.vp_cosine(), 0.992, 1e-3), (VE, 80.0, 0.002)]
+        for schedule, T, eps in cases:
+            for p in (1, 2):
+                for N in (2, 3, 6, 11, 16):
+                    orders = OrderSchedule(
+                        tuple(int(rng.integers(1, min(n, cap) + 1)) for n in range(1, N + 1))
+                    )
+                    spec = ObjectiveSpec(schedule, N, T, eps, orders, p=p, polynomial_kind=kind)
+                    lam_T, lam_eps = spec.lambda_endpoints
+                    for _ in range(3):
+                        interior = np.sort(rng.uniform(lam_T, lam_eps, N - 1))
+                        if np.any(np.diff(np.concatenate(([lam_T], interior, [lam_eps]))) < 1e-3):
+                            continue
+                        expect = _in_place_loop_gradient(spec, interior)
+                        assert np.array_equal(objective_gradient(spec, interior), expect)
+
+
+def _in_place_loop_gradient(spec, interior):
+    """Central differences one coordinate at a time, perturbing and
+    restoring a single full grid in place."""
+    from stepopt.objective import _evaluate
+
+    lam_full = np.concatenate(([spec.lambda_endpoints[0]], interior, [spec.lambda_endpoints[1]]))
+    steps = 1e-6 * np.maximum(1.0, np.abs(lam_full[1:-1]))
+    grad = np.empty(interior.size)
+    for i in range(interior.size):
+        h = steps[i]
+        lam_full[i + 1] += h
+        f_plus = float(_evaluate(spec, lam_full))
+        lam_full[i + 1] -= 2.0 * h
+        f_minus = float(_evaluate(spec, lam_full))
+        lam_full[i + 1] += h
+        grad[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
 
 def _richardson_gradient(spec, interior):
     """Extrapolated central differences at two step sizes."""

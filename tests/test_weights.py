@@ -9,7 +9,9 @@ from stepopt.weights import (
     OrderSchedule,
     aggregate,
     exp_poly_integral,
+    _point_totals,
     lagrange_basis,
+    step_weight_array,
     weights_lagrange,
     weights_taylor,
 )
@@ -49,12 +51,16 @@ def grid_from_lambda(lam):
     return LambdaGrid(lam=lam, t=t, T=t[0], eps=t[-1])
 
 
-def random_grid(rng, n_max=20, lo=-6.0, hi=7.0, min_gap=1e-3):
-    N = int(rng.integers(1, n_max + 1))
+def random_lam(rng, N, lo=-6.0, hi=7.0, min_gap=1e-3):
     while True:
         lam = np.sort(rng.uniform(lo, hi, N + 1))
         if np.all(np.diff(lam) >= min_gap):
-            return grid_from_lambda(lam)
+            return lam
+
+
+def random_grid(rng, n_max=20, min_gap=1e-3):
+    N = int(rng.integers(1, n_max + 1))
+    return grid_from_lambda(random_lam(rng, N, min_gap=min_gap))
 
 
 def random_orders(rng, N, cap):
@@ -264,6 +270,39 @@ class TestTaylorWeights:
         grid = grid_from_lambda([0.0, 1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
             weights_taylor(grid, OrderSchedule((1, 2, 3, 4)))
+
+
+class TestStackedGrids:
+    """Grids stacked along leading axes get exactly their single-grid weights."""
+
+    @pytest.mark.parametrize("kind,cap", [("lagrange", 4), ("taylor", 3)])
+    @pytest.mark.parametrize("shift_kind", ["scalar", "per grid", "per step"])
+    def test_stack_matches_single_calls_bitwise(self, kind, cap, shift_kind):
+        rng = np.random.default_rng(61)
+        for _ in range(15):
+            N = int(rng.integers(1, 16))
+            orders = random_orders(rng, N, cap)
+            lam = np.stack([random_lam(rng, N) for _ in range(6)]).reshape(2, 3, N + 1)
+            shift = {
+                "scalar": 1.5,
+                "per grid": lam[..., -1:],
+                "per step": lam[..., 1:],
+            }[shift_kind]
+            stacked = step_weight_array(lam, orders, kind, shift)
+            totals = _point_totals(stacked, orders)
+            assert stacked.shape == (2, 3, N, max(orders.k))
+            assert totals.shape == (2, 3, N)
+            for idx in np.ndindex(2, 3):
+                single_shift = shift if shift_kind == "scalar" else shift[idx]
+                single = step_weight_array(lam[idx], orders, kind, single_shift)
+                assert np.array_equal(stacked[idx], single)
+                assert np.array_equal(totals[idx], _point_totals(single, orders))
+
+    def test_overflow_in_a_stack_names_the_step(self):
+        orders = OrderSchedule.warmup(3, 2)
+        lam = np.array([[-1.0, 0.0, 1.0, 2.0], [-1.0, 0.0, 1.0, 800.0]])
+        with pytest.raises(OverflowError, match=r"step 3 are not finite at scale anchor -5\.0"):
+            step_weight_array(lam, orders, "lagrange", np.array([[0.0], [-5.0]]))
 
 
 class TestOrderSchedule:
