@@ -18,7 +18,6 @@ from .schedules import (  # noqa: F401
     uniform_t_grid,
 )
 from .weights import (  # noqa: F401
-    AggregatedCoefficients,
     OrderSchedule,
     WeightTable,
     aggregate,

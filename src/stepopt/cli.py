@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .objective import ConstraintViolationError, ObjectiveSpec, objective_value
+from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
@@ -40,6 +40,13 @@ _DEFAULT_EPS = {"vp-linear": 1e-3, "vp-cosine": 1e-3, "ve-edm": 0.002}
 
 class UsageError(ValueError):
     """Bad flag combinations and inconsistent inputs (exit code 2)."""
+
+
+def _rho(text: str) -> int:
+    """``--rho`` of baseline and optimize, checked when the flags are parsed."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _schedule_from_args(args) -> NoiseSchedule:
@@ -223,10 +230,10 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=None, help="start time (family default)")
     p.add_argument("--eps", type=float, default=None, help="end time (family default)")
     p.add_argument("--order", default="3", help="max order, or comma list k1,k2,...")
-    p.add_argument("--p", type=int, default=1, choices=(0, 1, 2, 3),
+    p.add_argument("--p", type=int, default=1, choices=PROXY_EXPONENTS,
                    help="error-proxy exponent (1: pixel-space, 2: latent-space)")
     p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default="lagrange")
-    p.add_argument("--rho", type=int, default=7, help="exponent of the edm scheme")
+    p.add_argument("--rho", type=_rho, default=7, help="exponent of the edm scheme")
     p.add_argument("--beta-min", type=float, default=0.1)
     p.add_argument("--beta-max", type=float, default=20.0)
     p.add_argument("--cosine-shift", type=float, default=0.008)

@@ -7,9 +7,8 @@ The quantity minimized over interior grid nodes is
 where the per-node factor ``r = sigma^p / alpha`` proxies how much the
 prediction error at that node is expected to contribute, and the weight
 totals come from :mod:`stepopt.weights`.  The absolute value is smoothed
-as ``sqrt(x^2 + mu^2)`` with a tiny ``mu`` so derivatives stay usable
-when a weight total crosses zero during iteration; ``mu = 0`` recovers
-the exact objective.
+as ``sqrt(x^2 + mu^2)`` with the fixed ``mu = 1e-10`` so derivatives stay
+usable when a weight total crosses zero during iteration.
 
 Endpoints are fixed; only the ``N - 1`` interior log-SNR values vary.
 Gradients are central finite differences: the 2(N - 1) perturbed grids
@@ -32,7 +31,15 @@ __all__ = [
     "score_error_weight",
     "objective_value",
     "objective_gradient",
+    "PROXY_EXPONENTS",
 ]
+
+# allowed p of the error proxy sigma^p / alpha
+PROXY_EXPONENTS = (0, 1, 2, 3)
+
+# mu of the smoothed absolute value sqrt(x^2 + mu^2)
+_ABS_SMOOTHING = 1e-10
+
 
 class ConstraintViolationError(ValueError):
     """Raised when interior nodes break the strict monotonicity constraint."""
@@ -49,7 +56,6 @@ class ObjectiveSpec:
     orders: OrderSchedule
     p: int = 1
     polynomial_kind: str = "lagrange"
-    abs_smoothing: float = 1e-10
     # (lambda at T, lambda at eps), the fixed endpoint values of every grid
     lambda_endpoints: tuple[float, float] = field(init=False, repr=False, compare=False)
 
@@ -58,12 +64,10 @@ class ObjectiveSpec:
             raise ValueError("N must be at least 1")
         if not self.T > self.eps:
             raise ValueError(f"T={self.T} must exceed eps={self.eps}")
-        if self.p not in (0, 1, 2, 3):
-            raise ValueError("p must be one of 0, 1, 2, 3")
+        if self.p not in PROXY_EXPONENTS:
+            raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
         if self.polynomial_kind not in POLYNOMIAL_KINDS:
             raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
-        if not 0.0 <= self.abs_smoothing < 1e-6:
-            raise ValueError("abs smoothing must lie in [0, 1e-6)")
         if len(self.orders) != self.N:
             raise ValueError(
                 f"order schedule covers {len(self.orders)} steps, expected {self.N}"
@@ -115,9 +119,7 @@ def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
     w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[..., -1:])
     signed = _point_totals(w, spec.orders)
     factors = score_error_weight(spec.schedule, lam_full[..., :-1], spec.p)
-    mu = spec.abs_smoothing
-    smoothed = np.abs(signed) if mu == 0.0 else np.sqrt(signed * signed + mu * mu)
-    return np.sum(factors * smoothed, axis=-1)
+    return np.sum(factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING), axis=-1)
 
 
 def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
@@ -139,7 +141,11 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
     the values of a loop that moves coordinate i in place to ``x_i + h_i``,
     then ``(x_i + h_i) - 2 h_i``, and restores it by adding ``h_i``:
     coordinates j < i sit at that restored value, which can be an ulp off
-    ``x_j``.  Optimizer paths follow round-off, so these exact values are kept.
+    ``x_j``.  Optimizer paths follow round-off, so these exact values are
+    kept: with clean ``x +- h`` rows, gradients moved by up to 1.5e-8
+    relative, the vp-linear best-of-3 schedules at N = 5, 10 and 15 changed,
+    and the benchmark's N = 15 optimize command took 0.73-0.77 s in place
+    of 0.54 s (host-speed scaled), because the optimizer took other paths.
     """
     lam_full = _full_lambda(spec, lambda_interior)
     n_free = spec.N - 1

@@ -32,10 +32,7 @@ __all__ = [
     "OptimizedSchedule",
     "feasibility_project",
     "optimize_steps",
-    "INIT_SCHEMES",
 ]
-
-INIT_SCHEMES = SCHEMES + ("explicit",)
 
 # stationarity tolerance on the projected-gradient norm
 _GRAD_TOL = 1e-8
@@ -53,15 +50,12 @@ class InfeasibleError(ValueError):
 class OptimizerConfig:
     init: str = "uniform-lambda"
     rho: int = 7
-    explicit_grid: LambdaGrid | None = None
     margin: float | None = None  # None: max(1e-4, 1e-3 * span / N)
     max_iters: int = 500
 
     def __post_init__(self):
-        if self.init not in INIT_SCHEMES:
-            raise ValueError(f"init must be one of {INIT_SCHEMES}")
-        if self.init == "explicit" and self.explicit_grid is None:
-            raise ValueError("explicit init requires explicit_grid")
+        if self.init not in SCHEMES:
+            raise ValueError(f"init must be one of {SCHEMES}")
         if self.margin is not None and self.margin < 1e-4:
             raise ValueError("margin must be at least 1e-4")
         if self.max_iters < 1:
@@ -102,17 +96,6 @@ def feasibility_project(grid_interior, lam_T: float, lam_eps: float, delta: floa
             x[i] = upper - delta
         upper = x[i]
     return x
-
-
-def _initial_grid(spec: ObjectiveSpec, config: OptimizerConfig) -> LambdaGrid:
-    if config.init != "explicit":
-        return scheme_grid(config.init, spec.schedule, spec.N, spec.T, spec.eps, config.rho)
-    grid = config.explicit_grid
-    if grid.n_steps != spec.N:
-        raise ValueError(
-            f"explicit grid has {grid.n_steps} steps, spec expects {spec.N}"
-        )
-    return grid
 
 
 def _dogleg(g: np.ndarray, B: np.ndarray, radius: float) -> np.ndarray:
@@ -165,7 +148,8 @@ def optimize_steps(
 
     ``on_accept(iteration, x, f)`` is called at every accepted iterate,
     which is useful for tracing descent.  With ``N == 1`` there are no
-    free variables and the endpoint grid is returned immediately.
+    free variables: the gradient is empty and the run stops converged at
+    iteration 0.
     """
     config = config or OptimizerConfig()
     start = time.perf_counter()
@@ -176,20 +160,8 @@ def optimize_steps(
         )
     span = lam_eps - lam_T
     delta = config.margin if config.margin is not None else max(1e-4, 1e-3 * span / spec.N)
-
-    if spec.N == 1:
-        grid = _finish_grid(spec, np.empty(0))
-        value = objective_value(spec, np.empty(0))
-        return OptimizedSchedule(
-            grid=grid,
-            objective=value,
-            initial_objective=value,
-            iterations=0,
-            converged=True,
-            wall_time_seconds=time.perf_counter() - start,
-        )
-
-    x = feasibility_project(_initial_grid(spec, config).lam[1:-1], lam_T, lam_eps, delta)
+    init = scheme_grid(config.init, spec.schedule, spec.N, spec.T, spec.eps, config.rho)
+    x = feasibility_project(init.lam[1:-1], lam_T, lam_eps, delta)
     f = objective_value(spec, x)
     initial_objective = f
     if on_accept is not None:
@@ -205,7 +177,7 @@ def optimize_steps(
 
     def projected_gradient_norm(x, g):
         return float(
-            np.max(np.abs(x - feasibility_project(x - g, lam_T, lam_eps, delta)))
+            np.max(np.abs(x - feasibility_project(x - g, lam_T, lam_eps, delta)), initial=0.0)
         )
 
     for iterations in range(1, config.max_iters + 1):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .schedules import LambdaGrid, NoiseSchedule
+from .objective import PROXY_EXPONENTS
+from .schedules import SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import POLYNOMIAL_KINDS, OrderSchedule
 
 __all__ = ["ScheduleFile", "SCHEMA_VERSION"]
@@ -45,6 +46,15 @@ class ScheduleFile:
             )
         if self.polynomial_kind not in POLYNOMIAL_KINDS:
             raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
+        # bool is an int subclass, so compare types exactly
+        if any(type(v) is not int for v in (self.N, self.p, *self.orders)):
+            raise ValueError("N, p and the orders must be integers")
+        if self.p not in PROXY_EXPONENTS:
+            raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
+        if self.init not in SCHEMES:
+            raise ValueError(f"init must be one of {SCHEMES}")
+        if not (self.converged is None or isinstance(self.converged, bool)):
+            raise ValueError("converged must be true or false when present")
         # both raise ValueError on an unknown family or invalid orders
         NoiseSchedule.from_name(self.schedule_family)
         OrderSchedule(tuple(self.orders))
@@ -115,12 +125,12 @@ class ScheduleFile:
             schedule_family=payload["schedule_family"],
             T=float(payload["T"]),
             eps=float(payload["eps"]),
-            N=int(payload["N"]),
+            N=payload["N"],
             lam=[float(v) for v in payload["lambda"]],
             t=[float(v) for v in payload["t"]],
-            orders=[int(v) for v in payload["orders"]],
+            orders=payload["orders"],
             polynomial_kind=payload["polynomial_kind"],
-            p=int(payload["p"]),
+            p=payload["p"],
             objective=float(payload["objective"]),
             init=payload["init"],
             tool_version=payload["tool_version"],

@@ -47,13 +47,8 @@ FAMILIES = ("vp_linear", "vp_cosine", "ve_edm")
 # baseline grid schemes, in the order best-of-3 optimization tries them
 SCHEMES = ("uniform-t", "uniform-lambda", "edm")
 
-# CLI / JSON names for the families.
-_FAMILY_NAMES = {
-    "vp-linear": "vp_linear",
-    "vp-cosine": "vp_cosine",
-    "ve-edm": "ve_edm",
-}
-SCHEDULE_NAMES = tuple(_FAMILY_NAMES)
+# CLI / JSON names for the families, in the same order
+SCHEDULE_NAMES = tuple(family.replace("_", "-") for family in FAMILIES)
 
 # vp_cosine has unbounded log-SNR at t = 1; cap the usable range below it.
 _COSINE_T_MAX = 0.992
@@ -107,13 +102,11 @@ class NoiseSchedule:
     @classmethod
     def from_name(cls, name: str, **params) -> "NoiseSchedule":
         """Build a schedule from its CLI name ("vp-linear", "vp-cosine", "ve-edm")."""
-        try:
-            family = _FAMILY_NAMES[name]
-        except KeyError:
+        if name not in SCHEDULE_NAMES:
             raise ValueError(
-                f"unknown schedule name {name!r}; expected one of {sorted(_FAMILY_NAMES)}"
-            ) from None
-        return cls(family, **params)
+                f"unknown schedule name {name!r}; expected one of {sorted(SCHEDULE_NAMES)}"
+            )
+        return cls(name.replace("-", "_"), **params)
 
     @property
     def name(self) -> str:
@@ -171,10 +164,6 @@ class NoiseSchedule:
             return np.asarray(self._check_t(t), dtype=float)
         # sqrt(1 - alpha^2) via expm1 to stay accurate when alpha is near 1
         return np.sqrt(-np.expm1(2.0 * self.log_alpha(t)))
-
-    def kappa(self, t):
-        """Reciprocal root-SNR sigma_t / alpha_t, strictly increasing in t."""
-        return np.exp(-self.lambda_of_t(t))
 
     # -- half log-SNR and its inverse -------------------------------------
 

@@ -238,7 +238,6 @@ def _reference_batch(
     x_start: np.ndarray,
     lam_T: float,
     lam_eps: float,
-    rtol: float = 1e-10,
 ) -> np.ndarray:
     """Probability-flow solution for a (S, dim) batch.
 
@@ -269,7 +268,7 @@ def _reference_batch(
         (lam_T, lam_eps),
         x_start.ravel(),
         method="RK45",
-        rtol=rtol,
+        rtol=1e-10,
         atol=1e-13,
     )
     if not sol.success:

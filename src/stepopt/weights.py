@@ -32,7 +32,6 @@ from .schedules import LambdaGrid
 __all__ = [
     "OrderSchedule",
     "WeightTable",
-    "AggregatedCoefficients",
     "POLYNOMIAL_KINDS",
     "exp_poly_integral",
     "lagrange_basis",
@@ -99,19 +98,6 @@ class WeightTable:
 
     def step_weights(self, n: int) -> np.ndarray:
         return self.weights[n - 1, : self.orders.k[n - 1]]
-
-
-@dataclass(frozen=True)
-class AggregatedCoefficients:
-    """Absolute per-evaluation-point weight totals, same scale anchor."""
-
-    c: np.ndarray
-    scale_anchor: float
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        c.setflags(write=False)
 
 
 def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
@@ -316,7 +302,6 @@ def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
     return totals.reshape(*lead, bins)[..., :N]
 
 
-def aggregate(table: WeightTable, orders: OrderSchedule) -> AggregatedCoefficients:
-    """Absolute per-evaluation-point totals of the table's weights."""
-    signed = _point_totals(table.weights, orders)
-    return AggregatedCoefficients(c=np.abs(signed), scale_anchor=table.scale_anchor)
+def aggregate(table: WeightTable, orders: OrderSchedule) -> np.ndarray:
+    """Absolute per-evaluation-point totals of the table's weights (same scale anchor)."""
+    return np.abs(_point_totals(table.weights, orders))

@@ -198,6 +198,12 @@ class TestExitCodes:
             "--N", "2", "--order", "1,2,3", "--out", str(tmp_path / "x.json"),
         ) == 2
 
+    def test_rho_below_one_is_2(self, tmp_path):
+        out = str(tmp_path / "x.json")
+        spec = ("--schedule", "vp-linear", "--N", "3", "--rho", "0", "--out", out)
+        assert run("baseline", "--scheme", "edm", *spec) == 2
+        assert run("optimize", "--init", "edm", *spec) == 2
+
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
         assert run(
@@ -248,6 +254,13 @@ class TestExitCodes:
         assert run("simulate", "--model", model_file, "--steps", moved_start,
                    "--seeds", "4", "--out", out) == 2
         assert run("dump-weights", "--steps", moved_start, "--out", out) == 2
+        # each malformed field alone; a parser that coerces or ignores it exits 0
+        for field, value in (("p", 9), ("converged", "yes"), ("init", 42), ("N", 3.7),
+                             ("orders", [1, 2.0, 3])):
+            bad = _edited(a, tmp_path / f"bad-{field}.json", **{field: value})
+            assert run("simulate", "--model", model_file, "--steps", bad,
+                       "--seeds", "4", "--out", out) == 2, field
+            assert run("dump-weights", "--steps", bad, "--out", out) == 2, field
         bad_model = tmp_path / "bad-model.json"
         bad_model.write_text(json.dumps(
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))

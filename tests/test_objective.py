@@ -23,6 +23,15 @@ def make_spec(schedule, N, T, eps, max_order=1, **kw):
     )
 
 
+def exact_bound(spec, interior, anchor):
+    """The unsmoothed objective, through the public weights API at the given anchor."""
+    full = np.concatenate(([spec.lambda_endpoints[0]], interior, [spec.lambda_endpoints[1]]))
+    t = np.exp(-full)  # any decreasing times; the weights read only lam
+    grid = LambdaGrid(lam=full, t=t, T=t[0], eps=t[-1])
+    agg = aggregate(weights_lagrange(grid, spec.orders, scale_anchor=anchor), spec.orders)
+    return float(np.sum(score_error_weight(spec.schedule, full[:-1], spec.p) * agg))
+
+
 class TestScoreErrorWeight:
     def test_vp_balanced_point(self):
         assert float(score_error_weight(VP, 0.0, 1)) == pytest.approx(1.0, rel=1e-14)
@@ -66,7 +75,7 @@ class TestObjectiveValue:
 
     def test_ve_all_first_order_closed_form(self):
         # each term reduces to exp(gap) - 1, up to the anchor factor
-        spec = make_spec(VE, 4, 80.0, 0.002, abs_smoothing=0.0)
+        spec = make_spec(VE, 4, 80.0, 0.002)
         lam_T, lam_eps = spec.lambda_endpoints
         interior = np.array([-2.0, 0.5, 3.1])
         full = np.concatenate(([lam_T], interior, [lam_eps]))
@@ -107,10 +116,8 @@ class TestObjectiveValue:
 
     def test_anchor_invariance_of_ratios(self):
         # the anchor multiplies the whole objective by one constant, so
-        # ratios of values at two points do not depend on it (mu = 0)
-        from stepopt.objective import _evaluate
-
-        spec = make_spec(VP, 5, 1.0, 1e-3, max_order=3, abs_smoothing=0.0)
+        # ratios of values at two points do not depend on it
+        spec = make_spec(VP, 5, 1.0, 1e-3, max_order=3)
         lam_T, lam_eps = spec.lambda_endpoints
         rng = np.random.default_rng(4)
         xs = []
@@ -121,15 +128,7 @@ class TestObjectiveValue:
         ratio_default = v[0] / v[1]
 
         # recompute with a different anchor through the public weights API
-        def value_with_anchor(interior, anchor):
-            full = np.concatenate(([lam_T], interior, [lam_eps]))
-            t = np.exp(-full)  # any decreasing times; the weights read only lam
-            grid = LambdaGrid(lam=full, t=t, T=t[0], eps=t[-1])
-            agg = aggregate(weights_lagrange(grid, spec.orders, scale_anchor=anchor), spec.orders)
-            factors = score_error_weight(VP, full[:-1], 1)
-            return float(np.sum(factors * agg.c))
-
-        ratio_other = value_with_anchor(xs[0], 0.0) / value_with_anchor(xs[1], 0.0)
+        ratio_other = exact_bound(spec, xs[0], 0.0) / exact_bound(spec, xs[1], 0.0)
         assert ratio_other == pytest.approx(ratio_default, rel=1e-12)
 
     def test_smoothing_bias_bound(self):
@@ -137,14 +136,12 @@ class TestObjectiveValue:
         for _ in range(20):
             N = int(rng.integers(2, 10))
             orders = OrderSchedule.warmup(N, 3)
-            base = dict(schedule=VP, N=N, T=1.0, eps=1e-3, orders=orders, p=1)
-            spec0 = ObjectiveSpec(**base, abs_smoothing=0.0)
-            spec1 = ObjectiveSpec(**base, abs_smoothing=1e-10)
-            lam_T, lam_eps = spec0.lambda_endpoints
+            spec = ObjectiveSpec(VP, N, 1.0, 1e-3, orders, p=1)
+            lam_T, lam_eps = spec.lambda_endpoints
             interior = np.linspace(lam_T, lam_eps, N + 1)[1:-1]
             interior += rng.uniform(-0.1, 0.1, N - 1) * (lam_eps - lam_T) / N
-            v0 = objective_value(spec0, interior)
-            v1 = objective_value(spec1, interior)
+            v0 = exact_bound(spec, interior, lam_eps)  # the objective's anchor
+            v1 = objective_value(spec, interior)
             max_factor = float(
                 np.max(score_error_weight(VP, np.concatenate(([lam_T], interior)), 1))
             )
@@ -155,8 +152,6 @@ class TestObjectiveValue:
             make_spec(VE, 2, 0.002, 80.0)  # T < eps
         with pytest.raises(ValueError):
             make_spec(VE, 2, 80.0, 0.002, p=5)
-        with pytest.raises(ValueError):
-            make_spec(VE, 2, 80.0, 0.002, abs_smoothing=1e-3)
         with pytest.raises(ValueError):
             ObjectiveSpec(VE, 3, 80.0, 0.002, OrderSchedule((1, 1)))
 

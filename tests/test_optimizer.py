@@ -70,16 +70,6 @@ class TestOptimizeSteps:
         assert result.converged
         assert result.grid.n_steps == 1
 
-    def test_idempotent_restart(self):
-        spec = ve_spec(2)
-        first = optimize_steps(spec, OptimizerConfig(init="uniform-t"))
-        again = optimize_steps(
-            spec, OptimizerConfig(init="explicit", explicit_grid=first.grid)
-        )
-        assert again.iterations <= 2
-        assert again.converged
-        assert abs(again.objective - first.objective) < 1e-10
-
     def test_monotone_descent_random_specs(self):
         rng = np.random.default_rng(2718)
         for _ in range(50):
@@ -168,7 +158,5 @@ class TestOptimizeSteps:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(init="bogus")
-        with pytest.raises(ValueError):
-            OptimizerConfig(init="explicit")
         with pytest.raises(ValueError):
             OptimizerConfig(margin=1e-6)

@@ -162,7 +162,7 @@ class TestEdmGrid:
 
     def test_rho_one_is_uniform_in_kappa(self):
         grid = edm_grid(VP_LINEAR, 5, 1.0, 0.01, 1)
-        kappa = VP_LINEAR.kappa(grid.t)
+        kappa = np.exp(-VP_LINEAR.lambda_of_t(grid.t))
         assert np.max(np.abs(np.diff(kappa, 2))) < 1e-10 * kappa[0]
 
     def test_single_step(self):

@@ -1,18 +1,29 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps stepopt functions by
 name.  A renamed or removed function would silently drop its spans, so each
-traced ``(owner, attribute)`` pair must still exist."""
+traced ``(owner, attribute)`` pair must still exist, and the benchmark's layer
+probes must still run and yield every per-layer metric they stand in for."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# measured outside the spans: by an oracle and by comparing traced with untraced passes
+NOT_FROM_SPANS = {"simulator.ref_max_err", "trace.overhead_s"}
+
+
+def _load(name, monkeypatch=None):
+    spec = importlib.util.spec_from_file_location(f"_stepopt_bench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:  # dataclasses look their module up in sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _traced():
-    spec = importlib.util.spec_from_file_location("_stepopt_bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TRACED
+    return _load("tracing").TRACED
 
 
 def test_every_traced_name_exists():
@@ -24,3 +35,19 @@ def test_every_traced_name_exists():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_layer_probes_yield_every_per_layer_metric(tmp_path, monkeypatch):
+    tracing = _load("tracing")
+    workloads = _load("workloads", monkeypatch)
+    tracer = tracing.Tracer("sweep")
+    cmds = workloads.Commands(tracer=tracer)
+    workloads.setup_sweep(cmds, tmp_path)
+    with tracing.installed(tracer):
+        for k, (_, call) in enumerate(workloads.probe_steps(cmds, "sweep", tmp_path, 1)):
+            with tracer.recording(f"probe-{k}"):
+                call()
+    assert cmds.failures == {}
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    wanted = {m["name"] for m in declared} - NOT_FROM_SPANS
+    assert wanted - set(tracing.layer_metrics(tracer, "probe-")) == set()

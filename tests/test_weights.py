@@ -5,7 +5,6 @@ import pytest
 
 from stepopt.schedules import LambdaGrid
 from stepopt.weights import (
-    AggregatedCoefficients,
     OrderSchedule,
     aggregate,
     exp_poly_integral,
@@ -203,8 +202,8 @@ class TestLagrangeWeights:
             np.testing.assert_allclose(
                 t_a.step_weights(n) * factor, t_b.step_weights(n), rtol=1e-12
             )
-        c_a = aggregate(t_a, orders).c
-        c_b = aggregate(t_b, orders).c
+        c_a = aggregate(t_a, orders)
+        c_b = aggregate(t_b, orders)
         np.testing.assert_allclose(c_a * factor, c_b, rtol=1e-12)
 
     def test_shift_covariance(self):
@@ -330,14 +329,14 @@ class TestAggregate:
             abs(w2[1] + w3[1]),
             abs(w3[2]),
         ]
-        np.testing.assert_allclose(agg.c, expect, rtol=1e-14)
-        assert agg.c.shape == (3,)
+        np.testing.assert_allclose(agg, expect, rtol=1e-14)
+        assert agg.shape == (3,)
 
     def test_single_step(self):
         grid = grid_from_lambda([0.0, 1.3])
         orders = OrderSchedule((1,))
         agg = aggregate(weights_lagrange(grid, orders, scale_anchor=0.0), orders)
-        assert agg.c[0] == pytest.approx(math.exp(1.3) - 1.0, rel=1e-12)
+        assert agg[0] == pytest.approx(math.exp(1.3) - 1.0, rel=1e-12)
 
     def test_all_first_order(self):
         lam = np.array([-1.0, 0.1, 1.4, 2.0])
@@ -345,7 +344,7 @@ class TestAggregate:
         orders = OrderSchedule((1, 1, 1))
         agg = aggregate(weights_lagrange(grid, orders, scale_anchor=0.0), orders)
         expect = np.exp(lam[1:]) - np.exp(lam[:-1])
-        np.testing.assert_allclose(agg.c, expect, rtol=1e-12)
+        np.testing.assert_allclose(agg, expect, rtol=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(23)
@@ -353,5 +352,5 @@ class TestAggregate:
             grid = random_grid(rng, n_max=12)
             orders = random_orders(rng, grid.n_steps, 4)
             agg = aggregate(weights_lagrange(grid, orders), orders)
-            assert np.all(agg.c >= 0)
-            assert isinstance(agg, AggregatedCoefficients)
+            assert np.all(agg >= 0)
+            assert isinstance(agg, np.ndarray)
