@@ -21,8 +21,6 @@ from .weights import (  # noqa: F401
     OrderSchedule,
     WeightTable,
     aggregate,
-    exp_poly_integral,
-    lagrange_basis,
     weights_lagrange,
     weights_taylor,
 )

@@ -20,6 +20,12 @@ from .weights import POLYNOMIAL_KINDS, OrderSchedule
 __all__ = ["ScheduleFile", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
+# required keys in file order; "converged" is optional and comes last
+_KEYS = (
+    "schema_version", "schedule_family", "T", "eps", "N", "lambda", "t", "orders",
+    "polynomial_kind", "p", "objective", "init", "tool_version",
+)
+_ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 
 
 @dataclass(frozen=True)
@@ -40,15 +46,21 @@ class ScheduleFile:
     converged: bool | None = None
 
     def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
+        # fields keep their JSON types, so emit reproduces the parsed bytes;
+        # bool is an int subclass, so compare types exactly
+        if type(self.schema_version) is not int or self.schema_version != SCHEMA_VERSION:
             raise ValueError(
-                f"schema version {self.schema_version} is not supported (need {SCHEMA_VERSION})"
+                f"schema version {self.schema_version!r} is not supported (need {SCHEMA_VERSION})"
             )
+        if type(self.tool_version) is not str:
+            raise ValueError("tool_version must be a string")
         if self.polynomial_kind not in POLYNOMIAL_KINDS:
             raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
-        # bool is an int subclass, so compare types exactly
         if any(type(v) is not int for v in (self.N, self.p, *self.orders)):
             raise ValueError("N, p and the orders must be integers")
+        numbers = (self.T, self.eps, self.objective, *self.lam, *self.t)
+        if any(type(v) not in (int, float) for v in numbers):
+            raise ValueError("T, eps, objective, lambda and t must be numbers")
         if self.p not in PROXY_EXPONENTS:
             raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
         if self.init not in SCHEMES:
@@ -98,21 +110,7 @@ class ScheduleFile:
         )
 
     def emit(self) -> str:
-        payload = {
-            "schema_version": self.schema_version,
-            "schedule_family": self.schedule_family,
-            "T": self.T,
-            "eps": self.eps,
-            "N": self.N,
-            "lambda": self.lam,
-            "t": self.t,
-            "orders": self.orders,
-            "polynomial_kind": self.polynomial_kind,
-            "p": self.p,
-            "objective": self.objective,
-            "init": self.init,
-            "tool_version": self.tool_version,
-        }
+        payload = {key: getattr(self, _ATTRIBUTE.get(key, key)) for key in _KEYS}
         if self.converged is not None:
             payload["converged"] = self.converged
         return json.dumps(payload, indent=2) + "\n"
@@ -120,22 +118,8 @@ class ScheduleFile:
     @classmethod
     def parse(cls, text: str) -> "ScheduleFile":
         payload = json.loads(text)
-        return cls(
-            schema_version=int(payload["schema_version"]),
-            schedule_family=payload["schedule_family"],
-            T=float(payload["T"]),
-            eps=float(payload["eps"]),
-            N=payload["N"],
-            lam=[float(v) for v in payload["lambda"]],
-            t=[float(v) for v in payload["t"]],
-            orders=payload["orders"],
-            polynomial_kind=payload["polynomial_kind"],
-            p=payload["p"],
-            objective=float(payload["objective"]),
-            init=payload["init"],
-            tool_version=payload["tool_version"],
-            converged=payload.get("converged"),
-        )
+        fields = {_ATTRIBUTE.get(key, key): payload[key] for key in _KEYS}
+        return cls(**fields, converged=payload.get("converged"))
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -4,18 +4,32 @@ Each step of the sampler replaces the prediction function on one
 log-SNR interval by a local polynomial built from the most recent
 function values, either the interpolating (Lagrange) polynomial through
 those values or a Taylor polynomial whose derivatives are estimated by
-finite-difference stencils.  The update coefficient attached to each
-function value is the exact integral of ``exp(lam)`` times the matching
-basis polynomial over the step interval.
+divided differences.  The update coefficient attached to each function
+value is the exact integral of ``exp(lam)`` times the matching basis
+polynomial over the step interval.
+
+Both kinds share one construction.  Take step n's ``k_n`` nodes by age,
+``u_d = lam[n-1-d] - lam[n-1]`` (so ``u_0 = 0``), and let
+
+    D[m, d] = 1 / prod_(l <= m, l != d) (u_d - u_l),   d <= m,
+
+be the coefficients of the divided difference ``f[u_0 ... u_m]``.  The
+weight on the value of age d is then ``w_d = sum_m D[m, d] I_m``, where
+
+* Taylor: ``I_m = int_0^h exp(u) u^m du``, the plain moments, since the
+  m-th Taylor coefficient is estimated by ``f[u_0 ... u_m]``;
+* Lagrange: ``I_m = int_0^h exp(u) prod_(l < m) (u - u_l) du``, the
+  Newton form of the interpolant.  Every ``u_l <= 0``, so the product
+  has non-negative coefficients and ``I_m`` is a sum of positive terms.
 
 All weights come from one array kernel, :func:`step_weight_array`,
-which treats every step of a grid, or of a stack of grids, at once.  Because raw coefficients
-carry a factor ``exp(lam)`` that can overflow for schedules reaching
-large log-SNR, every table stores weights pre-multiplied by
-``exp(-scale_anchor)``.  The anchor defaults to the largest grid value,
-keeping all stored magnitudes of order one; the downstream objective is
-scale invariant in its minimizer, so the anchor never changes any
-decision.
+which treats every step of a grid, or of a stack of grids, at once.
+Because raw coefficients carry a factor ``exp(lam)`` that can overflow
+for schedules reaching large log-SNR, every table stores weights
+pre-multiplied by ``exp(-scale_anchor)``.  The anchor defaults to the
+largest grid value, keeping all stored magnitudes of order one; the
+downstream objective is scale invariant in its minimizer, so the anchor
+never changes any decision.
 """
 
 from __future__ import annotations
@@ -25,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .schedules import LambdaGrid
 
@@ -33,8 +46,6 @@ __all__ = [
     "OrderSchedule",
     "WeightTable",
     "POLYNOMIAL_KINDS",
-    "exp_poly_integral",
-    "lagrange_basis",
     "step_weight_array",
     "weights_lagrange",
     "weights_taylor",
@@ -46,9 +57,15 @@ MAX_TAYLOR_ORDER = 3
 POLYNOMIAL_KINDS = ("lagrange", "taylor")
 
 # Below this interval width the antiderivative difference cancels
-# (absolute error ~ eps * m! against a value ~ h^(m+1)); switch to a
-# positive-term series, which is uniformly accurate there.
+# (absolute error ~ eps * m! against a value ~ h^(m+1)); switch to the
+# positive-term series h^(m+1) sum_k h^k / (k! (m + k + 1)).  Fifteen
+# terms suffice: the first one left out is below 2e-22 of the sum.
 _SERIES_WIDTH = 0.25
+_SERIES = np.array(
+    [[1.0 / (math.factorial(k) * (m + k + 1)) for m in range(MAX_ORDER)] for k in range(15)]
+)
+_EYE = np.eye(MAX_ORDER)
+_UPPER = np.triu(np.ones((MAX_ORDER, MAX_ORDER), dtype=bool))
 # ascending coefficients of the antiderivative polynomials S_0 .. S_3 below
 _ANTIDERIVATIVE = np.array(
     [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [2.0, -2.0, 1.0, 0.0], [-6.0, 6.0, -3.0, 1.0]]
@@ -108,8 +125,9 @@ def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
 
         d/du [exp(u) * S_m(u)] = exp(u) u^m,  S_m(u) = u^m - m S_(m-1)(u),
 
-    and narrow ones the (all-positive) power series of the moments.
-    Moments that overflow come back as ``inf``.
+    and narrow ones the (all-positive) power series of the moments,
+    evaluated elementwise by Horner's rule.  Moments that overflow come
+    back as ``inf``.
     """
     h = np.asarray(h, dtype=float)[..., None]
     m = np.arange(count)
@@ -118,51 +136,46 @@ def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
     narrow = h[..., 0] < _SERIES_WIDTH
     if narrow.any():
         hn = h[narrow]
-        term = hn ** (m + 1) / (m + 1)
-        total = term.copy()
-        for k in range(1, 62):
-            term *= hn * (m + k) / (k * (m + k + 1))
-            total += term
-            if np.all(term <= 1e-18 * total):
-                break
-        out[narrow] = total
+        total = _SERIES[-1, :count]
+        for coeff in _SERIES[-2::-1, :count]:
+            total = total * hn + coeff
+        out[narrow] = total * hn ** (m + 1)
     return out
 
 
-def exp_poly_integral(coeffs, a: float, b: float, shift: float = 0.0) -> float:
-    """Exact integral of ``exp(lam - shift) * p(lam)`` over [a, b].
+def _newton_integrals(u: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """``I_m = int_0^h exp(u) prod_(l < m) (u - u_l) du``, one factor at a time.
 
-    ``coeffs`` are ascending polynomial coefficients, degree at most 3.
-    The integral is evaluated in the local coordinate ``u = lam - a``:
-    re-expand the polynomial around ``a``, then combine the moments
-    ``int_0^h exp(u) u^m du`` of the weight kernel.
+    ``J_(m+1)^(j) = J_m^(j+1) - u_m J_m^(j)`` from ``J_0^(j) = M_j``, where
+    ``J_m^(j)`` is ``I_m`` with an extra ``u^j``; as ``u_l <= 0``, no term cancels.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or coeffs.size == 0 or coeffs.size > 4:
-        raise ValueError("polynomial degree must be between 0 and 3")
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    # Taylor coefficients of p at a: the polynomial in powers of u
-    q = np.array(
-        [P.polyval(a, P.polyder(coeffs, m)) / math.factorial(m) for m in range(coeffs.size)]
-    )
-    moments = _exp_moments(np.array([b - a]), q.size)[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(np.exp(a - shift) * (q @ moments))
-    if not np.isfinite(value):
-        raise OverflowError(f"integral of exp(lam - {shift}) over [{a}, {b}] is not finite")
-    return value
+    J = moments
+    out = [J[..., 0]]
+    for m in range(moments.shape[-1] - 1):
+        J = J[..., 1:] - u[..., m, None] * J[..., :-1]
+        out.append(J[..., 0])
+    return np.stack(out, axis=-1)
 
 
-def lagrange_basis(nodes, j: int) -> np.ndarray:
-    """Ascending coefficients of the j-th Lagrange basis polynomial."""
-    nodes = np.asarray(nodes, dtype=float)
-    if not 0 <= j < nodes.size:
-        raise ValueError(f"basis index {j} out of range for {nodes.size} nodes")
-    if np.unique(nodes).size != nodes.size:
-        raise ValueError("interpolation nodes must be distinct")
-    others = np.delete(nodes, j)
-    return np.atleast_1d(np.poly(others))[::-1] / np.prod(nodes[j] - others)
+def _local_weights(nodes: np.ndarray, real: np.ndarray, integrals: np.ndarray) -> np.ndarray:
+    """Weights by age, ``w_d = sum_(d <= m < k_n) D[m, d] I_m``; zero past ``k_n``.
+
+    ``nodes[..., n-1, d] = lam[n-1-d]`` and ``real`` marks ``d < k_n``.
+    Row d of the cumulative product of ``u_d - u_l`` over ``l != d`` holds
+    every ``1 / D[m, d]``.  Differences of grid values, not of offsets,
+    keep the gap of two close old nodes to the last bit.
+    """
+    K = nodes.shape[-1]
+    # the diagonal differences are exactly 0, so adding the identity skips them
+    diff = nodes[..., :, None] - nodes[..., None, :] + _EYE[:K, :K]
+    D = 1.0 / np.cumprod(diff, axis=-1)  # D[..., d, m] = D[m, d]
+    used = _UPPER[:K, :K] & real[:, None, :]  # d <= m < k_n
+    terms = np.where(used, D * integrals[..., None, :], 0.0)
+    # an explicit left-to-right sum keeps stacked and single grids bitwise equal
+    w = terms[..., 0]
+    for m in range(1, K):
+        w = w + terms[..., m]
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -170,59 +183,18 @@ def _layout(orders: OrderSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index arrays that depend only on the order schedule.
 
     ``points[n-1, j] = n - k_n + j`` is the evaluation point (and grid
-    node) behind basis index j of step n; ``real`` marks ``j < k_n``;
-    ``block`` marks the real ``k_n x k_n`` block of each step's system.
+    node) behind basis index j of step n; ``real`` marks ``j < k_n``, and
+    equally the ages ``d < k_n``.  ``age[n-1, j] = k_n - 1 - j`` (0 past
+    ``k_n``) maps the by-age weights ``w_d = sum_m D[m, d] I_m`` to rows.
     """
     k = np.array(orders.k)
     K = int(k.max())
     points = np.arange(1, k.size + 1)[:, None] - k[:, None] + np.arange(K)
     real = np.arange(K) < k[:, None]
-    block = real[:, :, None] & real[:, None, :]
-    for arr in (points, real, block):
+    age = np.where(real, k[:, None] - 1 - np.arange(K), 0)
+    for arr in (points, real, age):
         arr.setflags(write=False)
-    return points, real, block
-
-
-def _lagrange_local(u: np.ndarray, block: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Solve ``V^T w = M`` per step, V the local Vandermonde matrix.
-
-    Weight j is the integral of basis polynomial j, whose ascending
-    coefficients form row j of ``V^(-T)``.  Entries past ``k_n`` are
-    padded with identity rows and zero moments, so their weights solve
-    to exactly zero.
-    """
-    K = u.shape[-1]
-    system = np.where(block, u[..., None, :] ** np.arange(K)[:, None], np.eye(K))  # u_j^m
-    return np.linalg.solve(system, moments[..., None])[..., 0]
-
-
-def _taylor_local(h: np.ndarray, k: np.ndarray, moments: np.ndarray) -> np.ndarray:
-    """Taylor weights from first- and second-derivative stencils.
-
-    The constant term sits entirely on the newest value; the first
-    derivative uses the two newest values (gap ``a``) and the second
-    derivative the three newest (older gap ``b``), with stencils that
-    vanish on constants.
-    """
-    N, K = moments.shape[-2:]
-    pad = ((0, 0),) * (moments.ndim - 1) + ((0, 3 - K),)
-    m0, m1, m2 = np.moveaxis(np.pad(moments, pad), -1, 0)
-    # gap a between the two newest values, b between the next two; 1 where absent
-    a = np.ones_like(h)
-    a[..., 1:] = h[..., :-1]
-    b = np.ones_like(h)
-    b[..., 2:] = h[..., :-2]
-    by_age = np.stack(
-        (
-            m0 + m1 / a + m2 / (a * (a + b)),
-            -m1 / a - m2 / (a * b),
-            m2 / (b * (a + b)),
-        ),
-        axis=-1,
-    )  # column d multiplies the value d steps older than the newest
-    age = k[:, None] - 1 - np.arange(K)
-    taken = by_age[..., np.arange(N)[:, None], np.clip(age, 0, 2)]
-    return np.where(age >= 0, taken, 0.0)
+    return points, real, age
 
 
 def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarray:
@@ -234,10 +206,7 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     weights of step ``n`` (1-based), one per basis index j, multiplied by
     ``exp(lam[..., n-1] - shift)``; entries past ``k_n`` are exactly zero.
     ``shift`` broadcasts against ``lam[..., :-1]``: a scalar anchor, one
-    anchor per grid (shape ``(..., 1)``), or one value per step.  Work
-    happens in the local coordinate ``u = lam - lam[n-1]`` so the
-    polynomial expansion stays well conditioned regardless of where the
-    grid sits on the log-SNR axis.
+    anchor per grid (shape ``(..., 1)``), or one value per step.
     """
     lam = np.asarray(lam, dtype=float)
     N = lam.shape[-1] - 1
@@ -245,18 +214,19 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
         raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
     if kind not in POLYNOMIAL_KINDS:
         raise ValueError(f"unknown polynomial kind {kind!r}")
-    points, real, block = _layout(orders)
+    real, age = _layout(orders)[1:]
     K = real.shape[1]
     if kind == "taylor" and K > MAX_TAYLOR_ORDER:
         raise ValueError(f"taylor weights support order <= {MAX_TAYLOR_ORDER}, got {K}")
-    h = np.diff(lam)
-    moments = np.where(real, _exp_moments(h, K), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    steps = np.arange(N)[:, None]
+    # nodes by age, lam[n-1-d] for step n; ages past k_n are masked
+    nodes = lam[..., np.maximum(steps - np.arange(K), 0)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        integrals = _exp_moments(np.diff(lam), K)
         if kind == "lagrange":
-            u = lam[..., np.minimum(points, N)] - lam[..., :-1, None]
-            local = _lagrange_local(u, block, moments)
-        else:
-            local = _taylor_local(h, real.sum(axis=1), moments)
+            integrals = _newton_integrals(nodes - nodes[..., :1], integrals)
+        by_age = _local_weights(nodes, real, integrals)
+        local = np.where(real, by_age[..., steps, age], 0.0)
         w = local * np.exp(lam[..., :-1] - shift)[..., None]
     if not np.isfinite(w).all():
         first = tuple(np.argwhere(~np.isfinite(w).all(axis=-1))[0])  # (grid..., step - 1)
@@ -287,7 +257,7 @@ def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
     """Signed total weight multiplying each evaluation point i = n - k_n + j.
 
     ``w`` may stack grids along leading axes.  One ``np.bincount`` serves
-    the whole stack: each grid gets its own block of bins, so every bin
+    the whole stack: each grid gets its own range of bins, so every bin
     sums the same entries in the same order as for a single grid.
     """
     points = _layout(orders)[0]

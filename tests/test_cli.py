@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepopt
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
 
@@ -256,16 +261,39 @@ class TestExitCodes:
         assert run("dump-weights", "--steps", moved_start, "--out", out) == 2
         # each malformed field alone; a parser that coerces or ignores it exits 0
         for field, value in (("p", 9), ("converged", "yes"), ("init", 42), ("N", 3.7),
-                             ("orders", [1, 2.0, 3])):
+                             ("orders", [1, 2.0, 3]), ("schema_version", 1.9),
+                             ("T", "1.0"), ("objective", "0.5"), ("objective", True),
+                             ("tool_version", 7), ("lambda", [str(v) for v in lam])):
             bad = _edited(a, tmp_path / f"bad-{field}.json", **{field: value})
             assert run("simulate", "--model", model_file, "--steps", bad,
-                       "--seeds", "4", "--out", out) == 2, field
-            assert run("dump-weights", "--steps", bad, "--out", out) == 2, field
+                       "--seeds", "4", "--out", out) == 2, (field, value)
+            assert run("dump-weights", "--steps", bad, "--out", out) == 2, (field, value)
         bad_model = tmp_path / "bad-model.json"
         bad_model.write_text(json.dumps(
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))
         assert run("simulate", "--model", str(bad_model), "--steps", str(a),
                    "--seeds", "4", "--out", out) == 2
+
+
+class TestModuleRun:
+    """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""
+
+    def _run(self, tmp_path, *argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(stepopt.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "stepopt.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_optimize_writes_its_file(self, tmp_path):
+        done = self._run(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
+                         "--out", "q.json")
+        assert done.returncode == 0, done.stderr
+        assert ScheduleFile.read(tmp_path / "q.json").N == 5
+
+    def test_usage_error_exits_2(self, tmp_path):
+        done = self._run(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
+                         "--rho", "0", "--out", "q.json")
+        assert done.returncode == 2
+        assert not (tmp_path / "q.json").exists()
 
 
 def _edited(src, dst, **changes):

@@ -7,9 +7,7 @@ from stepopt.schedules import LambdaGrid
 from stepopt.weights import (
     OrderSchedule,
     aggregate,
-    exp_poly_integral,
     _point_totals,
-    lagrange_basis,
     step_weight_array,
     weights_lagrange,
     weights_taylor,
@@ -66,16 +64,68 @@ def random_orders(rng, N, cap):
     return OrderSchedule(tuple(int(rng.integers(1, min(n, cap) + 1)) for n in range(1, N + 1)))
 
 
+def kernel_integral(coeffs, a, width, shift):
+    """``int exp(lam - shift) p(lam)`` over ``[a, a + width]`` through the kernel.
+
+    The last step of a grid with ``deg`` earlier nodes spaced by the width
+    interpolates a degree-``deg`` polynomial exactly, so its Lagrange
+    weights dotted with ``p`` at the nodes give the integral.
+    """
+    deg = len(coeffs) - 1
+    lam = a + width * np.arange(-deg, 2.0)
+    w = step_weight_array(lam, OrderSchedule.warmup(deg + 1, deg + 1), "lagrange", shift)[-1]
+    return float(w @ np.polynomial.polynomial.polyval(lam[:-1], coeffs))
+
+
+def lagrange_basis(nodes, j):
+    """Ascending coefficients of the j-th Lagrange basis polynomial (test oracle)."""
+    nodes = np.asarray(nodes, dtype=float)
+    if not 0 <= j < nodes.size:
+        raise ValueError(f"basis index {j} out of range for {nodes.size} nodes")
+    if np.unique(nodes).size != nodes.size:
+        raise ValueError("interpolation nodes must be distinct")
+    others = np.delete(nodes, j)
+    return np.atleast_1d(np.poly(others))[::-1] / np.prod(nodes[j] - others)
+
+
+def mpmath_lagrange_weights(lam, orders, shift):
+    """Lagrange step weights at 50 digits: exact moments, monomial-form basis."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        lam = [mp.mpf(float(v)) for v in lam]
+        out = np.zeros((len(orders), max(orders)))
+        for n, k in enumerate(orders, start=1):
+            h = lam[n] - lam[n - 1]
+            # int_0^h exp(u) u^m du = exp(h) S_m(h) - S_m(0), S_m = u^m - m S_(m-1)
+            s_h, s_0, moments = mp.mpf(1), mp.mpf(1), []
+            for m in range(k):
+                if m:
+                    s_h, s_0 = h**m - m * s_h, -m * s_0
+                moments.append(mp.exp(h) * s_h - s_0)
+            nodes = [v - lam[n - 1] for v in lam[n - k : n]]
+            for j in range(k):
+                coeffs = [mp.mpf(1)]  # ascending, times (u - node) for every other node
+                for i, node in enumerate(nodes):
+                    if i != j:
+                        coeffs = [a - node * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                        coeffs = [c / (nodes[j] - node) for c in coeffs]
+                value = sum(c * M for c, M in zip(coeffs, moments))
+                out[n - 1, j] = float(value * mp.exp(lam[n - 1] - shift))
+    return out
+
+
 class TestExpPolyIntegral:
+    """Exact integrals of ``exp`` times a polynomial, read off the kernel."""
+
     def test_constant(self):
-        assert exp_poly_integral([1.0], 0.0, 1.0) == pytest.approx(E - 1.0, rel=1e-14)
+        assert kernel_integral([1.0], 0.0, 1.0, 0.0) == pytest.approx(E - 1.0, rel=1e-14)
 
     def test_linear(self):
         # integration by parts: exp(x)(x - 1) evaluated on [0, 1]
-        assert exp_poly_integral([0.0, 1.0], 0.0, 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert kernel_integral([0.0, 1.0], 0.0, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
 
     def test_quadratic(self):
-        assert exp_poly_integral([0.0, 0.0, 1.0], 0.0, 1.0) == pytest.approx(E - 2.0, rel=1e-14)
+        assert kernel_integral([0.0, 0.0, 1.0], 0.0, 1.0, 0.0) == pytest.approx(E - 2.0, rel=1e-14)
 
     def test_against_quadrature_oracle(self):
         rng = np.random.default_rng(55)
@@ -84,21 +134,13 @@ class TestExpPolyIntegral:
             coeffs = rng.uniform(-2.0, 2.0, deg + 1)
             a = rng.uniform(-8.0, 8.0)
             width = math.exp(rng.uniform(math.log(1e-4), math.log(5.0)))
-            mine = exp_poly_integral(coeffs, a, a + width, shift=a)
+            mine = kernel_integral(coeffs, a, width, shift=a)
             oracle = gauss_legendre_oracle(coeffs, a, a + width, shift=a)
             assert mine == pytest.approx(oracle, rel=1e-10)
 
-    def test_degree_cap(self):
-        with pytest.raises(ValueError):
-            exp_poly_integral([1.0, 1.0, 1.0, 1.0, 1.0], 0.0, 1.0)
-
-    def test_reversed_interval(self):
-        with pytest.raises(ValueError):
-            exp_poly_integral([1.0], 1.0, 0.0)
-
     def test_overflow(self):
         with pytest.raises(OverflowError):
-            exp_poly_integral([1.0], 800.0, 801.0, shift=0.0)
+            kernel_integral([1.0], 800.0, 1.0, shift=0.0)
 
 
 class TestLagrangeBasis:
@@ -191,6 +233,21 @@ class TestLagrangeWeights:
         grid = random_grid(rng)
         table = weights_lagrange(grid, OrderSchedule.warmup(grid.n_steps, 3))
         assert np.all(np.isfinite(table.weights))
+
+    def test_matches_50_digit_oracle(self):
+        # close old nodes make the Lagrange weights large and cancelling;
+        # the divided-difference form keeps them to a few ulps of the largest
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for _ in range(60):
+            N = int(rng.integers(2, 9))
+            gaps = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), N))
+            lam = rng.uniform(-6.0, 6.0) + np.concatenate([[0.0], gaps.cumsum()])
+            orders = random_orders(rng, N, 4)
+            w = step_weight_array(lam, orders, "lagrange", lam[-1])
+            exact = mpmath_lagrange_weights(lam, orders.k, lam[-1])
+            worst = max(worst, np.max(np.abs(w - exact)) / np.max(np.abs(exact)))
+        assert worst < 2e-14
 
     def test_scale_anchor_proportionality(self):
         grid = grid_from_lambda([-2.0, -0.5, 1.0, 2.5, 4.0])
