@@ -22,8 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
@@ -301,7 +299,6 @@ def main(argv=None) -> int:
         FloatingPointError,
         RuntimeError,
         ValueError,
-        np.linalg.LinAlgError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

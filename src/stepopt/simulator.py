@@ -63,6 +63,8 @@ class AnalyticModel:
             raise ValueError("component counts disagree")
         if abs(float(pis.sum()) - 1.0) > 1e-12 or np.any(pis < 0):
             raise ValueError("mixture weights must be nonnegative and sum to 1")
+        if not all(np.all(np.isfinite(arr)) for arr in (pis, mus, stds)):
+            raise ValueError("mixture weights, means and standard deviations must be finite")
         if np.any(stds <= 0):
             raise ValueError("component standard deviations must be positive")
         if not 1 <= mus.shape[1] <= MAX_DIM:
@@ -133,13 +135,22 @@ def standard_test_mixture() -> AnalyticModel:
 
 
 def model_from_dict(payload: dict) -> AnalyticModel:
+    """Model from its JSON form; values keep their JSON types, nothing is coerced."""
     comps = payload["components"]
+    for c in comps:
+        # bool is an int subclass, so compare types exactly
+        if type(c["mu"]) is not list or any(
+            type(v) not in (int, float) for v in (c["pi"], c["s"], *c["mu"])
+        ):
+            raise ValueError("pi, s and the entries of mu must be numbers")
+    if "dim" in payload and type(payload["dim"]) is not int:
+        raise ValueError(f"dim must be an integer, got {payload['dim']!r}")
     model = AnalyticModel(
         pis=np.array([c["pi"] for c in comps]),
         mus=np.array([c["mu"] for c in comps]),
         stds=np.array([c["s"] for c in comps]),
     )
-    if "dim" in payload and int(payload["dim"]) != model.dim:
+    if "dim" in payload and payload["dim"] != model.dim:
         raise ValueError(
             f"declared dimension {payload['dim']} does not match means of dim {model.dim}"
         )
@@ -154,26 +165,34 @@ def load_model(path) -> AnalyticModel:
 def _posterior_mean(model: AnalyticModel, x: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
     """Exact E[x_0 | x] under the mixture at coefficients (alpha, sigma).
 
-    Component responsibilities are evaluated in log space and combined
-    by log-sum-exp, so widely separated components cannot underflow.
+    Works on the (K, S) layout, one row per component with the draws
+    along it: the squared distances ``|x|^2 - 2 alpha x.mu + alpha^2
+    |mu|^2`` come from one ``mus @ x.T``, and the log-sum-exp and the
+    normalisation reduce over axis 0, so every pass runs along the long
+    draw axis and no (S, K, dim) temporary is built.  numpy reductions
+    over a short trailing component axis cost far more than the
+    arithmetic they do.  Component responsibilities are evaluated in log
+    space and combined by log-sum-exp, so widely separated components
+    cannot underflow.
     """
     x = np.atleast_2d(x)
-    var = alpha * alpha * model.stds**2 + sigma * sigma  # (K,)
-    diff = x[:, None, :] - alpha * model.mus[None, :, :]  # (S, K, dim)
-    sq = np.sum(diff * diff, axis=2)  # (S, K)
+    mus = model.mus
+    s2 = model.stds**2
+    var = alpha * alpha * s2 + sigma * sigma  # (K,)
+    sq = (
+        np.einsum("ij,ij->i", x, x)[None, :]
+        - 2.0 * alpha * (mus @ x.T)
+        + (alpha * alpha * np.einsum("ij,ij->i", mus, mus))[:, None]
+    )  # (K, S)
     log_r = (
-        np.log(np.maximum(model.pis, 1e-300))[None, :]
-        - 0.5 * sq / var[None, :]
-        - 0.5 * model.dim * np.log(var)[None, :]
-    )
-    log_r -= np.max(log_r, axis=1, keepdims=True)
+        np.log(np.maximum(model.pis, 1e-300)) - 0.5 * model.dim * np.log(var)
+    )[:, None] - (0.5 / var)[:, None] * sq
+    log_r -= np.max(log_r, axis=0)
     r = np.exp(log_r)
-    r /= np.sum(r, axis=1, keepdims=True)
-    comp_mean = (
-        alpha * model.stds[None, :, None] ** 2 * x[:, None, :]
-        + sigma * sigma * model.mus[None, :, :]
-    ) / var[None, :, None]  # (S, K, dim)
-    return np.sum(r[:, :, None] * comp_mean, axis=1)
+    r /= np.sum(r, axis=0)
+    r /= var[:, None]  # responsibilities over each component's variance
+    # sum_k r_k (alpha s_k^2 x + sigma^2 mu_k) / var_k
+    return (alpha * (s2 @ r))[:, None] * x + sigma * sigma * (r.T @ mus)
 
 
 def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.ndarray:
@@ -242,7 +261,10 @@ def _reference_batch(
     """Probability-flow solution for a (S, dim) batch.
 
     Single Gaussians use the exact closed form; mixtures integrate the
-    flow with adaptive 4th/5th order stepping.
+    flow with scipy's DOP853, an adaptive explicit Runge-Kutta method of
+    order 8, at rtol 1e-10 and atol 1e-13.  Every right-hand-side call
+    costs one posterior mean over the whole batch, and at this tolerance
+    DOP853 needs about half as many calls as the 4th/5th order RK45.
     """
     x_start = np.atleast_2d(x_start)
     if model.n_components == 1:
@@ -267,7 +289,7 @@ def _reference_batch(
         rhs,
         (lam_T, lam_eps),
         x_start.ravel(),
-        method="RK45",
+        method="DOP853",
         rtol=1e-10,
         atol=1e-13,
     )

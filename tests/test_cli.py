@@ -273,6 +273,17 @@ class TestExitCodes:
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))
         assert run("simulate", "--model", str(bad_model), "--steps", str(a),
                    "--seeds", "4", "--out", out) == 2
+        # each malformed model value alone; a reader that coerces it exits 0, and
+        # a non-finite one used to reach the sampler and exit 1
+        for where, value in (("dim", 2.7), ("dim", "2"), ("pi", "1.0"), ("pi", True),
+                             ("mu", ["1.0", 0.0]), ("s", "0.5"),
+                             ("mu", [float("nan"), 0.0]), ("s", float("inf"))):
+            component = {"pi": 1.0, "mu": [1.0, 0.0], "s": 0.5}
+            payload = {"dim": 2, "components": [component]}
+            (payload if where == "dim" else component)[where] = value
+            bad_model.write_text(json.dumps(payload))
+            assert run("simulate", "--model", str(bad_model), "--steps", str(a),
+                       "--seeds", "4", "--out", out) == 2, (where, value)
 
 
 class TestModuleRun:

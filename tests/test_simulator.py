@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from stepopt.schedules import (
     LambdaGrid,
@@ -25,6 +26,7 @@ from stepopt.weights import OrderSchedule
 
 VE = NoiseSchedule.ve_edm()
 VP = NoiseSchedule.vp_linear()
+FAMILY_RANGES = {"vp-linear": (1.0, 1e-3), "vp-cosine": (0.992, 1e-3), "ve-edm": (80.0, 0.002)}
 
 
 def single_gaussian(mu, s):
@@ -122,6 +124,35 @@ class TestDataPrediction:
         pred = data_prediction(model, x, VP, 0.5)
         assert pred.shape == (10, 2)
 
+    def test_matches_difference_form(self):
+        # random mixtures, with (alpha, sigma) at both ends of every family
+        rng = np.random.default_rng(11)
+        coefficients = []
+        for name, (T, eps) in FAMILY_RANGES.items():
+            schedule = NoiseSchedule.from_name(name)
+            lam = schedule.lambda_of_t(np.array([T, eps]))
+            alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
+            coefficients += [(float(a), float(s)) for a, s in zip(alphas, sigmas)]
+        worst = 0.0
+        for trial in range(60):
+            K, dim = int(rng.integers(1, 6)), int(rng.integers(1, 17))
+            scale = 400.0 if trial % 2 else 10.0
+            mus = rng.normal(size=(K, dim))
+            mus /= np.linalg.norm(mus, axis=1, keepdims=True)
+            mus *= scale * rng.uniform(0, 1, size=(K, 1))
+            model = AnalyticModel(
+                pis=rng.dirichlet(np.ones(K)), mus=mus, stds=rng.uniform(0.05, 2.0, size=K)
+            )
+            for alpha, sigma in coefficients:
+                # draws around the scaled means and far from all of them
+                near = alpha * mus[rng.integers(0, K, size=32)]
+                spread = (alpha + sigma) * rng.uniform(0, 2, size=(32, 1))
+                x = near + spread * rng.normal(size=(32, dim))
+                got = _predict(model, x, alpha, sigma)
+                want = _difference_posterior_mean(model, x, alpha, sigma)
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        assert worst <= 1e-10
+
 
 class TestMultistepSample:
     def test_near_point_mass_constant_prediction(self):
@@ -214,6 +245,22 @@ def _predict(model, x, alpha, sigma):
     return _posterior_mean(model, x, alpha, sigma)
 
 
+def _difference_posterior_mean(model, x, alpha, sigma):
+    """Posterior mean from explicit differences x - alpha mu, on an (S, K, dim) layout."""
+    var = alpha * alpha * model.stds**2 + sigma * sigma
+    diff = x[:, None, :] - alpha * model.mus[None, :, :]
+    sq = np.sum(diff * diff, axis=2)
+    log_r = np.log(model.pis)[None, :] - 0.5 * sq / var - 0.5 * model.dim * np.log(var)
+    log_r -= np.max(log_r, axis=1, keepdims=True)
+    r = np.exp(log_r)
+    r /= np.sum(r, axis=1, keepdims=True)
+    comp_mean = (
+        alpha * model.stds[None, :, None] ** 2 * x[:, None, :]
+        + sigma * sigma * model.mus[None, :, :]
+    ) / var[None, :, None]
+    return np.sum(r[:, :, None] * comp_mean, axis=1)
+
+
 class TestReferenceSolution:
     def test_closed_form_matches_adaptive(self):
         model = single_gaussian([1.5, -0.5], 0.7)
@@ -242,6 +289,30 @@ class TestReferenceSolution:
         model = standard_test_mixture()
         out = reference_solution(model, VP, np.zeros(2), 1.0, 1e-3)
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_RANGES))
+    def test_matches_per_draw_oracle(self, name):
+        # each draw integrated alone at rtol 1e-12 with the difference-form
+        # posterior mean, against the batched reference
+        model = standard_test_mixture()
+        schedule = NoiseSchedule.from_name(name)
+        T, eps = FAMILY_RANGES[name]
+        lam_T, lam_eps = (float(v) for v in schedule.lambda_of_t(np.array([T, eps])))
+        alpha_T, sigma_T = schedule.alpha_sigma_of_lambda(lam_T)
+        spread = math.sqrt(alpha_T**2 * model.second_moment_per_dim() + sigma_T**2)
+        x_T = spread * np.random.default_rng(12).standard_normal((4, 2))
+        batch = reference_solution(model, schedule, x_T, T, eps)
+
+        def rhs(lam, y):
+            alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
+            dlog_sigma = -1.0 if schedule.family == "ve_edm" else -alpha**2
+            pred = _difference_posterior_mean(model, y[None, :], alpha, sigma)[0]
+            return dlog_sigma * y + alpha * pred
+
+        for x, got in zip(x_T, batch):
+            sol = solve_ivp(rhs, (lam_T, lam_eps), x, method="DOP853", rtol=1e-12, atol=1e-14)
+            assert sol.success
+            assert np.max(np.abs(sol.y[:, -1] - got)) <= 1e-9
 
 
 class TestEvaluateSchedules:
