@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -239,7 +240,13 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dump-weights", default=None, help="also write the weight table JSON")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones.
+
+    Parsing leaves the parser unchanged, so repeated ``main`` calls in one
+    process stay independent; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="stepopt",
         description="Time-step schedule construction, optimization and validation "

@@ -18,6 +18,7 @@ deterministic: no randomness, fixed evaluation order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,8 +57,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.init not in SCHEMES:
             raise ValueError(f"init must be one of {SCHEMES}")
-        if self.margin is not None and self.margin < 1e-4:
-            raise ValueError("margin must be at least 1e-4")
+        if self.margin is not None and not 1e-4 <= self.margin < math.inf:
+            raise ValueError("margin must be finite and at least 1e-4")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

@@ -8,6 +8,7 @@ emit -> parse -> emit reproduces the bytes exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,8 @@ class ScheduleFile:
         numbers = (self.T, self.eps, self.objective, *self.lam, *self.t)
         if any(type(v) not in (int, float) for v in numbers):
             raise ValueError("T, eps, objective, lambda and t must be numbers")
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("T, eps, objective, lambda and t must be finite")
         if self.p not in PROXY_EXPONENTS:
             raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
         if self.init not in SCHEMES:

@@ -76,10 +76,11 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if self.family == "vp_linear" and not 0 < self.beta_min < self.beta_max:
-            raise ValueError("vp_linear requires 0 < beta_min < beta_max")
-        if self.family == "vp_cosine" and self.cosine_shift <= 0:
-            raise ValueError("vp_cosine requires a positive shift")
+        # chained comparisons, so NaN and infinite parameters fail too
+        if self.family == "vp_linear" and not 0 < self.beta_min < self.beta_max < math.inf:
+            raise ValueError("vp_linear requires finite 0 < beta_min < beta_max")
+        if self.family == "vp_cosine" and not 0 < self.cosine_shift < math.inf:
+            raise ValueError("vp_cosine requires a finite positive shift")
         lo, hi = self.t_domain
         lam_min = float(self.lambda_of_t(hi))
         lam_max = float(self.lambda_of_t(lo)) if self.family == "ve_edm" else math.inf

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import stepopt
+from stepopt import cli
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
 
@@ -29,6 +30,13 @@ def model_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_module(cwd, *argv):
+    """``python -m stepopt.cli`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(stepopt.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "stepopt.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestBaseline:
@@ -209,6 +217,26 @@ class TestExitCodes:
         assert run("baseline", "--scheme", "edm", *spec) == 2
         assert run("optimize", "--init", "edm", *spec) == 2
 
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin_is_2(self, tmp_path, margin):
+        # a NaN margin used to pass the lower-bound check and run without a gap
+        assert run(
+            "optimize", "--init", "edm", "--schedule", "vp-linear", "--N", "5",
+            "--margin", margin, "--out", str(tmp_path / "x.json"),
+        ) == 2
+
+    @pytest.mark.parametrize("family_flags", [
+        ("--schedule", "vp-linear", "--beta-max", "inf"),
+        ("--schedule", "vp-linear", "--beta-min", "nan"),
+        ("--schedule", "vp-cosine", "--cosine-shift", "nan"),
+        ("--schedule", "vp-cosine", "--cosine-shift", "inf"),
+    ], ids=["beta-max-inf", "beta-min-nan", "shift-nan", "shift-inf"])
+    def test_non_finite_family_parameter_is_2(self, tmp_path, family_flags):
+        assert run(
+            "baseline", "--scheme", "edm", "--N", "5", *family_flags,
+            "--out", str(tmp_path / "x.json"),
+        ) == 2
+
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
         assert run(
@@ -263,11 +291,17 @@ class TestExitCodes:
         for field, value in (("p", 9), ("converged", "yes"), ("init", 42), ("N", 3.7),
                              ("orders", [1, 2.0, 3]), ("schema_version", 1.9),
                              ("T", "1.0"), ("objective", "0.5"), ("objective", True),
-                             ("tool_version", 7), ("lambda", [str(v) for v in lam])):
+                             ("tool_version", 7), ("lambda", [str(v) for v in lam]),
+                             ("objective", float("nan")), ("objective", float("inf"))):
             bad = _edited(a, tmp_path / f"bad-{field}.json", **{field: value})
             assert run("simulate", "--model", model_file, "--steps", bad,
                        "--seeds", "4", "--out", out) == 2, (field, value)
             assert run("dump-weights", "--steps", bad, "--out", out) == 2, (field, value)
+        # an infinite end node made dump-weights exit 1 and simulate never finish
+        infinite_end = _edited(a, tmp_path / "inf-end.json", **{"lambda": [*lam[:-1], math.inf]})
+        assert run("dump-weights", "--steps", infinite_end, "--out", out) == 2
+        with pytest.raises(ValueError, match="finite"):
+            ScheduleFile.read(infinite_end)
         bad_model = tmp_path / "bad-model.json"
         bad_model.write_text(json.dumps(
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))
@@ -289,22 +323,57 @@ class TestExitCodes:
 class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""
 
-    def _run(self, tmp_path, *argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(stepopt.__file__).parents[1]))
-        return subprocess.run([sys.executable, "-m", "stepopt.cli", *argv], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
-
     def test_optimize_writes_its_file(self, tmp_path):
-        done = self._run(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
+        done = run_module(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
                          "--out", "q.json")
         assert done.returncode == 0, done.stderr
         assert ScheduleFile.read(tmp_path / "q.json").N == 5
 
     def test_usage_error_exits_2(self, tmp_path):
-        done = self._run(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
-                         "--rho", "0", "--out", "q.json")
+        done = run_module(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
+                          "--rho", "0", "--out", "q.json")
         assert done.returncode == 2
         assert not (tmp_path / "q.json").exists()
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser; calls in one process stay independent."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_appended_steps_do_not_carry_over(self, tmp_path, model_file):
+        sched = tmp_path / "s.json"
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+            "--out", str(sched),
+        ) == 0
+        out = tmp_path / "rep.json"
+        common = ("--model", model_file, "--seeds", "4", "--out", str(out))
+        assert run("simulate", "--steps", str(sched), "--steps", str(sched), *common) == 0
+        assert len(json.loads(out.read_text())["reports"]) == 2
+        assert run("simulate", "--steps", str(sched), *common) == 0
+        assert len(json.loads(out.read_text())["reports"]) == 1
+
+    def test_usage_errors_leave_later_commands_unchanged(self, tmp_path):
+        spec = ("baseline", "--scheme", "edm", "--schedule", "vp-cosine", "--N", "6")
+        assert run(*spec, "--rho", "0", "--out", str(tmp_path / "x.json")) == 2
+        assert run(*spec, "--T", "0.0005", "--eps", "0.001",
+                   "--out", str(tmp_path / "x.json")) == 2
+        assert run(*spec, "--out", str(tmp_path / "here.json")) == 0
+        fresh = run_module(tmp_path, *spec, "--out", "fresh.json")
+        assert fresh.returncode == 0, fresh.stderr
+        assert (tmp_path / "here.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    def test_version_then_command(self, tmp_path, capsys):
+        assert run("--version") == 0
+        assert capsys.readouterr().out.strip() == f"stepopt {stepopt.__version__}"
+        out = tmp_path / "s.json"
+        assert run(
+            "baseline", "--scheme", "uniform-t", "--schedule", "ve-edm", "--N", "3",
+            "--out", str(out),
+        ) == 0
+        assert ScheduleFile.read(out).N == 3
 
 
 def _edited(src, dst, **changes):
