@@ -29,7 +29,9 @@ from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
-from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
+from .weights import (
+    POLYNOMIAL_KINDS, OrderSchedule, check_order_cap, weights_lagrange, weights_taylor,
+)
 
 __all__ = ["main", "entry_point"]
 
@@ -75,8 +77,11 @@ def _orders_from_args(args, N: int) -> OrderSchedule:
             ks = tuple(int(v) for v in text.split(","))
             if len(ks) != N:
                 raise ValueError(f"--order lists {len(ks)} entries but --N is {N}")
-            return OrderSchedule(ks)
-        return OrderSchedule.warmup(N, int(text))
+            orders = OrderSchedule(ks)
+        else:
+            orders = OrderSchedule.warmup(N, int(text))
+        check_order_cap(orders, args.kind)
+        return orders
     except ValueError as exc:
         raise UsageError(f"bad --order: {exc}") from None
 

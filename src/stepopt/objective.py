@@ -11,9 +11,12 @@ as ``sqrt(x^2 + mu^2)`` with the fixed ``mu = 1e-10`` so derivatives stay
 usable when a weight total crosses zero during iteration.
 
 Endpoints are fixed; only the ``N - 1`` interior log-SNR values vary.
-Gradients are central finite differences: the 2(N - 1) perturbed grids
-of one gradient go through one batched evaluation, rounded exactly as a
-loop over the coordinates would perturb them (see :func:`objective_gradient`).
+Gradients are central finite differences.  :func:`objective_gradient`
+returns the value and the gradient together, the ``fun`` shape of
+``scipy.optimize.minimize(..., jac=True)``: the unperturbed grid and the
+2(N - 1) perturbed ones, rounded exactly as a loop over the coordinates
+would perturb them, go through one batched evaluation.
+:func:`objective_value` evaluates one grid alone.
 """
 
 from __future__ import annotations
@@ -86,12 +89,7 @@ def score_error_weight(schedule: NoiseSchedule, lam, p: int):
     are ``(1 + exp(-2 lam))^(-1/2)`` and ``(1 + exp(2 lam))^(-1/2)``; for
     variance-exploding schedules this reduces to ``exp(-p lam)``.
     """
-    lam = np.asarray(lam, dtype=float)
-    lam_min, lam_max = schedule.lambda_domain()
-    if np.any(lam < lam_min - 1e-5) or np.any(lam > lam_max + 1e-5):
-        raise ValueError(
-            f"half log-SNR {lam} outside attainable range of {schedule.name}"
-        )
+    lam = schedule._check_lambda(lam)
     if schedule.family == "ve_edm":
         return np.exp(-p * lam)
     log_alpha = -0.5 * np.logaddexp(0.0, -2.0 * lam)
@@ -131,21 +129,22 @@ def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
     return float(_evaluate(spec, _full_lambda(spec, lambda_interior)))
 
 
-def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
-    """Central finite-difference gradient in the interior values.
+def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.ndarray]:
+    """Objective value and central finite-difference gradient in the interior values.
 
     Step size is 1e-6 scaled by the coordinate magnitude; neighbors must
     be at least two steps away so perturbed points stay feasible.
 
-    All 2(N - 1) perturbed grids go through one batched evaluation, with
-    the values of a loop that moves coordinate i in place to ``x_i + h_i``,
-    then ``(x_i + h_i) - 2 h_i``, and restores it by adding ``h_i``:
+    The unperturbed grid and all 2(N - 1) perturbed ones go through one
+    batched evaluation, so the value equals :func:`objective_value` and
+    costs no kernel call of its own.  The perturbed grids hold the values
+    of a loop that moves coordinate i in place to ``x_i + h_i``, then
+    ``(x_i + h_i) - 2 h_i``, and restores it by adding ``h_i``:
     coordinates j < i sit at that restored value, which can be an ulp off
     ``x_j``.  Optimizer paths follow round-off, so these exact values are
     kept: with clean ``x +- h`` rows, gradients moved by up to 1.5e-8
-    relative, the vp-linear best-of-3 schedules at N = 5, 10 and 15 changed,
-    and the benchmark's N = 15 optimize command took 0.73-0.77 s in place
-    of 0.54 s (host-speed scaled), because the optimizer took other paths.
+    relative and the vp-linear best-of-3 schedules at N = 5, 10 and 15
+    changed, because the optimizer took other paths.
     """
     lam_full = _full_lambda(spec, lambda_interior)
     n_free = spec.N - 1
@@ -160,10 +159,12 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
     minus = plus - 2.0 * steps
     restored = minus + steps
     i = np.arange(n_free)
-    # points[i, 0] and points[i, 1] are the grids of f(x + h_i e_i) and f(x - h_i e_i)
-    points = np.tile(lam_full, (n_free, 2, 1))
-    points[:, :, 1:-1] = np.where(i[:, None] > i, restored, x)[:, None, :]
-    points[i, 0, i + 1] = plus
-    points[i, 1, i + 1] = minus
+    # rows 2i and 2i + 1 are the grids of f(x + h_i e_i) and f(x - h_i e_i);
+    # the last row is the unperturbed grid
+    points = np.tile(lam_full, (2 * n_free + 1, 1))
+    perturbed = points[:-1].reshape(n_free, 2, lam_full.size)
+    perturbed[:, :, 1:-1] = np.where(i[:, None] > i, restored, x)[:, None, :]
+    perturbed[i, 0, i + 1] = plus
+    perturbed[i, 1, i + 1] = minus
     f = _evaluate(spec, points)
-    return (f[:, 0] - f[:, 1]) / (2.0 * steps)
+    return float(f[-1]), (f[0:-1:2] - f[1:-1:2]) / (2.0 * steps)

@@ -7,6 +7,8 @@ requirement with a safe margin.  The solver is a trust-region method:
 
 * quadratic model from the finite-difference gradient and a damped
   BFGS Hessian approximation,
+* one objective call per trial, for its value and gradient together, so
+  an accepted trial already holds the gradient of the next model,
 * dogleg solution of the model inside the radius,
 * trial points projected back onto the feasible set; steps that fail to
   reduce the objective shrink the radius and are rejected.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ObjectiveSpec, objective_gradient, objective_value
+from .objective import ConstraintViolationError, ObjectiveSpec, objective_gradient, objective_value
 from .schedules import SCHEMES, LambdaGrid, scheme_grid
 
 __all__ = [
@@ -140,6 +142,20 @@ def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
 
 
+def _value_and_gradient(spec: ObjectiveSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """``objective_gradient`` at a trial point, or its value alone and ``None`` where that raises.
+
+    Only the value decides whether a trial is accepted, so a trial whose
+    perturbed grids fail (too close to a neighbor for finite differences,
+    say) is judged as if its gradient had not been asked for.  Where the
+    value fails too, ``objective_value`` raises its own error.
+    """
+    try:
+        return objective_gradient(spec, x)
+    except (ConstraintViolationError, OverflowError):
+        return objective_value(spec, x), None
+
+
 def optimize_steps(
     spec: ObjectiveSpec,
     config: OptimizerConfig | None = None,
@@ -163,12 +179,11 @@ def optimize_steps(
     delta = config.margin if config.margin is not None else max(1e-4, 1e-3 * span / spec.N)
     init = scheme_grid(config.init, spec.schedule, spec.N, spec.T, spec.eps, config.rho)
     x = feasibility_project(init.lam[1:-1], lam_T, lam_eps, delta)
-    f = objective_value(spec, x)
+    f, g = objective_gradient(spec, x)
     initial_objective = f
     if on_accept is not None:
         on_accept(0, x.copy(), f)
 
-    g = objective_gradient(spec, x)
     B = np.eye(x.size)
     scaled = False
     radius = _RADIUS0_SHARE * span / spec.N
@@ -194,11 +209,12 @@ def optimize_steps(
         predicted = -(float(g @ actual_step) + 0.5 * float(actual_step @ B @ actual_step))
         accept = False
         if predicted > 0.0:
-            f_trial = objective_value(spec, trial)
+            f_trial, g_trial = _value_and_gradient(spec, trial)
             ratio = (f - f_trial) / predicted
             accept = f_trial < f and ratio > 1e-4
         if accept:
-            g_trial = objective_gradient(spec, trial)
+            if g_trial is None:
+                objective_gradient(spec, trial)  # raises what made the gradient fail
             y = g_trial - g
             if not scaled:
                 # rescale the unit initial Hessian to the observed curvature

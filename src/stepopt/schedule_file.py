@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .objective import PROXY_EXPONENTS
 from .schedules import SCHEMES, LambdaGrid, NoiseSchedule
-from .weights import POLYNOMIAL_KINDS, OrderSchedule
+from .weights import POLYNOMIAL_KINDS, OrderSchedule, check_order_cap
 
 __all__ = ["ScheduleFile", "SCHEMA_VERSION"]
 
@@ -70,9 +70,9 @@ class ScheduleFile:
             raise ValueError(f"init must be one of {SCHEMES}")
         if not (self.converged is None or isinstance(self.converged, bool)):
             raise ValueError("converged must be true or false when present")
-        # both raise ValueError on an unknown family or invalid orders
+        # all raise ValueError on an unknown family or invalid orders
         NoiseSchedule.from_name(self.schedule_family)
-        OrderSchedule(tuple(self.orders))
+        check_order_cap(OrderSchedule(tuple(self.orders)), self.polynomial_kind)
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
         if len(self.orders) != self.N:

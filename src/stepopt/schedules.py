@@ -179,6 +179,22 @@ class NoiseSchedule:
         """Range of attainable half log-SNR values (min at t_max, max at t_min)."""
         return self._lambda_domain
 
+    def _check_lambda(self, lam):
+        """``lam`` as a float array, if every value is within 1e-5 of the attainable range.
+
+        Written so that NaN fails the check, as in :meth:`_check_t`.
+        """
+        lam = np.asarray(lam, dtype=float)
+        lam_min, lam_max = self._lambda_domain
+        ok = (lam >= lam_min - 1e-5) & (lam <= lam_max + 1e-5)
+        if not np.all(ok):
+            bad = np.atleast_1d(lam)[~np.atleast_1d(ok)][0]
+            raise DomainError(
+                f"half log-SNR {bad} outside attainable range "
+                f"[{lam_min}, {lam_max}] of {self.name}"
+            )
+        return lam
+
     def t_of_lambda(self, lam):
         """Inverse of :meth:`lambda_of_t`, in closed form for every family.
 
@@ -188,14 +204,7 @@ class NoiseSchedule:
         the attainable range (e.g. endpoints quoted to a few significant
         digits) are accepted and mapped onto the boundary.
         """
-        lam = np.asarray(lam, dtype=float)
-        lam_min, lam_max = self.lambda_domain()
-        slack = 1e-5
-        if np.any(lam < lam_min - slack) or np.any(lam > lam_max + slack):
-            raise DomainError(
-                f"half log-SNR {lam} outside attainable range "
-                f"[{lam_min}, {lam_max}] of {self.name}"
-            )
+        lam = self._check_lambda(lam)
         if self.family == "ve_edm":
             t = np.exp(-lam)
         elif self.family == "vp_linear":

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "OrderSchedule",
     "WeightTable",
     "POLYNOMIAL_KINDS",
+    "check_order_cap",
     "step_weight_array",
     "weights_lagrange",
     "weights_taylor",
@@ -157,44 +159,75 @@ def _newton_integrals(u: np.ndarray, moments: np.ndarray) -> np.ndarray:
     return np.stack(out, axis=-1)
 
 
-def _local_weights(nodes: np.ndarray, real: np.ndarray, integrals: np.ndarray) -> np.ndarray:
+def _local_weights(nodes: np.ndarray, used: np.ndarray, integrals: np.ndarray) -> np.ndarray:
     """Weights by age, ``w_d = sum_(d <= m < k_n) D[m, d] I_m``; zero past ``k_n``.
 
-    ``nodes[..., n-1, d] = lam[n-1-d]`` and ``real`` marks ``d < k_n``.
-    Row d of the cumulative product of ``u_d - u_l`` over ``l != d`` holds
-    every ``1 / D[m, d]``.  Differences of grid values, not of offsets,
-    keep the gap of two close old nodes to the last bit.
+    ``nodes[..., n-1, d] = lam[n-1-d]`` and ``used[m]`` marks the ages d of
+    each step with ``d <= m < k_n``.  A running product over the columns m
+    of ``u_d - u_m`` gives ``1 / D[m, d]`` for every age d at once, and the
+    terms are summed from m = 0 up.  Differences of grid values, not of
+    offsets, keep the gap of two close old nodes to the last bit.
     """
     K = nodes.shape[-1]
-    # the diagonal differences are exactly 0, so adding the identity skips them
-    diff = nodes[..., :, None] - nodes[..., None, :] + _EYE[:K, :K]
-    D = 1.0 / np.cumprod(diff, axis=-1)  # D[..., d, m] = D[m, d]
-    used = _UPPER[:K, :K] & real[:, None, :]  # d <= m < k_n
-    terms = np.where(used, D * integrals[..., None, :], 0.0)
-    # an explicit left-to-right sum keeps stacked and single grids bitwise equal
-    w = terms[..., 0]
-    for m in range(1, K):
-        w = w + terms[..., m]
+    for m in range(K):
+        # the diagonal difference is exactly 0, so adding the identity skips it
+        diff = nodes - nodes[..., m, None] + _EYE[:K, m]
+        prod = diff if m == 0 else prod * diff
+        term = np.where(used[m], 1.0 / prod * integrals[..., m, None], 0.0)
+        # an explicit left-to-right sum keeps stacked and single grids bitwise equal
+        w = term if m == 0 else w + term
     return w
 
 
-@lru_cache(maxsize=64)
-def _layout(orders: OrderSchedule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Layout(NamedTuple):
     """Index arrays that depend only on the order schedule.
 
-    ``points[n-1, j] = n - k_n + j`` is the evaluation point (and grid
-    node) behind basis index j of step n; ``real`` marks ``j < k_n``, and
-    equally the ages ``d < k_n``.  ``age[n-1, j] = k_n - 1 - j`` (0 past
-    ``k_n``) maps the by-age weights ``w_d = sum_m D[m, d] I_m`` to rows.
+    * ``points[n-1, j] = n - k_n + j``: the evaluation point (and grid
+      node) behind basis index j of step n;
+    * ``real``: ``j < k_n``, and equally the ages ``d < k_n``;
+    * ``age[n-1, j] = k_n - 1 - j`` (0 past ``k_n``): maps the by-age
+      weights ``w_d = sum_m D[m, d] I_m`` to rows;
+    * ``gather[n-1, d] = n - 1 - d`` (0 past the grid start): the node of
+      age d of step n;
+    * ``used[m, n-1, d]``: ``d <= m < k_n``, the terms of ``w_d``;
+    * ``steps[n-1, 0] = n - 1``.
     """
+
+    points: np.ndarray
+    real: np.ndarray
+    age: np.ndarray
+    gather: np.ndarray
+    used: np.ndarray
+    steps: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _layout(orders: OrderSchedule) -> _Layout:
     k = np.array(orders.k)
     K = int(k.max())
-    points = np.arange(1, k.size + 1)[:, None] - k[:, None] + np.arange(K)
-    real = np.arange(K) < k[:, None]
-    age = np.where(real, k[:, None] - 1 - np.arange(K), 0)
-    for arr in (points, real, age):
+    j = np.arange(K)
+    steps = np.arange(k.size)[:, None]
+    real = j < k[:, None]
+    layout = _Layout(
+        points=steps + 1 - k[:, None] + j,
+        real=real,
+        age=np.where(real, k[:, None] - 1 - j, 0),
+        gather=np.maximum(steps - j, 0),
+        used=np.ascontiguousarray(np.moveaxis(_UPPER[:K, :K] & real[:, None, :], -1, 0)),
+        steps=steps,
+    )
+    for arr in layout:
         arr.setflags(write=False)
-    return points, real, age
+    return layout
+
+
+def check_order_cap(orders: OrderSchedule, kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is a polynomial kind that supports every order."""
+    if kind not in POLYNOMIAL_KINDS:
+        raise ValueError(f"unknown polynomial kind {kind!r}")
+    top = max(orders.k)
+    if kind == "taylor" and top > MAX_TAYLOR_ORDER:
+        raise ValueError(f"taylor weights support order <= {MAX_TAYLOR_ORDER}, got {top}")
 
 
 def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarray:
@@ -212,21 +245,17 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     N = lam.shape[-1] - 1
     if len(orders) != N:
         raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
-    if kind not in POLYNOMIAL_KINDS:
-        raise ValueError(f"unknown polynomial kind {kind!r}")
-    real, age = _layout(orders)[1:]
-    K = real.shape[1]
-    if kind == "taylor" and K > MAX_TAYLOR_ORDER:
-        raise ValueError(f"taylor weights support order <= {MAX_TAYLOR_ORDER}, got {K}")
-    steps = np.arange(N)[:, None]
+    check_order_cap(orders, kind)
+    layout = _layout(orders)
+    K = layout.real.shape[1]
     # nodes by age, lam[n-1-d] for step n; ages past k_n are masked
-    nodes = lam[..., np.maximum(steps - np.arange(K), 0)]
+    nodes = lam[..., layout.gather]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         integrals = _exp_moments(np.diff(lam), K)
         if kind == "lagrange":
             integrals = _newton_integrals(nodes - nodes[..., :1], integrals)
-        by_age = _local_weights(nodes, real, integrals)
-        local = np.where(real, by_age[..., steps, age], 0.0)
+        by_age = _local_weights(nodes, layout.used, integrals)
+        local = np.where(layout.real, by_age[..., layout.steps, layout.age], 0.0)
         w = local * np.exp(lam[..., :-1] - shift)[..., None]
     if not np.isfinite(w).all():
         first = tuple(np.argwhere(~np.isfinite(w).all(axis=-1))[0])  # (grid..., step - 1)
@@ -260,7 +289,7 @@ def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
     the whole stack: each grid gets its own range of bins, so every bin
     sums the same entries in the same order as for a single grid.
     """
-    points = _layout(orders)[0]
+    points = _layout(orders).points
     N = points.shape[0]
     bins = int(points.max()) + 1
     lead = w.shape[:-2]

@@ -237,6 +237,28 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.json"),
         ) == 2
 
+    @pytest.mark.parametrize("command", [("baseline", "--scheme", "edm"), ("optimize",)],
+                             ids=["baseline", "optimize"])
+    def test_taylor_order_above_cap_is_2(self, tmp_path, command):
+        out = str(tmp_path / "x.json")
+        for order in ("4", "1,2,3,4,1"):
+            assert run(*command, "--schedule", "vp-linear", "--N", "5", "--kind", "taylor",
+                       "--order", order, "--out", out) == 2, order
+
+    def test_taylor_file_above_order_cap_is_2(self, tmp_path, model_file):
+        a = tmp_path / "a.json"
+        assert run(
+            "baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
+            "--N", "5", "--order", "4", "--out", str(a),
+        ) == 0
+        taylor = _edited(a, tmp_path / "taylor.json", polynomial_kind="taylor")
+        out = str(tmp_path / "r.json")
+        assert run("dump-weights", "--steps", taylor, "--out", out) == 2
+        assert run("simulate", "--model", model_file, "--steps", taylor,
+                   "--seeds", "4", "--out", out) == 2
+        with pytest.raises(ValueError, match="taylor weights support order <= 3"):
+            ScheduleFile.read(taylor)
+
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
         assert run(

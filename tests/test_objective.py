@@ -10,7 +10,7 @@ from stepopt.objective import (
     objective_value,
     score_error_weight,
 )
-from stepopt.schedules import LambdaGrid, NoiseSchedule
+from stepopt.schedules import DomainError, LambdaGrid, NoiseSchedule
 from stepopt.weights import OrderSchedule, aggregate, weights_lagrange
 
 VE = NoiseSchedule.ve_edm()
@@ -60,6 +60,14 @@ class TestScoreErrorWeight:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             score_error_weight(VE, 50.0, 1)
+
+    @pytest.mark.parametrize("schedule", [VP, VE], ids=["vp", "ve"])
+    def test_nan_is_a_domain_error(self, schedule):
+        # NaN fails every comparison, so a check that looks for out-of-range values lets it through
+        with pytest.raises(DomainError):
+            score_error_weight(schedule, np.nan, 1)
+        with pytest.raises(DomainError):
+            score_error_weight(schedule, np.array([0.0, np.nan]), 1)
 
 
 class TestObjectiveValue:
@@ -160,7 +168,7 @@ class TestObjectiveGradient:
     def test_stationary_at_midpoint(self):
         spec = make_spec(VE, 2, 80.0, 0.002)
         lam_T, lam_eps = spec.lambda_endpoints
-        g = objective_gradient(spec, np.array([0.5 * (lam_T + lam_eps)]))
+        _, g = objective_gradient(spec, np.array([0.5 * (lam_T + lam_eps)]))
         # at the closed-form stationary point both exponential terms match
         assert abs(g[0]) < 1e-8
 
@@ -173,7 +181,7 @@ class TestObjectiveGradient:
                 interior = np.sort(rng.uniform(lam_T + 0.3, lam_eps - 0.3, 4))
                 if np.any(np.diff(np.concatenate(([lam_T], interior, [lam_eps]))) < 0.05):
                     continue
-                g = objective_gradient(spec, interior)
+                _, g = objective_gradient(spec, interior)
                 oracle = _richardson_gradient(spec, interior)
                 np.testing.assert_allclose(
                     g, oracle, rtol=1e-4, atol=1e-10 * max(1.0, np.max(np.abs(oracle)))
@@ -181,7 +189,9 @@ class TestObjectiveGradient:
 
     def test_empty_for_single_step(self):
         spec = make_spec(VE, 1, 80.0, 0.002)
-        assert objective_gradient(spec, np.empty(0)).size == 0
+        value, g = objective_gradient(spec, np.empty(0))
+        assert g.size == 0
+        assert value == objective_value(spec, np.empty(0))
 
     def test_too_close_raises(self):
         spec = make_spec(VE, 3, 80.0, 0.002)
@@ -211,7 +221,8 @@ class TestObjectiveGradient:
     @pytest.mark.parametrize("kind,cap", [("lagrange", 4), ("taylor", 3)])
     def test_matches_in_place_loop_bitwise(self, kind, cap):
         # optimizer paths follow round-off, so the batched gradient must
-        # reproduce the loop's perturbed values exactly, not only x +- h
+        # reproduce the loop's perturbed values exactly, not only x +- h,
+        # and the value from the same stack must be the single-grid value
         rng = np.random.default_rng(17)
         cases = [(VP, 1.0, 1e-3), (NoiseSchedule.vp_cosine(), 0.992, 1e-3), (VE, 80.0, 0.002)]
         for schedule, T, eps in cases:
@@ -226,8 +237,9 @@ class TestObjectiveGradient:
                         interior = np.sort(rng.uniform(lam_T, lam_eps, N - 1))
                         if np.any(np.diff(np.concatenate(([lam_T], interior, [lam_eps]))) < 1e-3):
                             continue
-                        expect = _in_place_loop_gradient(spec, interior)
-                        assert np.array_equal(objective_gradient(spec, interior), expect)
+                        value, g = objective_gradient(spec, interior)
+                        assert value == objective_value(spec, interior)
+                        assert np.array_equal(g, _in_place_loop_gradient(spec, interior))
 
 
 def _in_place_loop_gradient(spec, interior):

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from stepopt.objective import ObjectiveSpec, objective_value
+from stepopt import objective, optimizer
+from stepopt.objective import (
+    ConstraintViolationError,
+    ObjectiveSpec,
+    objective_gradient,
+    objective_value,
+)
 from stepopt.optimizer import (
     InfeasibleError,
     OptimizerConfig,
+    _value_and_gradient,
     feasibility_project,
     optimize_steps,
 )
@@ -160,3 +167,85 @@ class TestOptimizeSteps:
             OptimizerConfig(init="bogus")
         with pytest.raises(ValueError):
             OptimizerConfig(margin=1e-6)
+
+
+def _visits(requests):
+    """Points the optimizer asked the objective about: the start and each trial.
+
+    A gradient asked for right after the value at the same point belongs
+    to that point's visit.
+    """
+    visits = 0
+    previous_name, previous_x = None, None
+    for name, x in requests:
+        same_visit = (name == "objective_gradient" and previous_name == "objective_value"
+                      and np.array_equal(previous_x, x))
+        visits += not same_visit
+        previous_name, previous_x = name, x
+    return visits
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("kind,p,N",
+                             [("lagrange", 1, 5), ("taylor", 2, 10), ("lagrange", 1, 15)])
+    def test_one_evaluation_per_visited_point(self, monkeypatch, kind, p, N):
+        # an accepted trial reuses the gradient evaluated with its value
+        spec = ObjectiveSpec(VP, N, 1.0, 1e-3, OrderSchedule.warmup(N, 3), p=p,
+                             polynomial_kind=kind)
+        evaluations = []
+        requests = []
+        evaluate = objective._evaluate
+
+        def counted_evaluate(spec, lam_full):
+            evaluations.append(lam_full.shape)
+            return evaluate(spec, lam_full)
+
+        monkeypatch.setattr(objective, "_evaluate", counted_evaluate)
+        for name in ("objective_value", "objective_gradient"):
+            def requested(spec, x, name=name, forward=getattr(optimizer, name)):
+                requests.append((name, np.array(x)))
+                return forward(spec, x)
+
+            monkeypatch.setattr(optimizer, name, requested)
+        accepted = []
+        result = optimize_steps(spec, OptimizerConfig(init="edm", max_iters=100),
+                                on_accept=lambda i, x, f: accepted.append(f))
+        assert len(evaluations) == _visits(requests)
+        # some trials were rejected, so visits outnumber accepted points
+        assert _visits(requests) > len(accepted) > 1
+        assert result.objective == accepted[-1]
+
+    def test_trial_too_close_for_differences_is_judged_by_value(self):
+        spec = ve_spec(3)
+        x = np.array([0.0, 1e-7])
+        with pytest.raises(ConstraintViolationError, match="too close"):
+            objective_gradient(spec, x)
+        assert _value_and_gradient(spec, x) == (objective_value(spec, x), None)
+        # a point whose value fails raises the value's error
+        with pytest.raises(ConstraintViolationError, match="strictly increasing"):
+            _value_and_gradient(spec, np.array([1.0, 0.0]))
+
+    def test_trials_too_close_for_differences_end_no_run(self, monkeypatch):
+        # at eps = 1e-300 the top node sits near lambda = 346, where the 1e-4 margin
+        # is less than two finite-difference steps; trials there are judged by
+        # their value, and only an accepted one would need its gradient
+        spec = ObjectiveSpec(VP, 3, 1.0, 1e-300, OrderSchedule.warmup(3, 3), p=0)
+        valued = []
+        value = optimizer.objective_value
+
+        def recorded(spec, x):
+            valued.append(np.array(x))
+            return value(spec, x)
+
+        monkeypatch.setattr(optimizer, "objective_value", recorded)
+        result = optimize_steps(spec, OptimizerConfig(init="uniform-lambda", margin=1e-4))
+
+        def too_close(x):
+            try:
+                objective_gradient(spec, x)
+            except ConstraintViolationError:
+                return True
+            return False
+
+        assert any(too_close(x) for x in valued)
+        assert result.objective < result.initial_objective

@@ -86,6 +86,14 @@ class TestTOfLambda:
         back = schedule.lambda_of_t(t)
         assert np.max(np.abs(back - lam)) < 0.5 * (lam[1] - lam[0])
 
+    @pytest.mark.parametrize("schedule", [VP_LINEAR, VP_COSINE, VE], ids=lambda s: s.name)
+    def test_nan_is_a_domain_error(self, schedule):
+        # NaN fails every comparison, so a check that looks for out-of-range values lets it through
+        with pytest.raises(DomainError):
+            schedule.t_of_lambda(np.nan)
+        with pytest.raises(DomainError):
+            schedule.t_of_lambda(np.array([0.0, np.nan]))
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             VE.t_of_lambda(10.0)
