@@ -337,10 +337,11 @@ def edm_grid(schedule: NoiseSchedule, N: int, T: float, eps: float, rho: int = 7
     # kappa^(1/rho) = exp(-lambda/rho)
     root_T = math.exp(-lam_T / rho)
     root_eps = math.exp(-lam_eps / rho)
-    n = np.arange(N + 1)
-    roots = root_T + n / N * (root_eps - root_T)
-    lam = -rho * np.log(roots)
+    # interior nodes only: at a tiny eps the last root rounds to 0
+    n = np.arange(1, N)
+    lam = np.empty(N + 1)
     lam[0], lam[-1] = lam_T, lam_eps
+    lam[1:-1] = -rho * np.log(root_T + n / N * (root_eps - root_T))
     return LambdaGrid.from_lambda(schedule, lam, T, eps)
 
 

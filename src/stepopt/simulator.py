@@ -17,6 +17,7 @@ schedules and ``-1`` for variance-exploding ones.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 
@@ -165,34 +166,43 @@ def load_model(path) -> AnalyticModel:
 def _posterior_mean(model: AnalyticModel, x: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
     """Exact E[x_0 | x] under the mixture at coefficients (alpha, sigma).
 
-    Works on the (K, S) layout, one row per component with the draws
-    along it: the squared distances ``|x|^2 - 2 alpha x.mu + alpha^2
-    |mu|^2`` come from one ``mus @ x.T``, and the log-sum-exp and the
-    normalisation reduce over axis 0, so every pass runs along the long
-    draw axis and no (S, K, dim) temporary is built.  numpy reductions
-    over a short trailing component axis cost far more than the
-    arithmetic they do.  Component responsibilities are evaluated in log
-    space and combined by log-sum-exp, so widely separated components
-    cannot underflow.
+    Takes and returns the dim-major (dim, S) layout, one row per
+    coordinate with the draws along it; a C-contiguous ``x`` is fastest.
+    The squared distances ``|x|^2 - 2 alpha x.mu + alpha^2 |mu|^2`` come
+    from one ``mus @ x`` on the (K, S) layout, and the log-sum-exp and
+    the normalisation reduce over axis 0, so every pass runs along the
+    long draw axis and no (S, K, dim) temporary is built.  numpy
+    reductions and broadcasts over a short trailing axis cost far more
+    than the arithmetic they do.  Component responsibilities are
+    evaluated in log space and combined by log-sum-exp, so widely
+    separated components cannot underflow.  The returned array is new,
+    so callers may update it in place.
     """
-    x = np.atleast_2d(x)
     mus = model.mus
     s2 = model.stds**2
     var = alpha * alpha * s2 + sigma * sigma  # (K,)
-    sq = (
-        np.einsum("ij,ij->i", x, x)[None, :]
-        - 2.0 * alpha * (mus @ x.T)
-        + (alpha * alpha * np.einsum("ij,ij->i", mus, mus))[:, None]
-    )  # (K, S)
-    log_r = (
-        np.log(np.maximum(model.pis, 1e-300)) - 0.5 * model.dim * np.log(var)
-    )[:, None] - (0.5 / var)[:, None] * sq
-    log_r -= np.max(log_r, axis=0)
-    r = np.exp(log_r)
-    r /= np.sum(r, axis=0)
+    log_r = mus @ x  # (K, S)
+    log_r *= 2.0 * alpha
+    np.subtract(np.einsum("ij,ij->j", x, x), log_r, out=log_r)
+    log_r += (alpha * alpha * np.einsum("ij,ij->i", mus, mus))[:, None]
+    # log_r holds the squared distances until the next two lines
+    log_r *= (0.5 / var)[:, None]
+    np.subtract(
+        (np.log(np.maximum(model.pis, 1e-300)) - 0.5 * model.dim * np.log(var))[:, None],
+        log_r,
+        out=log_r,
+    )
+    log_r -= log_r.max(axis=0)
+    r = np.exp(log_r, out=log_r)
+    r /= r.sum(axis=0)
     r /= var[:, None]  # responsibilities over each component's variance
     # sum_k r_k (alpha s_k^2 x + sigma^2 mu_k) / var_k
-    return (alpha * (s2 @ r))[:, None] * x + sigma * sigma * (r.T @ mus)
+    out = mus.T @ r
+    out *= sigma * sigma
+    coef = s2 @ r
+    coef *= alpha
+    out += coef * x
+    return out
 
 
 def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.ndarray:
@@ -200,7 +210,7 @@ def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.n
     alpha = float(schedule.alpha(t))
     sigma = float(schedule.sigma(t))
     x = np.asarray(x, dtype=float)
-    out = _posterior_mean(model, x, alpha, sigma)
+    out = _posterior_mean(model, np.ascontiguousarray(np.atleast_2d(x).T), alpha, sigma).T
     return out if x.ndim == 2 else out[0]
 
 
@@ -212,18 +222,20 @@ def _sample_batch(
     predict,
     x_start: np.ndarray,
 ) -> np.ndarray:
-    """Run the multistep update on a (S, dim) batch of start states.
+    """Run the multistep update on a batch of start states.
 
     ``predict(x, lam, alpha, sigma)`` returns the prediction batch at one
-    node.  Each step's weights are scaled with the step's own endpoint
-    as anchor, so the per-step coefficient of each prediction is simply
-    alpha at the new node times the stored weight.
+    node, in the layout of ``x_start``; the simulator passes dim-major
+    (dim, S) batches, and the state is kept C-contiguous.  Each step's
+    weights are scaled with the step's own endpoint as anchor, so the
+    per-step coefficient of each prediction is simply alpha at the new
+    node times the stored weight.
     """
     lam = grid.lam
     n_steps = grid.n_steps
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
     w = step_weight_array(lam, orders, kind, lam[1:])
-    x = np.array(x_start, dtype=float, copy=True)
+    x = np.array(x_start, dtype=float, order="C")
     history: list[np.ndarray] = []
     for n in range(1, n_steps + 1):
         if not np.all(np.isfinite(x)):
@@ -246,8 +258,8 @@ def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
         return _posterior_mean(run.model, x, alpha, sigma)
 
     out = _sample_batch(
-        run.grid, run.orders, run.polynomial_kind, run.schedule, predict, np.atleast_2d(x_T)
-    )
+        run.grid, run.orders, run.polynomial_kind, run.schedule, predict, np.atleast_2d(x_T).T
+    ).T
     return out if x_T.ndim == 2 else out[0]
 
 
@@ -258,15 +270,16 @@ def _reference_batch(
     lam_T: float,
     lam_eps: float,
 ) -> np.ndarray:
-    """Probability-flow solution for a (S, dim) batch.
+    """Probability-flow solution for a dim-major (dim, S) batch.
 
     Single Gaussians use the exact closed form; mixtures integrate the
-    flow with scipy's DOP853, an adaptive explicit Runge-Kutta method of
-    order 8, at rtol 1e-10 and atol 1e-13.  Every right-hand-side call
-    costs one posterior mean over the whole batch, and at this tolerance
-    DOP853 needs about half as many calls as the 4th/5th order RK45.
+    flattened (dim, S) state with scipy's DOP853, an adaptive explicit
+    Runge-Kutta method of order 8, at rtol 1e-10 and atol 1e-13.  Every
+    right-hand-side call costs one posterior mean over the whole batch,
+    into whose output the rest of the right-hand side is folded in
+    place, and at this tolerance DOP853 needs about half as many calls
+    as the 4th/5th order RK45.
     """
-    x_start = np.atleast_2d(x_start)
     if model.n_components == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
         alpha_e, sigma_e = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_eps))
@@ -274,16 +287,18 @@ def _reference_batch(
         mu = model.mus[0]
         hat_T = np.sqrt(alpha_T**2 * s**2 + sigma_T**2)
         hat_e = np.sqrt(alpha_e**2 * s**2 + sigma_e**2)
-        return alpha_e * mu[None, :] + (hat_e / hat_T) * (x_start - alpha_T * mu[None, :])
+        return alpha_e * mu[:, None] + (hat_e / hat_T) * (x_start - alpha_T * mu[:, None])
 
     shape = x_start.shape
 
     def rhs(lam, y):
         x = y.reshape(shape)
         alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
-        pred = _posterior_mean(model, x, alpha, sigma)
         dlog_sigma = -1.0 if schedule.family == "ve_edm" else -alpha**2
-        return (dlog_sigma * x + alpha * pred).ravel()
+        dx = _posterior_mean(model, x, alpha, sigma)
+        dx *= alpha
+        dx += dlog_sigma * x
+        return dx.ravel()
 
     sol = solve_ivp(
         rhs,
@@ -293,6 +308,12 @@ def _reference_batch(
         rtol=1e-10,
         atol=1e-13,
     )
+    # The solver keeps itself in a reference cycle (closures over itself)
+    # holding about 1 MB of stage arrays at 4096 x 2 draws.  A solve leaves
+    # few other gc-tracked objects behind, so the solver is normally still
+    # in the young generation, whose collection takes about 0.1 ms; left to
+    # the cyclic collector, such garbage piles up in a long-lived process.
+    gc.collect(0)
     if not sol.success:
         raise RuntimeError(f"reference integration failed: {sol.message}")
     return sol.y[:, -1].reshape(shape)
@@ -303,7 +324,7 @@ def reference_solution(model: AnalyticModel, schedule: NoiseSchedule, x_T, T: fl
     x_T = np.asarray(x_T, dtype=float)
     lam_T = float(schedule.lambda_of_t(T))
     lam_eps = float(schedule.lambda_of_t(eps))
-    out = _reference_batch(model, schedule, x_T, lam_T, lam_eps)
+    out = _reference_batch(model, schedule, np.atleast_2d(x_T).T, lam_T, lam_eps).T
     return out if x_T.ndim == 2 else out[0]
 
 
@@ -348,6 +369,7 @@ def evaluate_schedules(
     marginal_std = np.sqrt(alpha_T**2 * model.second_moment_per_dim() + sigma_T**2)
     rng = np.random.default_rng(rng_seed)
     x_T = marginal_std * rng.standard_normal((seeds, model.dim))
+    x_T = np.array(x_T.T, order="C")  # dim-major; a transposed view would keep draw-major memory
 
     x_ref = _reference_batch(model, schedule, x_T, lam_T, lam_eps)
 
@@ -357,7 +379,7 @@ def evaluate_schedules(
     reports = []
     for grid, label in zip(schedules, labels):
         x_out = _sample_batch(grid, orders, kind, schedule, predict, x_T)
-        errors = np.linalg.norm(x_out - x_ref, axis=1)
+        errors = np.linalg.norm(x_out - x_ref, axis=0)
         reports.append(
             SimulationReport(
                 mean_l2_error=float(np.mean(errors)),

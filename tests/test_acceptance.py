@@ -286,13 +286,13 @@ def test_criterion_8_convergence_and_order_properties():
     rng = np.random.default_rng(1008)
     x_T = rng.normal(size=(8, 2)) * 1.2
     lam_T, lam_eps = float(VP.lambda_of_t(1.0)), float(VP.lambda_of_t(1e-3))
-    closed = _reference_batch(gauss, VP, x_T, lam_T, lam_eps)
+    closed = _reference_batch(gauss, VP, x_T.T, lam_T, lam_eps)
     split = AnalyticModel(
         pis=np.array([0.5, 0.5]),
         mus=np.array([[1.5, -0.5], [1.5, -0.5]]),
         stds=np.array([0.7, 0.7]),
     )
-    adaptive = _reference_batch(split, VP, x_T, lam_T, lam_eps)
+    adaptive = _reference_batch(split, VP, x_T.T, lam_T, lam_eps)
     gap = float(np.max(np.abs(closed - adaptive)))
     if gap > 1e-8:
         problems.append(f"reference cross-check gap {gap:.2e}")

@@ -181,6 +181,16 @@ class TestEdmGrid:
         with pytest.raises(ValueError):
             edm_grid(VE, 4, 80.0, 0.002, 0)
 
+    @pytest.mark.parametrize(
+        "schedule,T", [(VP_LINEAR, 1.0), (VP_COSINE, 0.992)], ids=["vp-linear", "vp-cosine"]
+    )
+    def test_tiny_eps_takes_no_log_of_zero(self, schedule, T):
+        # at eps = 1e-300 the last node's root rounds to exactly 0
+        with np.errstate(divide="raise"):
+            grid = edm_grid(schedule, 5, T, 1e-300, 7)
+        assert np.all(np.diff(grid.lam) > 0)
+        assert grid.lam[-1] == float(schedule.lambda_of_t(1e-300))
+
 
 @pytest.mark.parametrize("builder", [uniform_t_grid, uniform_lambda_grid, edm_grid])
 @pytest.mark.parametrize("schedule,lo,hi", ALL_FAMILIES)

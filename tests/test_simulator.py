@@ -1,9 +1,10 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from stepopt.schedules import (
     LambdaGrid,
@@ -21,7 +22,7 @@ from stepopt.simulator import (
     reference_solution,
     standard_test_mixture,
 )
-from stepopt.simulator import _reference_batch, _sample_batch
+from stepopt.simulator import _posterior_mean, _reference_batch, _sample_batch
 from stepopt.weights import OrderSchedule
 
 VE = NoiseSchedule.ve_edm()
@@ -153,6 +154,40 @@ class TestDataPrediction:
                 worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
         assert worst <= 1e-10
 
+    def test_matches_draw_major_layout(self):
+        # Bitwise where the float operations are those of the draw-major
+        # kernel: dim <= 2 with K >= 2.  Otherwise the row reductions
+        # (einsum over dim >= 3, numpy's gemv for K = 1) sum in another
+        # order, so the two may differ by rounding that the exponentials
+        # amplify; 1000 eps of the largest entry bounds that.
+        rng = np.random.default_rng(23)
+        coefficients = [(0.6, 0.8), (0.999, 0.04), (0.01, 0.9999)]
+        for name, (T, eps) in FAMILY_RANGES.items():
+            schedule = NoiseSchedule.from_name(name)
+            eps = eps if name == "ve-edm" else 1e-300
+            alphas, sigmas = schedule.alpha_sigma_of_lambda(schedule.lambda_of_t(np.array([T, eps])))
+            coefficients += [(float(a), float(s)) for a, s in zip(alphas, sigmas)]
+        exact = 0
+        for trial in range(120):
+            K, dim = 1 + trial % 5, 1 + (trial // 5) % 16
+            scale = 400.0 if trial % 2 else 10.0
+            mus = scale * rng.normal(size=(K, dim))
+            model = AnalyticModel(
+                pis=rng.dirichlet(np.ones(K)), mus=mus, stds=rng.uniform(0.05, 2.0, size=K)
+            )
+            for alpha, sigma in coefficients:
+                x = alpha * mus[rng.integers(0, K, size=64)] + scale * rng.normal(size=(64, dim))
+                want = _draw_major_posterior_mean(model, x, alpha, sigma)
+                got = _posterior_mean(model, np.ascontiguousarray(x.T), alpha, sigma)
+                assert got.flags.c_contiguous and got.shape == (dim, 64)
+                if dim <= 2 and K >= 2:
+                    exact += 1
+                    assert np.array_equal(got.T, want)
+                else:
+                    tol = 1e3 * np.finfo(float).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(got.T - want)) <= tol
+        assert exact > 0
+
 
 class TestMultistepSample:
     def test_near_point_mass_constant_prediction(self):
@@ -216,7 +251,9 @@ class TestMultistepSample:
         model = single_gaussian([1.5, -0.5], 0.7)
         rng = np.random.default_rng(4)
         x_T = rng.normal(size=(16, 2)) * 1.1
-        ref = _reference_batch(model, VP, x_T, float(VP.lambda_of_t(1.0)), float(VP.lambda_of_t(1e-3)))
+        ref = _reference_batch(
+            model, VP, x_T.T, float(VP.lambda_of_t(1.0)), float(VP.lambda_of_t(1e-3))
+        ).T
         errs = {}
         for N in (5, 10):
             grid = uniform_lambda_grid(VP, N, 1.0, 1e-3)
@@ -240,9 +277,30 @@ class TestMultistepSample:
 
 
 def _predict(model, x, alpha, sigma):
-    from stepopt.simulator import _posterior_mean
+    """Posterior mean of an (S, dim) batch through the dim-major kernel."""
+    return _posterior_mean(model, np.ascontiguousarray(x.T), alpha, sigma).T
 
-    return _posterior_mean(model, x, alpha, sigma)
+
+def _draw_major_posterior_mean(model, x, alpha, sigma):
+    """Posterior mean on the (S, dim) draw-major layout: the reference for
+    the float operations of the dim-major kernel."""
+    x = np.atleast_2d(x)
+    mus = model.mus
+    s2 = model.stds**2
+    var = alpha * alpha * s2 + sigma * sigma  # (K,)
+    sq = (
+        np.einsum("ij,ij->i", x, x)[None, :]
+        - 2.0 * alpha * (mus @ x.T)
+        + (alpha * alpha * np.einsum("ij,ij->i", mus, mus))[:, None]
+    )  # (K, S)
+    log_r = (
+        np.log(np.maximum(model.pis, 1e-300)) - 0.5 * model.dim * np.log(var)
+    )[:, None] - (0.5 / var)[:, None] * sq
+    log_r -= np.max(log_r, axis=0)
+    r = np.exp(log_r)
+    r /= np.sum(r, axis=0)
+    r /= var[:, None]
+    return (alpha * (s2 @ r))[:, None] * x + sigma * sigma * (r.T @ mus)
 
 
 def _difference_posterior_mean(model, x, alpha, sigma):
@@ -290,13 +348,21 @@ class TestReferenceSolution:
         out = reference_solution(model, VP, np.zeros(2), 1.0, 1e-3)
         np.testing.assert_allclose(out, 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("name", sorted(FAMILY_RANGES))
-    def test_matches_per_draw_oracle(self, name):
+    @pytest.mark.parametrize(
+        "name,eps",
+        [pytest.param(name, eps, id=name) for name, (_, eps) in sorted(FAMILY_RANGES.items())]
+        + [
+            pytest.param(name, 1e-300, id=f"{name}-eps1e-300")
+            for name in ("vp-linear", "vp-cosine")
+        ],
+    )
+    def test_matches_per_draw_oracle(self, name, eps):
         # each draw integrated alone at rtol 1e-12 with the difference-form
-        # posterior mean, against the batched reference
+        # posterior mean, against the batched reference; eps = 1e-300 takes
+        # the flow to log-SNR about 346
         model = standard_test_mixture()
         schedule = NoiseSchedule.from_name(name)
-        T, eps = FAMILY_RANGES[name]
+        T = FAMILY_RANGES[name][0]
         lam_T, lam_eps = (float(v) for v in schedule.lambda_of_t(np.array([T, eps])))
         alpha_T, sigma_T = schedule.alpha_sigma_of_lambda(lam_T)
         spread = math.sqrt(alpha_T**2 * model.second_moment_per_dim() + sigma_T**2)
@@ -313,6 +379,13 @@ class TestReferenceSolution:
             sol = solve_ivp(rhs, (lam_T, lam_eps), x, method="DOP853", rtol=1e-12, atol=1e-14)
             assert sol.success
             assert np.max(np.abs(sol.y[:, -1] - got)) <= 1e-9
+
+    def test_frees_its_solver(self):
+        # the DOP853 solver sits in a reference cycle; the reference frees it
+        gc.collect()
+        x_T = np.random.default_rng(2).normal(size=(64, 2))
+        reference_solution(standard_test_mixture(), VP, x_T, 1.0, 1e-3)
+        assert not any(isinstance(obj, DOP853) for obj in gc.get_objects())
 
 
 class TestEvaluateSchedules:
