@@ -43,11 +43,15 @@ class UsageError(ValueError):
     """Bad flag combinations and inconsistent inputs (exit code 2)."""
 
 
-def _rho(text: str) -> int:
-    """``--rho`` of baseline and optimize, checked when the flags are parsed."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(lowest: int):
+    """Flag type of an integer of at least ``lowest``, checked when the flags are parsed."""
+
+    def integer(text: str) -> int:
+        if int(text) < lowest:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lowest}, got {text!r}")
+        return int(text)
+
+    return integer
 
 
 def _schedule_from_args(args) -> NoiseSchedule:
@@ -237,7 +241,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, default=1, choices=PROXY_EXPONENTS,
                    help="error-proxy exponent (1: pixel-space, 2: latent-space)")
     p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default="lagrange")
-    p.add_argument("--rho", type=_rho, default=7, help="exponent of the edm scheme")
+    p.add_argument("--rho", type=_int_at_least(1), default=7, help="exponent of the edm scheme")
     p.add_argument("--beta-min", type=float, default=0.1)
     p.add_argument("--beta-max", type=float, default=20.0)
     p.add_argument("--cosine-shift", type=float, default=0.008)
@@ -276,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="mixture model JSON")
     p.add_argument("--steps", action="append", required=True, help="schedule JSON (repeatable)")
     p.add_argument("--seeds", type=int, default=256)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--csv", default=None, help="optional CSV table")
     p.set_defaults(func=_cmd_simulate)

@@ -11,8 +11,10 @@ as ``sqrt(x^2 + mu^2)`` with the fixed ``mu = 1e-10`` so derivatives stay
 usable when a weight total crosses zero during iteration.
 
 Endpoints are fixed; only the ``N - 1`` interior log-SNR values vary.
-Gradients are central finite differences.  :func:`objective_gradient`
-returns the value and the gradient together, the ``fun`` shape of
+Gradients are central finite differences with step
+``min(1e-6 max(1, |x_i|), half the nearer gap)``, so every strictly
+increasing grid has one.  :func:`objective_gradient` returns the value
+and the gradient together, the ``fun`` shape of
 ``scipy.optimize.minimize(..., jac=True)``: the unperturbed grid and the
 2(N - 1) perturbed ones, rounded exactly as a loop over the coordinates
 would perturb them, go through one batched evaluation.
@@ -132,8 +134,9 @@ def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
 def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.ndarray]:
     """Objective value and central finite-difference gradient in the interior values.
 
-    Step size is 1e-6 scaled by the coordinate magnitude; neighbors must
-    be at least two steps away so perturbed points stay feasible.
+    The step is ``h_i = min(1e-6 max(1, |x_i|), min(gap_left, gap_right) / 2)``:
+    1e-6 scaled by the coordinate magnitude, capped at half the nearer gap
+    so every perturbed grid stays strictly increasing.
 
     The unperturbed grid and all 2(N - 1) perturbed ones go through one
     batched evaluation, so the value equals :func:`objective_value` and
@@ -149,12 +152,8 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.
     lam_full = _full_lambda(spec, lambda_interior)
     n_free = spec.N - 1
     x = lam_full[1:-1]
-    steps = 1e-6 * np.maximum(1.0, np.abs(x))
     gaps = np.diff(lam_full)
-    if n_free and np.any(np.minimum(gaps[:-1], gaps[1:]) < 2.0 * steps):
-        raise ConstraintViolationError(
-            "interior values too close to neighbors for finite differencing"
-        )
+    steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
     plus = x + steps
     minus = plus - 2.0 * steps
     restored = minus + steps

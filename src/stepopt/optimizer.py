@@ -8,7 +8,9 @@ requirement with a safe margin.  The solver is a trust-region method:
 * quadratic model from the finite-difference gradient and a damped
   BFGS Hessian approximation,
 * one objective call per trial, for its value and gradient together, so
-  an accepted trial already holds the gradient of the next model,
+  an accepted trial already holds the gradient of the next model; the
+  finite-difference step is capped at half the nearer node gap, so every
+  feasible trial has a gradient,
 * dogleg solution of the model inside the radius,
 * trial points projected back onto the feasible set; steps that fail to
   reduce the objective shrink the radius and are rejected.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import ConstraintViolationError, ObjectiveSpec, objective_gradient, objective_value
+from .objective import ObjectiveSpec, objective_gradient
 from .schedules import SCHEMES, LambdaGrid, scheme_grid
 
 __all__ = [
@@ -142,20 +144,6 @@ def _bfgs_update(B: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
 
 
-def _value_and_gradient(spec: ObjectiveSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """``objective_gradient`` at a trial point, or its value alone and ``None`` where that raises.
-
-    Only the value decides whether a trial is accepted, so a trial whose
-    perturbed grids fail (too close to a neighbor for finite differences,
-    say) is judged as if its gradient had not been asked for.  Where the
-    value fails too, ``objective_value`` raises its own error.
-    """
-    try:
-        return objective_gradient(spec, x)
-    except (ConstraintViolationError, OverflowError):
-        return objective_value(spec, x), None
-
-
 def optimize_steps(
     spec: ObjectiveSpec,
     config: OptimizerConfig | None = None,
@@ -209,12 +197,10 @@ def optimize_steps(
         predicted = -(float(g @ actual_step) + 0.5 * float(actual_step @ B @ actual_step))
         accept = False
         if predicted > 0.0:
-            f_trial, g_trial = _value_and_gradient(spec, trial)
+            f_trial, g_trial = objective_gradient(spec, trial)
             ratio = (f - f_trial) / predicted
             accept = f_trial < f and ratio > 1e-4
         if accept:
-            if g_trial is None:
-                objective_gradient(spec, trial)  # raises what made the gradient fail
             y = g_trial - g
             if not scaled:
                 # rescale the unit initial Hessian to the observed curvature

@@ -116,6 +116,15 @@ class TestOptimize:
         best = json.loads(out.read_text())["objective"]
         assert all(best <= v + 1e-15 for v in singles.values())
 
+    def test_smallest_margin_at_tiny_eps(self, tmp_path):
+        # nodes at the 1e-4 margin near lambda = 346 still get a gradient
+        out = tmp_path / "deep.json"
+        assert run(
+            "optimize", "--schedule", "vp-linear", "--N", "5", "--eps", "1e-300",
+            "--margin", "1e-4", "--p", "1", "--kind", "taylor", "--out", str(out),
+        ) == 0
+        assert np.all(np.diff(json.loads(out.read_text())["lambda"]) >= 1e-4)
+
     def test_explicit_order_list(self, tmp_path):
         out = tmp_path / "opt.json"
         rc = run(
@@ -276,6 +285,10 @@ class TestExitCodes:
         assert run(
             "simulate", "--model", model_file, "--steps", str(a),
             "--seeds", "0", "--out", str(tmp_path / "r.json"),
+        ) == 2
+        assert run(
+            "simulate", "--model", model_file, "--steps", str(a),
+            "--rng-seed", "-1", "--out", str(tmp_path / "r.json"),
         ) == 2
 
     def test_missing_model_file_is_2(self, tmp_path):

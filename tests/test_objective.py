@@ -193,11 +193,32 @@ class TestObjectiveGradient:
         assert g.size == 0
         assert value == objective_value(spec, np.empty(0))
 
-    def test_too_close_raises(self):
-        spec = make_spec(VE, 3, 80.0, 0.002)
-        lam_T, lam_eps = spec.lambda_endpoints
-        with pytest.raises(ConstraintViolationError):
-            objective_gradient(spec, np.array([lam_T + 1e-8, lam_eps - 1.0]))
+    def test_close_nodes_keep_perturbed_rows_increasing(self, monkeypatch):
+        # steps are capped at half the nearer gap, so nodes far closer than
+        # two uncapped steps still get a finite gradient from feasible grids
+        from stepopt import objective
+
+        stacks = []
+        evaluate = objective._evaluate
+
+        def recorded(spec, lam_full):
+            stacks.append(lam_full.copy())
+            return evaluate(spec, lam_full)
+
+        monkeypatch.setattr(objective, "_evaluate", recorded)
+        ve = make_spec(VE, 3, 80.0, 0.002)
+        deep = make_spec(VP, 4, 1.0, 1e-300, max_order=3)  # lambda_eps about 346
+        cases = [
+            (ve, np.array([ve.lambda_endpoints[0] + 1e-8, ve.lambda_endpoints[1] - 1.0])),
+            (deep, deep.lambda_endpoints[1] - np.array([3e-4, 2e-4, 1e-4])),
+        ]
+        for spec, interior in cases:
+            stacks.clear()
+            _, g = objective_gradient(spec, interior)
+            (points,) = stacks
+            assert points.shape == (2 * spec.N - 1, spec.N + 1)
+            assert np.all(np.diff(points, axis=-1) > 0)
+            assert np.all(np.isfinite(g))
 
     def test_no_time_map_calls_once_spec_exists(self, monkeypatch):
         # endpoints and the attainable log-SNR range are fixed per spec and
@@ -224,8 +245,9 @@ class TestObjectiveGradient:
         # reproduce the loop's perturbed values exactly, not only x +- h,
         # and the value from the same stack must be the single-grid value
         rng = np.random.default_rng(17)
-        cases = [(VP, 1.0, 1e-3), (NoiseSchedule.vp_cosine(), 0.992, 1e-3), (VE, 80.0, 0.002)]
-        for schedule, T, eps in cases:
+        families = [(VP, 1.0, 1e-3), (NoiseSchedule.vp_cosine(), 0.992, 1e-3), (VE, 80.0, 0.002)]
+        cases = []
+        for schedule, T, eps in families:
             for p in (1, 2):
                 for N in (2, 3, 6, 11, 16):
                     orders = OrderSchedule(
@@ -237,9 +259,18 @@ class TestObjectiveGradient:
                         interior = np.sort(rng.uniform(lam_T, lam_eps, N - 1))
                         if np.any(np.diff(np.concatenate(([lam_T], interior, [lam_eps]))) < 1e-3):
                             continue
-                        value, g = objective_gradient(spec, interior)
-                        assert value == objective_value(spec, interior)
-                        assert np.array_equal(g, _in_place_loop_gradient(spec, interior))
+                        cases.append((spec, interior))
+        # capped steps: two interior nodes 1e-7 apart, and gaps of 1e-4 near
+        # lambda = 346, where 1e-6 |x| is more than half a gap
+        close = ObjectiveSpec(VE, 4, 80.0, 0.002, OrderSchedule.warmup(4, 3), polynomial_kind=kind)
+        cases.append((close, np.array([-1.0, -1.0 + 1e-7, 2.0])))
+        deep = ObjectiveSpec(VP, 5, 1.0, 1e-300, OrderSchedule.warmup(5, 3), polynomial_kind=kind)
+        lam_eps = deep.lambda_endpoints[1]
+        cases.append((deep, np.array([0.0, lam_eps - 3e-4, lam_eps - 2e-4, lam_eps - 1e-4])))
+        for spec, interior in cases:
+            value, g = objective_gradient(spec, interior)
+            assert value == objective_value(spec, interior)
+            assert np.array_equal(g, _in_place_loop_gradient(spec, interior))
 
 
 def _in_place_loop_gradient(spec, interior):
@@ -248,7 +279,8 @@ def _in_place_loop_gradient(spec, interior):
     from stepopt.objective import _evaluate
 
     lam_full = np.concatenate(([spec.lambda_endpoints[0]], interior, [spec.lambda_endpoints[1]]))
-    steps = 1e-6 * np.maximum(1.0, np.abs(lam_full[1:-1]))
+    gaps = np.diff(lam_full)
+    steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(interior)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
     grad = np.empty(interior.size)
     for i in range(interior.size):
         h = steps[i]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
+from stepopt import cli, simulator
 from stepopt.schedules import (
     LambdaGrid,
     NoiseSchedule,
@@ -386,6 +387,46 @@ class TestReferenceSolution:
         x_T = np.random.default_rng(2).normal(size=(64, 2))
         reference_solution(standard_test_mixture(), VP, x_T, 1.0, 1e-3)
         assert not any(isinstance(obj, DOP853) for obj in gc.get_objects())
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_RANGES))
+    def test_matches_solve_ivp_bitwise(self, monkeypatch, name):
+        # the directly stepped solver gives exactly the last state that
+        # solve_ivp returns for the same right-hand side
+        rhs = []
+
+        class Recording(DOP853):
+            def __init__(self, fun, *args, **kwargs):
+                rhs.append(fun)
+                super().__init__(fun, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "DOP853", Recording)
+        schedule = NoiseSchedule.from_name(name)
+        T, eps = FAMILY_RANGES[name]
+        x_T = 2.0 * np.random.default_rng(6).standard_normal((32, 2))
+        got = reference_solution(standard_test_mixture(), schedule, x_T, T, eps)
+        lam_T, lam_eps = (float(v) for v in schedule.lambda_of_t(np.array([T, eps])))
+        sol = solve_ivp(rhs[0], (lam_T, lam_eps), np.ravel(x_T.T), method="DOP853",
+                        rtol=1e-10, atol=1e-13)
+        assert np.array_equal(got, sol.y[:, -1].reshape(2, -1).T)
+
+    def test_failed_integration_raises(self, monkeypatch, tmp_path):
+        class Failing(DOP853):
+            def _step_impl(self):
+                return False, "forced"
+
+        monkeypatch.setattr(simulator, "DOP853", Failing)
+        with pytest.raises(RuntimeError, match="forced"):
+            reference_solution(standard_test_mixture(), VP, np.ones((3, 2)), 1.0, 1e-3)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"components": [
+            {"pi": 0.5, "mu": [2.0, 2.0], "s": 0.5},
+            {"pi": 0.5, "mu": [-2.0, -2.0], "s": 0.5},
+        ]}))
+        steps = str(tmp_path / "a.json")
+        assert cli.main(["baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
+                         "--N", "3", "--out", steps]) == 0
+        assert cli.main(["simulate", "--model", str(model), "--steps", steps, "--seeds", "4",
+                         "--out", str(tmp_path / "r.json")]) == 1
 
 
 class TestEvaluateSchedules:
