@@ -10,8 +10,10 @@ Commands:
   against reference solutions,
 * ``dump-weights`` - emit the solver weight table of a schedule file.
 
-Exit codes: 0 on success, 1 on numeric failure, 2 on usage errors and
-bad input files.
+Exit codes: 0 on success, 1 on numeric failure, 2 on usage errors.
+Usage errors are bad flags (an infeasible ``--margin`` among them), an
+unwritable output and a missing or invalid input file; a ``--T`` or
+``--eps`` outside the family's time domain is a numeric failure.
 """
 
 from __future__ import annotations
@@ -54,47 +56,38 @@ def _int_at_least(lowest: int):
     return integer
 
 
-def _schedule_from_args(args) -> NoiseSchedule:
+def _spec_from_args(args) -> ObjectiveSpec:
+    """The objective the spec flags describe; a flag the library rejects is a usage error.
+
+    A ``--T`` or ``--eps`` outside the family's time domain raises
+    :class:`DomainError`, a numeric failure.
+    """
     try:
-        return NoiseSchedule.from_name(
+        schedule = NoiseSchedule.from_name(
             args.schedule,
             beta_min=args.beta_min,
             beta_max=args.beta_max,
             cosine_shift=args.cosine_shift,
         )
+        if "," in args.order:
+            orders = OrderSchedule(tuple(int(v) for v in args.order.split(",")))
+        else:
+            orders = OrderSchedule.warmup(args.N, int(args.order))
+        check_order_cap(orders, args.kind)
+        T = args.T if args.T is not None else schedule.t_domain[1]
+        eps = args.eps if args.eps is not None else _DEFAULT_EPS[args.schedule]
+        return ObjectiveSpec(schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind)
+    except DomainError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _range_from_args(args, schedule: NoiseSchedule) -> tuple[float, float]:
-    T = args.T if args.T is not None else schedule.t_domain[1]
-    eps = args.eps if args.eps is not None else _DEFAULT_EPS[args.schedule]
-    if not T > eps:
-        raise UsageError(f"--T ({T}) must exceed --eps ({eps})")
-    return T, eps
-
-
-def _orders_from_args(args, N: int) -> OrderSchedule:
-    text = args.order
-    try:
-        if "," in text:
-            ks = tuple(int(v) for v in text.split(","))
-            if len(ks) != N:
-                raise ValueError(f"--order lists {len(ks)} entries but --N is {N}")
-            orders = OrderSchedule(ks)
-        else:
-            orders = OrderSchedule.warmup(N, int(text))
-        check_order_cap(orders, args.kind)
-        return orders
-    except ValueError as exc:
-        raise UsageError(f"bad --order: {exc}") from None
-
-
 def _read_input(read, path):
-    """Read a schedule or model file; one that fails validation is bad input."""
+    """Read a schedule or model file; one that is missing or fails validation is bad input."""
     try:
         return read(path)
-    except (ValueError, TypeError) as exc:
+    except (OSError, KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"bad input file {path}: {exc}") from None
 
 
@@ -113,61 +106,42 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
         fh.write("\n")
 
 
-def _cmd_baseline(args) -> int:
-    schedule = _schedule_from_args(args)
-    T, eps = _range_from_args(args, schedule)
-    orders = _orders_from_args(args, args.N)
-    grid = scheme_grid(args.scheme, schedule, args.N, T, eps, args.rho)
-    spec = ObjectiveSpec(
-        schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind
-    )
-    value = objective_value(spec, grid.lam[1:-1])
+def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
+                    converged: bool | None = None) -> None:
+    """Write ``--out``, and ``--dump-weights`` when given, for a grid of ``spec``."""
     out = ScheduleFile.from_grid(
-        grid, args.schedule, orders, args.kind, args.p, value, init=args.scheme
+        grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged
     )
     out.write(args.out)
     if args.dump_weights:
         _dump_weight_table(out, args.dump_weights)
+
+
+def _cmd_baseline(args) -> int:
+    spec = _spec_from_args(args)
+    grid = scheme_grid(args.scheme, spec.schedule, args.N, spec.T, spec.eps, args.rho)
+    value = objective_value(spec, grid.lam[1:-1])
+    _write_schedule(args, spec, grid, value, init=args.scheme)
     print(f"wrote {args.out}: {args.scheme} N={args.N} objective={value:.12g}")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    schedule = _schedule_from_args(args)
-    T, eps = _range_from_args(args, schedule)
-    orders = _orders_from_args(args, args.N)
     inits = SCHEMES if args.init == "best-of-3" else (args.init,)
     # flags first: the spec maps T and eps, where a domain error exits 1
     try:
         configs = [
-            OptimizerConfig(
-                init=init,
-                rho=args.rho,
-                margin=args.margin,
-                max_iters=args.max_iters,
-            )
+            OptimizerConfig(init=init, rho=args.rho, margin=args.margin, max_iters=args.max_iters)
             for init in inits
         ]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    spec = ObjectiveSpec(
-        schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind
-    )
+    spec = _spec_from_args(args)
     results = [(config.init, optimize_steps(spec, config)) for config in configs]
     init_name, best = min(results, key=lambda pair: pair[1].objective)
-    out = ScheduleFile.from_grid(
-        best.grid,
-        args.schedule,
-        orders,
-        args.kind,
-        args.p,
-        best.objective,
-        init=init_name,
-        converged=best.converged,
+    _write_schedule(
+        args, spec, best.grid, best.objective, init=init_name, converged=best.converged
     )
-    out.write(args.out)
-    if args.dump_weights:
-        _dump_weight_table(out, args.dump_weights)
     total_time = sum(r.wall_time_seconds for _, r in results)
     print(
         f"wrote {args.out}: init={init_name} "
@@ -180,8 +154,6 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
     model = _read_input(load_model, args.model)
     files = [_read_input(ScheduleFile.read, p) for p in args.steps]
     first = files[0]
@@ -234,7 +206,7 @@ def _cmd_dump_weights(args) -> int:
 
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schedule", choices=SCHEDULE_NAMES, required=True)
-    p.add_argument("--N", type=int, required=True, help="number of steps")
+    p.add_argument("--N", type=_int_at_least(1), required=True, help="number of steps")
     p.add_argument("--T", type=float, default=None, help="start time (family default)")
     p.add_argument("--eps", type=float, default=None, help="end time (family default)")
     p.add_argument("--order", default="3", help="max order, or comma list k1,k2,...")
@@ -279,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="compare schedules on an analytic-score model")
     p.add_argument("--model", required=True, help="mixture model JSON")
     p.add_argument("--steps", action="append", required=True, help="schedule JSON (repeatable)")
-    p.add_argument("--seeds", type=int, default=256)
+    p.add_argument("--seeds", type=_int_at_least(1), default=256)
     p.add_argument("--rng-seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True, help="output report JSON")
     p.add_argument("--csv", default=None, help="optional CSV table")
@@ -301,16 +273,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, InfeasibleError, OSError) as exc:
+        # the flags alone make a margin infeasible or an output path unwritable
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: bad input file: {exc}", file=sys.stderr)
         return 2
     except (
         DomainError,
         ConstraintViolationError,
-        InfeasibleError,
         OverflowError,
         FloatingPointError,
         RuntimeError,

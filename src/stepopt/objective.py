@@ -87,15 +87,11 @@ class ObjectiveSpec:
 def score_error_weight(schedule: NoiseSchedule, lam, p: int):
     """Prediction-error proxy ``sigma^p / alpha`` at the given half log-SNR.
 
-    Computable from the log-SNR alone: for VP families alpha and sigma
-    are ``(1 + exp(-2 lam))^(-1/2)`` and ``(1 + exp(2 lam))^(-1/2)``; for
-    variance-exploding schedules this reduces to ``exp(-p lam)``.
+    Computable from the log-SNR alone, through
+    :meth:`NoiseSchedule.log_alpha_sigma_of_lambda`; for
+    variance-exploding schedules it reduces to ``exp(-p lam)``.
     """
-    lam = schedule._check_lambda(lam)
-    if schedule.family == "ve_edm":
-        return np.exp(-p * lam)
-    log_alpha = -0.5 * np.logaddexp(0.0, -2.0 * lam)
-    log_sigma = -0.5 * np.logaddexp(0.0, 2.0 * lam)
+    log_alpha, log_sigma = schedule.log_alpha_sigma_of_lambda(schedule._check_lambda(lam))
     return np.exp(p * log_sigma - log_alpha)
 
 

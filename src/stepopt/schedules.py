@@ -228,18 +228,22 @@ class NoiseSchedule:
 
     # -- coefficients as functions of the half log-SNR --------------------
 
-    def alpha_sigma_of_lambda(self, lam):
-        """(alpha, sigma) at the time where the half log-SNR equals ``lam``.
+    def log_alpha_sigma_of_lambda(self, lam):
+        """(log alpha, log sigma) at the time where the half log-SNR equals ``lam``.
 
         For VP families both coefficients are determined by the log-SNR
-        alone (alpha^2 + sigma^2 = 1); for ve_edm alpha is 1 and sigma is
-        exp(-lam).  No time inversion is performed.
+        alone (alpha^2 + sigma^2 = 1): alpha = (1 + exp(-2 lam))^(-1/2) and
+        sigma = (1 + exp(2 lam))^(-1/2).  For ve_edm alpha is 1 and sigma
+        is exp(-lam).  No time inversion is performed.
         """
         lam = np.asarray(lam, dtype=float)
         if self.family == "ve_edm":
-            return np.ones_like(lam), np.exp(-lam)
-        log_alpha = -0.5 * np.logaddexp(0.0, -2.0 * lam)
-        log_sigma = -0.5 * np.logaddexp(0.0, 2.0 * lam)
+            return np.zeros_like(lam), -lam
+        return -0.5 * np.logaddexp(0.0, -2.0 * lam), -0.5 * np.logaddexp(0.0, 2.0 * lam)
+
+    def alpha_sigma_of_lambda(self, lam):
+        """(alpha, sigma) at the time where the half log-SNR equals ``lam``."""
+        log_alpha, log_sigma = self.log_alpha_sigma_of_lambda(lam)
         return np.exp(log_alpha), np.exp(log_sigma)
 
 

@@ -206,19 +206,26 @@ class TestExitCodes:
         assert run("baseline", "--scheme", "bogus", "--schedule", "vp-linear",
                    "--N", "2", "--out", "x.json") == 2
         capsys.readouterr()
+        # a bad --N is rejected as --N, not blamed on the default --order
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear",
+                   "--N", "0", "--out", "x.json") == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "argument --N" in message and "--order" not in message
 
     def test_inverted_range_is_2(self, tmp_path):
-        assert run(
-            "baseline", "--scheme", "uniform-t", "--schedule", "vp-linear",
-            "--N", "2", "--T", "0.0005", "--eps", "0.001",
-            "--out", str(tmp_path / "x.json"),
-        ) == 2
+        # a NaN end time fails T > eps as well
+        for range_flags in (("--T", "0.0005", "--eps", "0.001"), ("--eps", "nan")):
+            assert run(
+                "baseline", "--scheme", "uniform-t", "--schedule", "vp-linear",
+                "--N", "2", *range_flags, "--out", str(tmp_path / "x.json"),
+            ) == 2, range_flags
 
     def test_bad_order_is_2(self, tmp_path):
-        assert run(
-            "baseline", "--scheme", "uniform-t", "--schedule", "vp-linear",
-            "--N", "2", "--order", "1,2,3", "--out", str(tmp_path / "x.json"),
-        ) == 2
+        for n_steps, order in (("2", "1,2,3"), ("5", "3,3")):
+            assert run(
+                "baseline", "--scheme", "uniform-t", "--schedule", "vp-linear",
+                "--N", n_steps, "--order", order, "--out", str(tmp_path / "x.json"),
+            ) == 2, order
 
     def test_rho_below_one_is_2(self, tmp_path):
         out = str(tmp_path / "x.json")
@@ -226,12 +233,18 @@ class TestExitCodes:
         assert run("baseline", "--scheme", "edm", *spec) == 2
         assert run("optimize", "--init", "edm", *spec) == 2
 
-    @pytest.mark.parametrize("margin", ["nan", "inf"])
-    def test_non_finite_margin_is_2(self, tmp_path, margin):
-        # a NaN margin used to pass the lower-bound check and run without a gap
+    @pytest.mark.parametrize("flags", [
+        ("--margin", "nan"),
+        ("--margin", "inf"),
+        ("--margin", "5"),
+        ("--max-iters", "0"),
+    ], ids=["nan", "inf", "infeasible-margin", "max-iters-0"])
+    def test_non_finite_margin_is_2(self, tmp_path, flags):
+        # a NaN margin used to pass the lower-bound check and run without a gap;
+        # six gaps of 5 do not fit the span of about 9.6, which used to exit 1
         assert run(
             "optimize", "--init", "edm", "--schedule", "vp-linear", "--N", "5",
-            "--margin", margin, "--out", str(tmp_path / "x.json"),
+            *flags, "--out", str(tmp_path / "x.json"),
         ) == 2
 
     @pytest.mark.parametrize("family_flags", [
@@ -239,7 +252,8 @@ class TestExitCodes:
         ("--schedule", "vp-linear", "--beta-min", "nan"),
         ("--schedule", "vp-cosine", "--cosine-shift", "nan"),
         ("--schedule", "vp-cosine", "--cosine-shift", "inf"),
-    ], ids=["beta-max-inf", "beta-min-nan", "shift-nan", "shift-inf"])
+        ("--schedule", "vp-linear", "--beta-min", "30"),
+    ], ids=["beta-max-inf", "beta-min-nan", "shift-nan", "shift-inf", "beta-min-above-max"])
     def test_non_finite_family_parameter_is_2(self, tmp_path, family_flags):
         assert run(
             "baseline", "--scheme", "edm", "--N", "5", *family_flags,
@@ -270,11 +284,11 @@ class TestExitCodes:
 
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
-        assert run(
-            "baseline", "--scheme", "uniform-t", "--schedule", "ve-edm",
-            "--N", "2", "--T", "200.0", "--eps", "0.002",
-            "--out", str(tmp_path / "x.json"),
-        ) == 1
+        for family, T in (("ve-edm", "200.0"), ("vp-linear", "2")):
+            assert run(
+                "baseline", "--scheme", "uniform-t", "--schedule", family,
+                "--N", "2", "--T", T, "--out", str(tmp_path / "x.json"),
+            ) == 1, family
 
     def test_zero_seeds_is_2(self, tmp_path, model_file):
         a = tmp_path / "a.json"
@@ -291,16 +305,27 @@ class TestExitCodes:
             "--rng-seed", "-1", "--out", str(tmp_path / "r.json"),
         ) == 2
 
-    def test_missing_model_file_is_2(self, tmp_path):
+    def test_missing_model_file_is_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         assert run(
             "baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
             "--N", "3", "--out", str(a),
         ) == 0
+        missing = tmp_path / "nope.json"
         assert run(
-            "simulate", "--model", str(tmp_path / "nope.json"), "--steps", str(a),
+            "simulate", "--model", str(missing), "--steps", str(a),
             "--seeds", "4", "--out", str(tmp_path / "r.json"),
         ) == 2
+        assert f"bad input file {missing}" in capsys.readouterr().err
+
+    def test_unwritable_output_is_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+            "--out", str(out),
+        ) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "bad input file" not in err
 
     def test_invalid_input_files_are_2(self, tmp_path, model_file):
         a = tmp_path / "a.json"
@@ -337,7 +362,16 @@ class TestExitCodes:
         assert run("dump-weights", "--steps", infinite_end, "--out", out) == 2
         with pytest.raises(ValueError, match="finite"):
             ScheduleFile.read(infinite_end)
+        # a missing key, in a schedule file or in a model file
+        no_orders = json.loads(a.read_text())
+        del no_orders["orders"]
+        no_orders_file = tmp_path / "no-orders.json"
+        no_orders_file.write_text(json.dumps(no_orders))
+        assert run("dump-weights", "--steps", str(no_orders_file), "--out", out) == 2
         bad_model = tmp_path / "bad-model.json"
+        bad_model.write_text(json.dumps({"dim": 1}))
+        assert run("simulate", "--model", str(bad_model), "--steps", str(a),
+                   "--seeds", "4", "--out", out) == 2
         bad_model.write_text(json.dumps(
             {"dim": 1, "components": [{"pi": 0.7, "mu": [0.0], "s": 1.0}]}))
         assert run("simulate", "--model", str(bad_model), "--steps", str(a),
