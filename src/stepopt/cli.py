@@ -25,15 +25,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
-from .weights import (
-    POLYNOMIAL_KINDS, OrderSchedule, check_order_cap, weights_lagrange, weights_taylor,
-)
+from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
 
 __all__ = ["main", "entry_point"]
 
@@ -73,7 +73,6 @@ def _spec_from_args(args) -> ObjectiveSpec:
             orders = OrderSchedule(tuple(int(v) for v in args.order.split(",")))
         else:
             orders = OrderSchedule.warmup(args.N, int(args.order))
-        check_order_cap(orders, args.kind)
         T = args.T if args.T is not None else schedule.t_domain[1]
         eps = args.eps if args.eps is not None else _DEFAULT_EPS[args.schedule]
         return ObjectiveSpec(schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind)
@@ -158,8 +157,11 @@ def _cmd_simulate(args) -> int:
     files = [_read_input(ScheduleFile.read, p) for p in args.steps]
     first = files[0]
     for f in files[1:]:
-        if (f.T, f.eps) != (first.T, first.eps) or f.schedule_family != first.schedule_family:
-            raise UsageError("schedule files must share family, T and eps")
+        same = (f.schedule_family, f.T, f.eps) == (first.schedule_family, first.T, first.eps)
+        # end log-SNR values to the tolerance of evaluate_schedules, whose check exits 1
+        ends = (f.lam[0], f.lam[-1]), (first.lam[0], first.lam[-1])
+        if not (same and np.allclose(*ends, rtol=1e-12, atol=1e-12)):
+            raise UsageError("schedule files must share family, T, eps and end log-SNR values")
         if f.orders != first.orders or f.polynomial_kind != first.polynomial_kind:
             raise UsageError("schedule files must share orders and polynomial kind")
     schedule = NoiseSchedule.from_name(first.schedule_family)

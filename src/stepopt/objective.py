@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedules import NoiseSchedule
-from .weights import POLYNOMIAL_KINDS, OrderSchedule, _point_totals, step_weight_array
+from .schedules import NoiseSchedule, lambda_range
+from .weights import OrderSchedule, _point_totals, check_order_cap, step_weight_array
 
 __all__ = [
     "ConstraintViolationError",
@@ -65,22 +65,15 @@ class ObjectiveSpec:
     lambda_endpoints: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if not self.T > self.eps:
-            raise ValueError(f"T={self.T} must exceed eps={self.eps}")
         if self.p not in PROXY_EXPONENTS:
             raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
-        if self.polynomial_kind not in POLYNOMIAL_KINDS:
-            raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
+        check_order_cap(self.orders, self.polynomial_kind)
         if len(self.orders) != self.N:
             raise ValueError(
                 f"order schedule covers {len(self.orders)} steps, expected {self.N}"
             )
-        endpoints = (
-            float(self.schedule.lambda_of_t(self.T)),
-            float(self.schedule.lambda_of_t(self.eps)),
-        )
+        # last, so that any other bad field raises before a DomainError does
+        endpoints = lambda_range(self.schedule, self.N, self.T, self.eps)
         object.__setattr__(self, "lambda_endpoints", endpoints)
 
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .objective import PROXY_EXPONENTS
+from .objective import ObjectiveSpec
 from .schedules import SCHEMES, LambdaGrid, NoiseSchedule
-from .weights import POLYNOMIAL_KINDS, OrderSchedule, check_order_cap
+from .weights import OrderSchedule
 
 __all__ = ["ScheduleFile", "SCHEMA_VERSION"]
 
@@ -55,8 +55,6 @@ class ScheduleFile:
             )
         if type(self.tool_version) is not str:
             raise ValueError("tool_version must be a string")
-        if self.polynomial_kind not in POLYNOMIAL_KINDS:
-            raise ValueError(f"polynomial kind must be one of {POLYNOMIAL_KINDS}")
         if any(type(v) is not int for v in (self.N, self.p, *self.orders)):
             raise ValueError("N, p and the orders must be integers")
         numbers = (self.T, self.eps, self.objective, *self.lam, *self.t)
@@ -64,19 +62,18 @@ class ScheduleFile:
             raise ValueError("T, eps, objective, lambda and t must be numbers")
         if not all(map(math.isfinite, numbers)):
             raise ValueError("T, eps, objective, lambda and t must be finite")
-        if self.p not in PROXY_EXPONENTS:
-            raise ValueError(f"p must be one of {PROXY_EXPONENTS}")
         if self.init not in SCHEMES:
             raise ValueError(f"init must be one of {SCHEMES}")
         if not (self.converged is None or isinstance(self.converged, bool)):
             raise ValueError("converged must be true or false when present")
-        # all raise ValueError on an unknown family or invalid orders
-        NoiseSchedule.from_name(self.schedule_family)
-        check_order_cap(OrderSchedule(tuple(self.orders)), self.polynomial_kind)
+        # the spec the fields describe checks the family, p, the polynomial
+        # kind, the orders and T and eps against the family's time domain
+        ObjectiveSpec(
+            NoiseSchedule.from_name(self.schedule_family), self.N, self.T, self.eps,
+            OrderSchedule(tuple(self.orders)), self.p, self.polynomial_kind,
+        )
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
-        if len(self.orders) != self.N:
-            raise ValueError("orders must have N entries")
         # node order and exact endpoint times, as a grid requires them
         self.to_grid()
 

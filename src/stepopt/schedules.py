@@ -37,6 +37,7 @@ __all__ = [
     "uniform_lambda_grid",
     "edm_grid",
     "scheme_grid",
+    "lambda_range",
     "FAMILIES",
     "SCHEDULE_NAMES",
     "SCHEMES",
@@ -134,9 +135,8 @@ class NoiseSchedule:
         ok = (t > lo) & (t <= hi) if self.is_vp else (t >= lo) & (t <= hi)
         if not np.all(ok):
             bad = np.atleast_1d(t)[~np.atleast_1d(ok)][0]
-            raise DomainError(
-                f"time {bad} outside valid domain ({lo}, {hi}] of {self.name}"
-            )
+            span = f"{'(' if self.is_vp else '['}{lo}, {hi}]"
+            raise DomainError(f"time {bad} outside valid domain {span} of {self.name}")
         return t
 
     # -- forward coefficients --------------------------------------------
@@ -297,17 +297,18 @@ class LambdaGrid:
         return self.lam.size - 1
 
 
-def _check_range(schedule: NoiseSchedule, N: int, T: float, eps: float):
+def lambda_range(schedule: NoiseSchedule, N: int, T: float, eps: float) -> tuple[float, float]:
+    """(lambda(T), lambda(eps)) after checking N >= 1, T > eps and the time domain."""
     if N < 1:
         raise ValueError("need at least one step")
     if not T > eps:
         raise ValueError(f"invalid range: T={T} must exceed eps={eps}")
-    schedule._check_t(np.asarray([T, eps]))
+    return float(schedule.lambda_of_t(T)), float(schedule.lambda_of_t(eps))
 
 
 def uniform_t_grid(schedule: NoiseSchedule, N: int, T: float, eps: float) -> LambdaGrid:
     """Nodes equally spaced in time between T and eps."""
-    _check_range(schedule, N, T, eps)
+    lambda_range(schedule, N, T, eps)
     n = np.arange(N + 1)
     t = T + n / N * (eps - T)
     t[0], t[-1] = T, eps
@@ -317,9 +318,7 @@ def uniform_t_grid(schedule: NoiseSchedule, N: int, T: float, eps: float) -> Lam
 
 def uniform_lambda_grid(schedule: NoiseSchedule, N: int, T: float, eps: float) -> LambdaGrid:
     """Nodes equally spaced in the half log-SNR between its values at T and eps."""
-    _check_range(schedule, N, T, eps)
-    lam_T = float(schedule.lambda_of_t(T))
-    lam_eps = float(schedule.lambda_of_t(eps))
+    lam_T, lam_eps = lambda_range(schedule, N, T, eps)
     n = np.arange(N + 1)
     lam = lam_T + n / N * (lam_eps - lam_T)
     lam[0], lam[-1] = lam_T, lam_eps
@@ -333,11 +332,9 @@ def edm_grid(schedule: NoiseSchedule, N: int, T: float, eps: float, rho: int = 7
     uniform between its values at T and eps; rho = 1 reduces to uniform
     spacing in kappa itself.
     """
-    _check_range(schedule, N, T, eps)
+    lam_T, lam_eps = lambda_range(schedule, N, T, eps)
     if rho < 1:
         raise ValueError("rho must be a positive integer")
-    lam_T = float(schedule.lambda_of_t(T))
-    lam_eps = float(schedule.lambda_of_t(eps))
     # kappa^(1/rho) = exp(-lambda/rho)
     root_T = math.exp(-lam_T / rho)
     root_eps = math.exp(-lam_eps / rho)

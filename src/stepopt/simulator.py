@@ -11,12 +11,13 @@ flow is smooth for every schedule family:
 
     dx/dlam = dlog(sigma)/dlam * x + alpha(lam) * prediction(x, lam)
 
-with ``dlog(sigma)/dlam`` equal to ``-alpha^2`` for variance-preserving
-schedules and ``-1`` for variance-exploding ones.
+with ``dlog(sigma)/dlam`` equal to ``-alpha^2`` for every family
+(alpha is 1 on ve-edm, so there it is -1).
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 from dataclasses import dataclass
@@ -205,13 +206,22 @@ def _posterior_mean(model: AnalyticModel, x: np.ndarray, alpha: float, sigma: fl
     return out
 
 
+def _on_draws(batch, x) -> np.ndarray:
+    """``batch`` of the dim-major (dim, S) layout, applied to a draw-major state.
+
+    ``x`` is one state of shape (dim,) or a batch of shape (S, dim); the
+    result has the same shape.
+    """
+    x = np.asarray(x, dtype=float)
+    out = batch(np.ascontiguousarray(np.atleast_2d(x).T)).T
+    return out if x.ndim == 2 else out[0]
+
+
 def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.ndarray:
     """Posterior-mean prediction of the clean datum from a noisy state."""
     alpha = float(schedule.alpha(t))
     sigma = float(schedule.sigma(t))
-    x = np.asarray(x, dtype=float)
-    out = _posterior_mean(model, np.ascontiguousarray(np.atleast_2d(x).T), alpha, sigma).T
-    return out if x.ndim == 2 else out[0]
+    return _on_draws(lambda xb: _posterior_mean(model, xb, alpha, sigma), x)
 
 
 def _sample_batch(
@@ -224,9 +234,10 @@ def _sample_batch(
 ) -> np.ndarray:
     """Run the multistep update on a batch of start states.
 
-    ``predict(x, lam, alpha, sigma)`` returns the prediction batch at one
-    node, in the layout of ``x_start``; the simulator passes dim-major
-    (dim, S) batches, and the state is kept C-contiguous.  Each step's
+    ``predict(x, alpha, sigma)`` returns the prediction batch at a node
+    with coefficients (alpha, sigma), in the layout of ``x_start``; the
+    simulator passes ``functools.partial(_posterior_mean, model)`` and
+    dim-major (dim, S) batches, and the state is kept C-contiguous.  Each step's
     weights are scaled with the step's own endpoint as anchor, so the
     per-step coefficient of each prediction is simply alpha at the new
     node times the stored weight.
@@ -240,7 +251,7 @@ def _sample_batch(
     for n in range(1, n_steps + 1):
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"sampler state non-finite entering step {n}")
-        history.append(predict(x, lam[n - 1], float(alphas[n - 1]), float(sigmas[n - 1])))
+        history.append(predict(x, float(alphas[n - 1]), float(sigmas[n - 1])))
         k = orders.k[n - 1]
         x = (sigmas[n] / sigmas[n - 1]) * x
         for j in range(k):
@@ -252,15 +263,9 @@ def _sample_batch(
 
 def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
     """Terminal state of the multistep solver started from ``x_T``."""
-    x_T = np.asarray(x_T, dtype=float)
-
-    def predict(x, lam, alpha, sigma):
-        return _posterior_mean(run.model, x, alpha, sigma)
-
-    out = _sample_batch(
-        run.grid, run.orders, run.polynomial_kind, run.schedule, predict, np.atleast_2d(x_T).T
-    ).T
-    return out if x_T.ndim == 2 else out[0]
+    predict = functools.partial(_posterior_mean, run.model)
+    args = (run.grid, run.orders, run.polynomial_kind, run.schedule, predict)
+    return _on_draws(lambda x: _sample_batch(*args, x), x_T)
 
 
 def _reference_batch(
@@ -295,10 +300,9 @@ def _reference_batch(
     def rhs(lam, y):
         x = y.reshape(shape)
         alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
-        dlog_sigma = -1.0 if schedule.family == "ve_edm" else -alpha**2
         dx = _posterior_mean(model, x, alpha, sigma)
         dx *= alpha
-        dx += dlog_sigma * x
+        dx += -alpha**2 * x  # dlog(sigma)/dlam
         return dx.ravel()
 
     solver = DOP853(rhs, lam_T, x_start.ravel(), lam_eps, rtol=1e-10, atol=1e-13)
@@ -319,11 +323,9 @@ def _reference_batch(
 
 def reference_solution(model: AnalyticModel, schedule: NoiseSchedule, x_T, T: float, eps: float) -> np.ndarray:
     """Ground-truth terminal state of the probability flow started at ``x_T``."""
-    x_T = np.asarray(x_T, dtype=float)
     lam_T = float(schedule.lambda_of_t(T))
     lam_eps = float(schedule.lambda_of_t(eps))
-    out = _reference_batch(model, schedule, np.atleast_2d(x_T).T, lam_T, lam_eps).T
-    return out if x_T.ndim == 2 else out[0]
+    return _on_draws(lambda x: _reference_batch(model, schedule, x, lam_T, lam_eps), x_T)
 
 
 def evaluate_schedules(
@@ -349,20 +351,13 @@ def evaluate_schedules(
         raise ValueError(f"{len(labels)} labels given for {len(schedules)} grids")
     if not schedules:
         return []
-    first = schedules[0]
-    for g in schedules[1:]:
-        same = (
-            np.isclose(g.T, first.T, rtol=1e-12, atol=0)
-            and np.isclose(g.eps, first.eps, rtol=1e-12, atol=0)
-            and np.isclose(g.lam[0], first.lam[0], rtol=1e-12, atol=1e-12)
-            and np.isclose(g.lam[-1], first.lam[-1], rtol=1e-12, atol=1e-12)
-        )
-        if not same:
-            raise ValueError("all grids must share the same endpoints")
+    ends = np.array([(g.T, g.eps, g.lam[0], g.lam[-1]) for g in schedules])
+    if not np.allclose(ends, ends[0], rtol=1e-12, atol=[0, 0, 1e-12, 1e-12]):
+        raise ValueError("all grids must share the same endpoints")
     if labels is None:
         labels = [f"schedule-{i}" for i in range(len(schedules))]
 
-    lam_T, lam_eps = float(first.lam[0]), float(first.lam[-1])
+    lam_T, lam_eps = ends[0, 2:].tolist()
     alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
     marginal_std = np.sqrt(alpha_T**2 * model.second_moment_per_dim() + sigma_T**2)
     rng = np.random.default_rng(rng_seed)
@@ -370,10 +365,7 @@ def evaluate_schedules(
     x_T = np.array(x_T.T, order="C")  # dim-major; a transposed view would keep draw-major memory
 
     x_ref = _reference_batch(model, schedule, x_T, lam_T, lam_eps)
-
-    def predict(x, lam, alpha, sigma):
-        return _posterior_mean(model, x, alpha, sigma)
-
+    predict = functools.partial(_posterior_mean, model)
     reports = []
     for grid, label in zip(schedules, labels):
         x_out = _sample_batch(grid, orders, kind, schedule, predict, x_T)

@@ -184,7 +184,7 @@ def test_criterion_6_constant_prediction_exactness():
             orders,
             "lagrange",
             VE,
-            lambda x, lam_, a, s: np.repeat(c, x.shape[0], axis=0),
+            lambda x, a, s: np.repeat(c, x.shape[0], axis=0),
             x_T,
         )
         closed = math.exp(lam_T - lam_eps) * x_T + math.exp(-lam_eps) * (

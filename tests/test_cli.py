@@ -282,6 +282,20 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="taylor weights support order <= 3"):
             ScheduleFile.read(taylor)
 
+    @pytest.mark.parametrize("flags", [
+        ("--beta-max", "10"),
+        ("--order", "2"),
+        ("--kind", "taylor"),
+    ], ids=["end-lambda", "orders", "kind"])
+    def test_mismatched_schedule_files_are_2(self, tmp_path, model_file, flags):
+        # a smaller --beta-max keeps family, T and eps but moves both end log-SNR values
+        spec = ("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "5")
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        assert run(*spec, "--out", a) == 0
+        assert run(*spec, *flags, "--out", b) == 0
+        assert run("simulate", "--model", model_file, "--steps", a, "--steps", b,
+                   "--seeds", "4", "--out", str(tmp_path / "r.json")) == 2
+
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
         for family, T in (("ve-edm", "200.0"), ("vp-linear", "2")):
@@ -347,6 +361,10 @@ class TestExitCodes:
         assert run("simulate", "--model", model_file, "--steps", moved_start,
                    "--seeds", "4", "--out", out) == 2
         assert run("dump-weights", "--steps", moved_start, "--out", out) == 2
+        # eps 1e-3 lies below ve-edm's time domain, which starts at 0.002
+        relabelled = _edited(a, tmp_path / "relabelled.json", schedule_family="ve-edm")
+        assert run("simulate", "--model", model_file, "--steps", relabelled,
+                   "--seeds", "4", "--out", out) == 2
         # each malformed field alone; a parser that coerces or ignores it exits 0
         for field, value in (("p", 9), ("converged", "yes"), ("init", 42), ("N", 3.7),
                              ("orders", [1, 2.0, 3]), ("schema_version", 1.9),

@@ -8,6 +8,7 @@ from stepopt.schedules import (
     LambdaGrid,
     NoiseSchedule,
     edm_grid,
+    scheme_grid,
     uniform_lambda_grid,
     uniform_t_grid,
 )
@@ -44,11 +45,12 @@ class TestLambdaOfT:
         assert np.all(np.diff(lam) < 0)
 
     def test_domain_error_outside_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"domain \(0\.0, 1\.0\] of vp-linear"):
             VP_LINEAR.lambda_of_t(1.5)
         with pytest.raises(DomainError):
             VP_COSINE.lambda_of_t(0.0)  # unbounded log-SNR
-        with pytest.raises(DomainError):
+        # ve-edm's lower end is in its domain
+        with pytest.raises(DomainError, match=r"domain \[0\.002, 80\.0\] of ve-edm"):
             VE.lambda_of_t(100.0)
 
 
@@ -214,6 +216,8 @@ def test_grid_validation():
         LambdaGrid(lam=np.array([1.0, 0.0]), t=np.array([2.0, 1.0]), T=2.0, eps=1.0)
     with pytest.raises(ValueError):
         LambdaGrid(lam=np.array([0.0]), t=np.array([1.0]), T=1.0, eps=1.0)
+    with pytest.raises(ValueError, match="unknown grid scheme"):
+        scheme_grid("uniform-sigma", VP_LINEAR, 2, 1.0, 1e-3, 7)
 
 
 def test_from_name_round_trip():

@@ -120,11 +120,26 @@ class TestDataPrediction:
         pred = data_prediction(model, np.array([350.0]), VE, 0.01)
         assert np.all(np.isfinite(pred))
 
-    def test_batch_shape(self):
+    @pytest.mark.parametrize("name", ["data_prediction", "multistep_sample", "reference_solution"])
+    def test_batch_shape(self, name):
+        # one state maps to one state and a batch to a batch, with each
+        # draw's result independent of the rest; the reference uses one
+        # Gaussian, since the adaptive mixture solve picks its steps from
+        # the whole batch
         model = standard_test_mixture()
+        grid = uniform_lambda_grid(VP, 4, 1.0, 1e-3)
+        run = SamplerRun(grid, OrderSchedule.warmup(4, 3), "lagrange", model, VP)
+        call = {
+            "data_prediction": lambda x: data_prediction(model, x, VP, 0.5),
+            "multistep_sample": lambda x: multistep_sample(run, x),
+            "reference_solution": lambda x: reference_solution(
+                single_gaussian([1.5, -0.5], 0.7), VP, x, 1.0, 1e-3
+            ),
+        }[name]
         x = np.random.default_rng(0).normal(size=(10, 2))
-        pred = data_prediction(model, x, VP, 0.5)
-        assert pred.shape == (10, 2)
+        batch, single = call(x), call(x[0])
+        assert batch.shape == (10, 2) and single.shape == (2,)
+        assert np.array_equal(single, batch[0])
 
     def test_matches_difference_form(self):
         # random mixtures, with (alpha, sigma) at both ends of every family
@@ -222,7 +237,7 @@ class TestMultistepSample:
                 orders,
                 "lagrange",
                 VE,
-                lambda x, lam, a, s: np.repeat(c, x.shape[0], axis=0),
+                lambda x, a, s: np.repeat(c, x.shape[0], axis=0),
                 x_T,
             )
             lam_T, lam_eps = grid.lam[0], grid.lam[-1]
@@ -238,6 +253,8 @@ class TestMultistepSample:
         model = standard_test_mixture()
         grid = uniform_lambda_grid(VP, 1, 1.0, 1e-3)
         run = SamplerRun(grid, OrderSchedule((1,)), "lagrange", model, VP)
+        with pytest.raises(ValueError, match="does not match the grid"):
+            SamplerRun(grid, OrderSchedule((1, 2)), "lagrange", model, VP)
         rng = np.random.default_rng(8)
         x_T = rng.normal(size=2)
         out = multistep_sample(run, x_T)
@@ -263,7 +280,7 @@ class TestMultistepSample:
                 OrderSchedule.warmup(N, 3),
                 "lagrange",
                 VP,
-                lambda x, lam, a, s: _predict(model, x, a, s),
+                lambda x, a, s: _predict(model, x, a, s),
                 x_T,
             )
             errs[N] = float(np.mean(np.linalg.norm(out - ref, axis=1)))
