@@ -20,10 +20,10 @@ from __future__ import annotations
 import functools
 import gc
 import json
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from .schedules import LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule, step_weight_array
@@ -81,6 +81,15 @@ class AnalyticModel:
     @property
     def n_components(self) -> int:
         return self.pis.size
+
+    @functools.cached_property
+    def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """s_k^2, |mu_k|^2 and log pi_k, the posterior mean's per-component
+        constants, each of shape (K, 1, 1)."""
+        mus = self.mus
+        mu2 = np.einsum("ij,ij->i", mus, mus)
+        terms = self.stds**2, mu2, np.log(np.maximum(self.pis, 1e-300))
+        return tuple(v[:, None, None] for v in terms)
 
     def second_moment_per_dim(self) -> float:
         """Average of E||x_0||^2 / dim over the mixture."""
@@ -164,44 +173,55 @@ def load_model(path) -> AnalyticModel:
         return model_from_dict(json.load(fh))
 
 
-def _posterior_mean(model: AnalyticModel, x: np.ndarray, alpha: float, sigma: float) -> np.ndarray:
-    """Exact E[x_0 | x] under the mixture at coefficients (alpha, sigma).
+def _posterior_mean(
+    model: AnalyticModel, x: np.ndarray, alpha: np.ndarray, sigma: np.ndarray
+) -> np.ndarray:
+    """Exact E[x_0 | x] under the mixture, for G grids at once.
 
-    Takes and returns the dim-major (dim, S) layout, one row per
-    coordinate with the draws along it; a C-contiguous ``x`` is fastest.
-    The squared distances ``|x|^2 - 2 alpha x.mu + alpha^2 |mu|^2`` come
-    from one ``mus @ x`` on the (K, S) layout, and the log-sum-exp and
-    the normalisation reduce over axis 0, so every pass runs along the
-    long draw axis and no (S, K, dim) temporary is built.  numpy
-    reductions and broadcasts over a short trailing axis cost far more
-    than the arithmetic they do.  Component responsibilities are
-    evaluated in log space and combined by log-sum-exp, so widely
-    separated components cannot underflow.  The returned array is new,
-    so callers may update it in place.
+    ``x`` is the dim-major (dim, G, S) state, one row per coordinate with
+    grid g's S draws in ``x[:, g]``, and must be C-contiguous; grid g is
+    at coefficients ``(alpha[g], sigma[g])``, both of shape (G,).  The
+    squared distances ``|x|^2 - 2 alpha x.mu + alpha^2 |mu|^2`` come from
+    one ``mus @ x`` over all G * S draws on the (K, G * S) layout, and the
+    log-sum-exp and the normalisation reduce over axis 0, so every pass
+    runs along the long draw axis and no (S, K, dim) temporary is built.
+    numpy reductions and broadcasts over a short trailing axis cost far
+    more than the arithmetic they do.  The per-grid coefficients scale
+    (K, G, S) views, so each grid gets the float operations it would get
+    alone.  Component responsibilities are evaluated in log space and
+    combined by log-sum-exp, so widely separated components cannot
+    underflow.  The returned array is new, so callers may update it in
+    place.
     """
+    dim, G, S = x.shape
+    flat = x.reshape(dim, G * S)
     mus = model.mus
-    s2 = model.stds**2
-    var = alpha * alpha * s2 + sigma * sigma  # (K,)
-    log_r = mus @ x  # (K, S)
-    log_r *= 2.0 * alpha
-    np.subtract(np.einsum("ij,ij->j", x, x), log_r, out=log_r)
-    log_r += (alpha * alpha * np.einsum("ij,ij->i", mus, mus))[:, None]
+    s2, mu2, log_pi = model._terms
+    a = alpha[:, None]  # (G, 1): one coefficient per (G, S) block of draws
+    a2 = a * a
+    sigma2 = sigma[:, None] * sigma[:, None]
+    var = s2 * a2 + sigma2  # (K, G, 1)
+    log_r = mus @ flat  # (K, G * S)
+    by_grid = log_r.reshape(-1, G, S)
+    by_grid *= 2.0 * a
+    np.subtract(np.einsum("ij,ij->j", flat, flat), log_r, out=log_r)
+    by_grid += mu2 * a2
     # log_r holds the squared distances until the next two lines
-    log_r *= (0.5 / var)[:, None]
+    by_grid *= 0.5 / var
     np.subtract(
-        (np.log(np.maximum(model.pis, 1e-300)) - 0.5 * model.dim * np.log(var))[:, None],
-        log_r,
-        out=log_r,
+        log_pi - 0.5 * model.dim * np.log(var),
+        by_grid,
+        out=by_grid,
     )
     log_r -= log_r.max(axis=0)
     r = np.exp(log_r, out=log_r)
     r /= r.sum(axis=0)
-    r /= var[:, None]  # responsibilities over each component's variance
+    by_grid /= var  # responsibilities over each component's variance
     # sum_k r_k (alpha s_k^2 x + sigma^2 mu_k) / var_k
-    out = mus.T @ r
-    out *= sigma * sigma
-    coef = s2 @ r
-    coef *= alpha
+    out = (mus.T @ r).reshape(dim, G, S)
+    out *= sigma2
+    coef = (s2.ravel() @ r).reshape(G, S)
+    coef *= a
     out += coef * x
     return out
 
@@ -219,53 +239,69 @@ def _on_draws(batch, x) -> np.ndarray:
 
 def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.ndarray:
     """Posterior-mean prediction of the clean datum from a noisy state."""
-    alpha = float(schedule.alpha(t))
-    sigma = float(schedule.sigma(t))
-    return _on_draws(lambda xb: _posterior_mean(model, xb, alpha, sigma), x)
+    alpha = np.array([float(schedule.alpha(t))])
+    sigma = np.array([float(schedule.sigma(t))])
+    return _on_draws(lambda xb: _posterior_mean(model, xb[:, None], alpha, sigma)[:, 0], x)
 
 
 def _sample_batch(
-    grid: LambdaGrid,
+    lam: np.ndarray,
     orders: OrderSchedule,
     kind: str,
     schedule: NoiseSchedule,
     predict,
     x_start: np.ndarray,
+    labels: list[str] | None = None,
 ) -> np.ndarray:
-    """Run the multistep update on a batch of start states.
+    """Run the multistep update on G grids at once.
 
-    ``predict(x, alpha, sigma)`` returns the prediction batch at a node
-    with coefficients (alpha, sigma), in the layout of ``x_start``; the
-    simulator passes ``functools.partial(_posterior_mean, model)`` and
-    dim-major (dim, S) batches, and the state is kept C-contiguous.  Each step's
+    ``lam`` is a (G, N + 1) stack of log-SNR grids that share ``orders``,
+    and ``x_start`` the dim-major (dim, G, S) start states, grid g's S
+    draws in ``x_start[:, g]``; the state is kept C-contiguous.
+    ``predict(x, alpha, sigma)`` returns the prediction for the whole
+    state, with grid g at coefficients ``(alpha[g], sigma[g])``; the
+    simulator passes ``functools.partial(_posterior_mean, model)``.  One
+    coefficient call and one weight call cover the stack.  Each step's
     weights are scaled with the step's own endpoint as anchor, so the
     per-step coefficient of each prediction is simply alpha at the new
-    node times the stored weight.
+    node times the stored weight; these are formed once, before the
+    loop, with the float operations of one grid alone.  Only the last
+    ``max(orders.k)`` predictions are kept.  A non-finite state raises
+    ``FloatingPointError`` naming the step and, when ``labels`` are
+    given, the first grid it concerns.
     """
-    lam = grid.lam
-    n_steps = grid.n_steps
+    n_steps = lam.shape[1] - 1
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
-    w = step_weight_array(lam, orders, kind, lam[1:])
+    w = step_weight_array(lam, orders, kind, lam[:, 1:])
+    # per step, shaped to broadcast against the (dim, G, S) state
+    ratio = (sigmas[:, 1:] / sigmas[:, :-1]).T[:, :, None]  # (N, G, 1)
+    coef = (alphas[:, 1:, None] * w).transpose(1, 2, 0)[..., None]  # (N, max order, G, 1)
     x = np.array(x_start, dtype=float, order="C")
-    history: list[np.ndarray] = []
+    history: deque[np.ndarray] = deque(maxlen=max(orders.k))
     for n in range(1, n_steps + 1):
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"sampler state non-finite entering step {n}")
-        history.append(predict(x, float(alphas[n - 1]), float(sigmas[n - 1])))
+        _check_finite(x, f"entering step {n}", labels)
+        history.append(predict(x, alphas[:, n - 1], sigmas[:, n - 1]))
         k = orders.k[n - 1]
-        x = (sigmas[n] / sigmas[n - 1]) * x
+        x = ratio[n - 1] * x
         for j in range(k):
-            x += alphas[n] * w[n - 1, j] * history[n - k + j]
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"sampler state non-finite after step {n_steps}")
+            x += coef[n - 1, j] * history[j - k]
+    _check_finite(x, f"after step {n_steps}", labels)
     return x
+
+
+def _check_finite(x: np.ndarray, where: str, labels) -> None:
+    """Raise ``FloatingPointError`` if the (dim, G, S) state has a non-finite entry."""
+    if not np.isfinite(x).all():
+        grid = int(np.argmin(np.isfinite(x).all(axis=(0, 2))))
+        of = f" of grid {labels[grid]!r}" if labels else ""
+        raise FloatingPointError(f"sampler state non-finite {where}{of}")
 
 
 def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
     """Terminal state of the multistep solver started from ``x_T``."""
     predict = functools.partial(_posterior_mean, run.model)
-    args = (run.grid, run.orders, run.polynomial_kind, run.schedule, predict)
-    return _on_draws(lambda x: _sample_batch(*args, x), x_T)
+    args = (run.grid.lam[None], run.orders, run.polynomial_kind, run.schedule, predict)
+    return _on_draws(lambda x: _sample_batch(*args, x[:, None])[:, 0], x_T)
 
 
 def _reference_batch(
@@ -282,9 +318,9 @@ def _reference_batch(
     Runge-Kutta method of order 8, at rtol 1e-10 and atol 1e-13.  The
     solver is stepped directly and only its final state is kept.  Every
     right-hand-side call costs one posterior mean over the whole batch,
-    into whose output the rest of the right-hand side is folded in
-    place, and at this tolerance DOP853 needs about half as many calls
-    as the 4th/5th order RK45.
+    the G = 1 case of the stacked kernel, into whose output the rest of
+    the right-hand side is folded in place, and at this tolerance DOP853
+    needs about half as many calls as the 4th/5th order RK45.
     """
     if model.n_components == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -295,12 +331,16 @@ def _reference_batch(
         hat_e = np.sqrt(alpha_e**2 * s**2 + sigma_e**2)
         return alpha_e * mu[:, None] + (hat_e / hat_T) * (x_start - alpha_T * mu[:, None])
 
-    shape = x_start.shape
+    # imported here, so that commands without a mixture reference start without scipy
+    from scipy.integrate import DOP853
+
+    shape = (x_start.shape[0], 1, x_start.shape[1])  # the G = 1 layout of _posterior_mean
 
     def rhs(lam, y):
         x = y.reshape(shape)
-        alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
-        dx = _posterior_mean(model, x, alpha, sigma)
+        coeffs = np.array(schedule.alpha_sigma_of_lambda(lam))  # (alpha, sigma)
+        dx = _posterior_mean(model, x, coeffs[:1], coeffs[1:])
+        alpha = float(coeffs[0])
         dx *= alpha
         dx += -alpha**2 * x  # dlog(sigma)/dlam
         return dx.ravel()
@@ -318,7 +358,7 @@ def _reference_batch(
     gc.collect(0)
     if message is not None:
         raise RuntimeError(f"reference integration failed: {message}")
-    return y.reshape(shape)
+    return y.reshape(x_start.shape)
 
 
 def reference_solution(model: AnalyticModel, schedule: NoiseSchedule, x_T, T: float, eps: float) -> np.ndarray:
@@ -343,7 +383,11 @@ def evaluate_schedules(
     Start states are drawn from a zero-mean Gaussian whose variance
     matches the model's marginal second moment at the start time, so
     prior mismatch does not pollute the comparison.  The reference is
-    computed once per draw and shared by all grids.
+    computed once per draw and shared by all grids.  The grids run in
+    one stacked sampler pass, so each step makes one posterior-mean call
+    for all of them; each grid's errors are those it gets alone, since
+    the stack couples no grids.  Every grid must have ``len(orders)``
+    steps and the endpoints of the first.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -351,11 +395,17 @@ def evaluate_schedules(
         raise ValueError(f"{len(labels)} labels given for {len(schedules)} grids")
     if not schedules:
         return []
+    if labels is None:
+        labels = [f"schedule-{i}" for i in range(len(schedules))]
+    for grid, label in zip(schedules, labels):
+        if grid.n_steps != len(orders):
+            raise ValueError(
+                f"grid {label!r} has {grid.n_steps} steps but the order schedule "
+                f"covers {len(orders)}"
+            )
     ends = np.array([(g.T, g.eps, g.lam[0], g.lam[-1]) for g in schedules])
     if not np.allclose(ends, ends[0], rtol=1e-12, atol=[0, 0, 1e-12, 1e-12]):
         raise ValueError("all grids must share the same endpoints")
-    if labels is None:
-        labels = [f"schedule-{i}" for i in range(len(schedules))]
 
     lam_T, lam_eps = ends[0, 2:].tolist()
     alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -365,17 +415,17 @@ def evaluate_schedules(
     x_T = np.array(x_T.T, order="C")  # dim-major; a transposed view would keep draw-major memory
 
     x_ref = _reference_batch(model, schedule, x_T, lam_T, lam_eps)
+    lam = np.stack([g.lam for g in schedules])
+    x_start = np.repeat(x_T[:, None], len(schedules), axis=1)  # (dim, G, S)
     predict = functools.partial(_posterior_mean, model)
-    reports = []
-    for grid, label in zip(schedules, labels):
-        x_out = _sample_batch(grid, orders, kind, schedule, predict, x_T)
-        errors = np.linalg.norm(x_out - x_ref, axis=0)
-        reports.append(
-            SimulationReport(
-                mean_l2_error=float(np.mean(errors)),
-                median_l2_error=float(np.median(errors)),
-                per_seed_errors=errors,
-                schedule_label=label,
-            )
+    x_out = _sample_batch(lam, orders, kind, schedule, predict, x_start, labels)
+    errors = np.linalg.norm(x_out - x_ref[:, None], axis=0)  # (G, S)
+    return [
+        SimulationReport(
+            mean_l2_error=float(np.mean(e)),
+            median_l2_error=float(np.median(e)),
+            per_seed_errors=e,
+            schedule_label=label,
         )
-    return reports
+        for e, label in zip(errors, labels)
+    ]

@@ -180,13 +180,13 @@ def test_criterion_6_constant_prediction_exactness():
         c = rng.normal(size=(1, 2))
         x_T = rng.normal(size=(1, 2))
         out = _sample_batch(
-            grid,
+            grid.lam[None],
             orders,
             "lagrange",
             VE,
-            lambda x, a, s: np.repeat(c, x.shape[0], axis=0),
-            x_T,
-        )
+            lambda x, a, s: np.broadcast_to(c.T[:, None], x.shape),
+            x_T.T[:, None],
+        )[:, 0].T
         closed = math.exp(lam_T - lam_eps) * x_T + math.exp(-lam_eps) * (
             math.exp(lam_eps) - math.exp(lam_T)
         ) * c

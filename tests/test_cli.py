@@ -410,6 +410,17 @@ class TestExitCodes:
 class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""
 
+    def test_imports_without_scipy(self):
+        # scipy is imported by the reference integration alone, so that
+        # baseline, optimize and dump-weights start without it
+        env = dict(os.environ, PYTHONPATH=str(Path(stepopt.__file__).parents[1]))
+        code = ("import sys, stepopt, stepopt.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_optimize_writes_its_file(self, tmp_path):
         done = run_module(tmp_path, "optimize", "--schedule", "vp-linear", "--N", "5",
                          "--out", "q.json")

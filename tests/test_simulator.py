@@ -1,16 +1,21 @@
+import functools
 import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import DOP853, solve_ivp
 
 from stepopt import cli, simulator
 from stepopt.schedules import (
     LambdaGrid,
     NoiseSchedule,
+    edm_grid,
     uniform_lambda_grid,
+    uniform_t_grid,
 )
 from stepopt.simulator import (
     AnalyticModel,
@@ -24,7 +29,7 @@ from stepopt.simulator import (
     standard_test_mixture,
 )
 from stepopt.simulator import _posterior_mean, _reference_batch, _sample_batch
-from stepopt.weights import OrderSchedule
+from stepopt.weights import OrderSchedule, step_weight_array
 
 VE = NoiseSchedule.ve_edm()
 VP = NoiseSchedule.vp_linear()
@@ -194,14 +199,16 @@ class TestDataPrediction:
             for alpha, sigma in coefficients:
                 x = alpha * mus[rng.integers(0, K, size=64)] + scale * rng.normal(size=(64, dim))
                 want = _draw_major_posterior_mean(model, x, alpha, sigma)
-                got = _posterior_mean(model, np.ascontiguousarray(x.T), alpha, sigma)
-                assert got.flags.c_contiguous and got.shape == (dim, 64)
+                got = _posterior_mean(
+                    model, np.ascontiguousarray(x.T)[:, None], np.array([alpha]), np.array([sigma])
+                )
+                assert got.flags.c_contiguous and got.shape == (dim, 1, 64)
                 if dim <= 2 and K >= 2:
                     exact += 1
-                    assert np.array_equal(got.T, want)
+                    assert np.array_equal(got[:, 0].T, want)
                 else:
                     tol = 1e3 * np.finfo(float).eps * np.max(np.abs(want))
-                    assert np.max(np.abs(got.T - want)) <= tol
+                    assert np.max(np.abs(got[:, 0].T - want)) <= tol
         assert exact > 0
 
 
@@ -233,13 +240,13 @@ class TestMultistepSample:
             c = rng.normal(size=(1, 2))
             x_T = rng.normal(size=(1, 2))
             out = _sample_batch(
-                grid,
+                grid.lam[None],
                 orders,
                 "lagrange",
                 VE,
-                lambda x, a, s: np.repeat(c, x.shape[0], axis=0),
-                x_T,
-            )
+                lambda x, a, s: np.broadcast_to(c.T[:, None], x.shape),
+                x_T.T[:, None],
+            )[:, 0].T
             lam_T, lam_eps = grid.lam[0], grid.lam[-1]
             closed = (math.exp(-lam_eps) / math.exp(-lam_T)) * x_T + math.exp(
                 -lam_eps
@@ -276,13 +283,13 @@ class TestMultistepSample:
         for N in (5, 10):
             grid = uniform_lambda_grid(VP, N, 1.0, 1e-3)
             out = _sample_batch(
-                grid,
+                grid.lam[None],
                 OrderSchedule.warmup(N, 3),
                 "lagrange",
                 VP,
-                lambda x, a, s: _predict(model, x, a, s),
-                x_T,
-            )
+                functools.partial(_posterior_mean, model),
+                x_T.T[:, None],
+            )[:, 0].T
             errs[N] = float(np.mean(np.linalg.norm(out - ref, axis=1)))
         assert errs[10] < errs[5]
 
@@ -294,9 +301,98 @@ class TestMultistepSample:
             multistep_sample(run, np.array([np.inf, 0.0]))
 
 
+class TestStackedSampler:
+    def test_matches_per_grid_loop(self):
+        # one stacked pass against the one-grid-at-a-time loop on the
+        # draw-major layout, each grid with draws of its own; bitwise where
+        # the posterior means are (dim <= 2 with K >= 2), else 1000 eps
+        rng = np.random.default_rng(31)
+        exact = 0
+        for trial in range(36):
+            name = sorted(FAMILY_RANGES)[trial % 3]
+            schedule = NoiseSchedule.from_name(name)
+            T, eps = FAMILY_RANGES[name]
+            eps = 1e-300 if trial % 2 and name != "ve-edm" else eps
+            kind = ("lagrange", "taylor")[trial // 3 % 2]
+            K, dim = 1 + trial % 4, (1, 2, 3, 16)[trial // 9]
+            model = AnalyticModel(
+                pis=rng.dirichlet(np.ones(K)),
+                mus=3.0 * rng.normal(size=(K, dim)),
+                stds=rng.uniform(0.1, 1.5, size=K),
+            )
+            N = int(rng.integers(1, 13))
+            top = 4 if kind == "lagrange" else 3
+            orders = OrderSchedule(
+                tuple(int(rng.integers(1, min(n, top) + 1)) for n in range(1, N + 1))
+            )
+            grids = [
+                f(schedule, N, T, eps) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid)
+            ]
+            x = 2.0 * rng.normal(size=(dim, len(grids), 16))
+            got = _sample_batch(
+                np.stack([g.lam for g in grids]), orders, kind, schedule,
+                functools.partial(_posterior_mean, model), x,
+            )
+            assert got.flags.c_contiguous and got.shape == x.shape
+            for g, grid in enumerate(grids):
+                want = _per_grid_sample(grid, orders, kind, schedule, model, x[:, g].T)
+                if dim <= 2 and K >= 2:
+                    exact += 1
+                    assert np.array_equal(got[:, g].T, want)
+                else:
+                    tol = 1e3 * np.finfo(float).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(got[:, g].T - want)) <= tol
+        assert exact > 0
+
+    def test_keeps_only_the_predictions_it_reads(self):
+        refs, alive = [], []
+
+        def predict(x, alpha, sigma):
+            out = np.zeros_like(x)
+            refs.append(weakref.ref(out))
+            alive.append(sum(r() is not None for r in refs))
+            return out
+
+        grid = uniform_lambda_grid(VP, 40, 1.0, 1e-3)
+        orders = OrderSchedule.warmup(40, 4)
+        _sample_batch(grid.lam[None], orders, "lagrange", VP, predict, np.ones((2, 1, 8)))
+        assert len(refs) == 40 and max(alive) <= max(orders.k) + 1
+
+    def test_non_finite_names_step_and_grid(self):
+        grid = uniform_lambda_grid(VP, 3, 1.0, 1e-3)
+        x = np.zeros((2, 3, 4))
+        x[1, 2, 3] = np.nan
+        predict = functools.partial(_posterior_mean, standard_test_mixture())
+        args = (np.stack([grid.lam] * 3), OrderSchedule.warmup(3, 2), "lagrange", VP, predict, x)
+        with pytest.raises(FloatingPointError, match=r"entering step 1 of grid 'c'$"):
+            _sample_batch(*args, labels=["a", "b", "c"])
+        with pytest.raises(FloatingPointError, match=r"entering step 1$"):
+            _sample_batch(*args)
+
+
+def _per_grid_sample(grid, orders, kind, schedule, model, x):
+    """The sampler on one grid and an (S, dim) draw-major batch, keeping
+    every prediction: the reference for the float operations of the
+    stacked pass."""
+    lam = grid.lam
+    alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
+    w = step_weight_array(lam, orders, kind, lam[1:])
+    history = []
+    for n in range(1, grid.n_steps + 1):
+        history.append(
+            _draw_major_posterior_mean(model, x, float(alphas[n - 1]), float(sigmas[n - 1]))
+        )
+        k = orders.k[n - 1]
+        x = (sigmas[n] / sigmas[n - 1]) * x
+        for j in range(k):
+            x += alphas[n] * w[n - 1, j] * history[n - k + j]
+    return x
+
+
 def _predict(model, x, alpha, sigma):
     """Posterior mean of an (S, dim) batch through the dim-major kernel."""
-    return _posterior_mean(model, np.ascontiguousarray(x.T), alpha, sigma).T
+    x = np.ascontiguousarray(x.T)[:, None]
+    return _posterior_mean(model, x, np.array([alpha]), np.array([sigma]))[:, 0].T
 
 
 def _draw_major_posterior_mean(model, x, alpha, sigma):
@@ -416,7 +512,7 @@ class TestReferenceSolution:
                 rhs.append(fun)
                 super().__init__(fun, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "DOP853", Recording)
+        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
         schedule = NoiseSchedule.from_name(name)
         T, eps = FAMILY_RANGES[name]
         x_T = 2.0 * np.random.default_rng(6).standard_normal((32, 2))
@@ -431,7 +527,7 @@ class TestReferenceSolution:
             def _step_impl(self):
                 return False, "forced"
 
-        monkeypatch.setattr(simulator, "DOP853", Failing)
+        monkeypatch.setattr(scipy.integrate, "DOP853", Failing)
         with pytest.raises(RuntimeError, match="forced"):
             reference_solution(standard_test_mixture(), VP, np.ones((3, 2)), 1.0, 1e-3)
         model = tmp_path / "model.json"
@@ -505,3 +601,61 @@ class TestEvaluateSchedules:
             evaluate_schedules(
                 model, VP, [g1, g2], OrderSchedule.warmup(5, 3), "lagrange", 8, 0
             )
+
+    def test_step_count_must_match_orders(self):
+        model = standard_test_mixture()
+        grids = [uniform_lambda_grid(VP, 5, 1.0, 1e-3), uniform_lambda_grid(VP, 6, 1.0, 1e-3)]
+        orders = OrderSchedule.warmup(5, 3)
+        with pytest.raises(ValueError, match="grid 'long' has 6 steps"):
+            evaluate_schedules(model, VP, grids, orders, "lagrange", 4, 0, labels=["short", "long"])
+        with pytest.raises(ValueError, match="grid 'schedule-1' has 6 steps"):
+            evaluate_schedules(model, VP, grids, orders, "lagrange", 4, 0)
+
+    def test_non_finite_state_names_the_grid(self, monkeypatch):
+        # grid "b" alone gets NaN predictions; a single Gaussian keeps the
+        # reference in closed form, away from the posterior mean
+        real = simulator._posterior_mean
+
+        def poisoned(model, x, alpha, sigma):
+            out = real(model, x, alpha, sigma)
+            out[:, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(simulator, "_posterior_mean", poisoned)
+        grid = uniform_lambda_grid(VP, 4, 1.0, 1e-3)
+        with pytest.raises(FloatingPointError, match=r"entering step 2 of grid 'b'"):
+            evaluate_schedules(
+                single_gaussian([1.0, -1.0], 0.5), VP, [grid] * 3, OrderSchedule.warmup(4, 3),
+                "lagrange", 8, 0, labels=["a", "b", "c"],
+            )
+
+    @pytest.mark.parametrize(
+        "K,dim,kind",
+        [(2, 1, "lagrange"), (3, 2, "taylor"), (1, 2, "lagrange"), (3, 3, "taylor"),
+         (4, 16, "lagrange")],
+    )
+    def test_grids_are_not_coupled(self, K, dim, kind):
+        # each grid's errors do not depend on which grids run beside it;
+        # bitwise where the posterior means are (dim <= 2 with K >= 2)
+        rng = np.random.default_rng(K * 100 + dim)
+        model = AnalyticModel(
+            pis=rng.dirichlet(np.ones(K)),
+            mus=2.0 * rng.normal(size=(K, dim)),
+            stds=rng.uniform(0.3, 1.2, size=K),
+        )
+        schedule = NoiseSchedule.vp_cosine()
+        a, b, c = (
+            f(schedule, 8, 0.992, 1e-300) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid)
+        )
+        orders = OrderSchedule.warmup(8, 3)
+
+        def errors(grids):
+            reports = evaluate_schedules(model, schedule, grids, orders, kind, 64, 17)
+            return [r.per_seed_errors for r in reports]
+
+        abc, ca, alone = errors([a, b, c]), errors([c, a]), errors([b])
+        for got, want in ((ca[1], abc[0]), (ca[0], abc[2]), (alone[0], abc[1])):
+            if dim <= 2 and K >= 2:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e3 * np.finfo(float).eps * np.max(want)
