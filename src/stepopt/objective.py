@@ -106,7 +106,7 @@ def _full_lambda(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
 def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
     """Objective of each full grid stacked along the leading axes of ``lam_full``."""
     w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[..., -1:])
-    signed = _point_totals(w, spec.orders)
+    signed = _point_totals(w)
     factors = score_error_weight(spec.schedule, lam_full[..., :-1], spec.p)
     return np.sum(factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING), axis=-1)
 

@@ -261,7 +261,9 @@ def _sample_batch(
     ``predict(x, alpha, sigma)`` returns the prediction for the whole
     state, with grid g at coefficients ``(alpha[g], sigma[g])``; the
     simulator passes ``functools.partial(_posterior_mean, model)``.  One
-    coefficient call and one weight call cover the stack.  Each step's
+    coefficient call and one weight call cover the stack.  The weights
+    are by age: column d of step n multiplies the prediction at node
+    ``lam[n-1-d]``, ``history[-1 - d]``, added oldest first.  Each step's
     weights are scaled with the step's own endpoint as anchor, so the
     per-step coefficient of each prediction is simply alpha at the new
     node times the stored weight; these are formed once, before the
@@ -283,8 +285,8 @@ def _sample_batch(
         history.append(predict(x, alphas[:, n - 1], sigmas[:, n - 1]))
         k = orders.k[n - 1]
         x = ratio[n - 1] * x
-        for j in range(k):
-            x += coef[n - 1, j] * history[j - k]
+        for d in range(k - 1, -1, -1):
+            x += coef[n - 1, d] * history[-1 - d]
     _check_finite(x, f"after step {n_steps}", labels)
     return x
 

@@ -24,6 +24,11 @@ weight on the value of age d is then ``w_d = sum_m D[m, d] I_m``, where
 
 All weights come from one array kernel, :func:`step_weight_array`,
 which treats every step of a grid, or of a stack of grids, at once.
+Every weight array keeps them by age: column d of step n's row is the
+weight on node ``lam[n-1-d]``, the order in which a multistep sampler
+reads its past predictions, and the total weight on each evaluation
+point is a sum along one diagonal.  Only :meth:`WeightTable.step_weights`
+gives basis-index order, oldest node first.
 Because raw coefficients carry a factor ``exp(lam)`` that can overflow
 for schedules reaching large log-SNR, every table stores weights
 pre-multiplied by ``exp(-scale_anchor)``.  The anchor defaults to the
@@ -102,10 +107,11 @@ class OrderSchedule:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Scaled solver weights, one row per step.
+    """Scaled solver weights, one row per step, by age.
 
-    Row ``n - 1`` holds the ``k_n`` weights of step ``n``, one per basis
-    index j (evaluation point ``n - k_n + j``), followed by zeros.
+    Row ``n - 1`` holds the ``k_n`` weights of step ``n``, one per age d
+    (node ``lam[n-1-d]``, newest first), followed by zeros.  Only
+    :meth:`step_weights` gives basis-index order.
     """
 
     weights: np.ndarray  # (N, max order)
@@ -116,7 +122,8 @@ class WeightTable:
         self.weights.setflags(write=False)
 
     def step_weights(self, n: int) -> np.ndarray:
-        return self.weights[n - 1, : self.orders.k[n - 1]]
+        """Weights of step n by basis index j, the node ``lam[n - k_n + j]`` (oldest first)."""
+        return self.weights[n - 1, self.orders.k[n - 1] - 1 :: -1]
 
 
 def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
@@ -182,39 +189,24 @@ def _local_weights(nodes: np.ndarray, used: np.ndarray, integrals: np.ndarray) -
 class _Layout(NamedTuple):
     """Index arrays that depend only on the order schedule.
 
-    * ``points[n-1, j] = n - k_n + j``: the evaluation point (and grid
-      node) behind basis index j of step n;
-    * ``real``: ``j < k_n``, and equally the ages ``d < k_n``;
-    * ``age[n-1, j] = k_n - 1 - j`` (0 past ``k_n``): maps the by-age
-      weights ``w_d = sum_m D[m, d] I_m`` to rows;
     * ``gather[n-1, d] = n - 1 - d`` (0 past the grid start): the node of
       age d of step n;
-    * ``used[m, n-1, d]``: ``d <= m < k_n``, the terms of ``w_d``;
-    * ``steps[n-1, 0] = n - 1``.
+    * ``used[m, n-1, d]``: ``d <= m < k_n``, the terms of ``w_d``.
     """
 
-    points: np.ndarray
-    real: np.ndarray
-    age: np.ndarray
     gather: np.ndarray
     used: np.ndarray
-    steps: np.ndarray
 
 
 @lru_cache(maxsize=64)
 def _layout(orders: OrderSchedule) -> _Layout:
     k = np.array(orders.k)
     K = int(k.max())
-    j = np.arange(K)
-    steps = np.arange(k.size)[:, None]
-    real = j < k[:, None]
+    d = np.arange(K)
+    real = d < k[:, None]
     layout = _Layout(
-        points=steps + 1 - k[:, None] + j,
-        real=real,
-        age=np.where(real, k[:, None] - 1 - j, 0),
-        gather=np.maximum(steps - j, 0),
+        gather=np.maximum(np.arange(k.size)[:, None] - d, 0),
         used=np.ascontiguousarray(np.moveaxis(_UPPER[:K, :K] & real[:, None, :], -1, 0)),
-        steps=steps,
     )
     for arr in layout:
         arr.setflags(write=False)
@@ -236,8 +228,10 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     ``lam`` holds one grid of ``N + 1`` nodes along its last axis; any
     leading axes stack independent grids, and each one gets exactly the
     weights a call with that grid alone returns.  Row ``n - 1`` holds the
-    weights of step ``n`` (1-based), one per basis index j, multiplied by
+    weights of step ``n`` (1-based) by age d, the weight on node
+    ``lam[..., n-1-d]`` at column d, multiplied by
     ``exp(lam[..., n-1] - shift)``; entries past ``k_n`` are exactly zero.
+    :meth:`WeightTable.step_weights` gives one step in basis-index order.
     ``shift`` broadcasts against ``lam[..., :-1]``: a scalar anchor, one
     anchor per grid (shape ``(..., 1)``), or one value per step.
     """
@@ -247,16 +241,15 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
         raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
     check_order_cap(orders, kind)
     layout = _layout(orders)
-    K = layout.real.shape[1]
+    K = layout.gather.shape[1]
     # nodes by age, lam[n-1-d] for step n; ages past k_n are masked
     nodes = lam[..., layout.gather]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         integrals = _exp_moments(np.diff(lam), K)
         if kind == "lagrange":
             integrals = _newton_integrals(nodes - nodes[..., :1], integrals)
-        by_age = _local_weights(nodes, layout.used, integrals)
-        local = np.where(layout.real, by_age[..., layout.steps, layout.age], 0.0)
-        w = local * np.exp(lam[..., :-1] - shift)[..., None]
+        w = _local_weights(nodes, layout.used, integrals)
+        w = w * np.exp(lam[..., :-1] - shift)[..., None]
     if not np.isfinite(w).all():
         first = tuple(np.argwhere(~np.isfinite(w).all(axis=-1))[0])  # (grid..., step - 1)
         anchor = np.broadcast_to(shift, w.shape[:-1])[first]
@@ -282,25 +275,24 @@ def weights_taylor(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -
     return _table(grid, orders, "taylor", scale_anchor)
 
 
-def _point_totals(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
-    """Signed total weight multiplying each evaluation point i = n - k_n + j.
+def _point_totals(w: np.ndarray) -> np.ndarray:
+    """Signed total weight multiplying each evaluation point, from by-age weights.
 
-    ``w`` may stack grids along leading axes.  One ``np.bincount`` serves
-    the whole stack: each grid gets its own range of bins, so every bin
-    sums the same entries in the same order as for a single grid.
+    Point i is node ``lam[i]``, age d of step ``i + 1 + d``, so its total
+    is the diagonal sum ``sum_d w[..., i + d, d]``, added in order of
+    increasing step.  ``w`` may stack grids along leading axes.
     """
-    points = _layout(orders).points
-    N = points.shape[0]
-    bins = int(points.max()) + 1
-    lead = w.shape[:-2]
-    grids = math.prod(lead)
-    if lead:
-        points = points + bins * np.arange(grids)[:, None, None]
-    # padded entries are zero, so the bins they land in do not matter
-    totals = np.bincount(points.ravel(), weights=w.ravel(), minlength=grids * bins)
-    return totals.reshape(*lead, bins)[..., :N]
+    totals = w[..., 0].copy()
+    for d in range(1, w.shape[-1]):
+        totals[..., :-d] += w[..., d:, d]
+    return totals
 
 
 def aggregate(table: WeightTable, orders: OrderSchedule) -> np.ndarray:
-    """Absolute per-evaluation-point totals of the table's weights (same scale anchor)."""
-    return np.abs(_point_totals(table.weights, orders))
+    """Absolute per-evaluation-point totals of the table's weights (same scale anchor).
+
+    ``orders`` must be the schedule the table was built with.
+    """
+    if orders != table.orders:
+        raise ValueError(f"orders {orders.k} differ from the table's orders {table.orders.k}")
+    return np.abs(_point_totals(table.weights))

@@ -103,10 +103,11 @@ def test_criterion_2_quadrature_oracle():
         coeffs = rng.uniform(-2.0, 2.0, deg + 1)
         a = rng.uniform(-8.0, 8.0)
         width = math.exp(rng.uniform(math.log(1e-4), math.log(5.0)))
-        # the last step, with deg earlier nodes spaced by the width, integrates p exactly
+        # the last step, with deg earlier nodes spaced by the width, integrates p exactly;
+        # its row is by age, so reversed it lines up with lam[:-1]
         lam = a + width * np.arange(-deg, 2.0)
         orders = OrderSchedule.warmup(deg + 1, deg + 1)
-        w = step_weight_array(lam, orders, "lagrange", a)[-1]
+        w = step_weight_array(lam, orders, "lagrange", a)[-1, ::-1]
         mine = float(w @ np.polynomial.polynomial.polyval(lam[:-1], coeffs))
         oracle = _gauss_legendre(coeffs, a, a + width, shift=a)
         worst = max(worst, abs(mine - oracle) / abs(oracle))

@@ -550,6 +550,31 @@ class TestDumpWeights:
         assert [s["n"] for s in data["steps"]] == [1, 2, 3]
         assert [len(s["weights"]) for s in data["steps"]] == [1, 2, 2]
 
+    @pytest.mark.parametrize("kind_flags", [(), ("--kind", "taylor", "--p", "2")])
+    def test_pairs_are_in_basis_index_order(self, tmp_path, kind_flags):
+        # with k_n >= 2 both kinds integrate a linear prediction exactly, so
+        # pair j, the weight on lam[n - k_n + j], dotted with those nodes gives
+        # int exp(lam - anchor) lam; pairs in age order would not
+        sched, table = tmp_path / "s.json", tmp_path / "w.json"
+        assert run(
+            "baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
+            "--N", "5", "--order", "1,2,1,3,2", *kind_flags, "--out", str(sched),
+        ) == 0
+        assert run("dump-weights", "--steps", str(sched), "--out", str(table)) == 0
+        lam = json.loads(sched.read_text())["lambda"]
+        data = json.loads(table.read_text())
+        anchor = data["anchor"]
+        assert [s["n"] for s in data["steps"]] == [1, 2, 3, 4, 5]
+        for step, k in zip(data["steps"], (1, 2, 1, 3, 2)):
+            n, pairs = step["n"], step["weights"]
+            assert [j for j, _ in pairs] == list(range(k))
+            if k < 2:
+                continue
+            got = math.fsum(w * lam[n - k + j] for j, w in pairs)
+            exact = (math.exp(lam[n] - anchor) * (lam[n] - 1.0)
+                     - math.exp(lam[n - 1] - anchor) * (lam[n - 1] - 1.0))
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_flag_on_baseline(self, tmp_path):
         sched, table = tmp_path / "s.json", tmp_path / "w.json"
         assert run(

@@ -385,7 +385,7 @@ def _per_grid_sample(grid, orders, kind, schedule, model, x):
         k = orders.k[n - 1]
         x = (sigmas[n] / sigmas[n - 1]) * x
         for j in range(k):
-            x += alphas[n] * w[n - 1, j] * history[n - k + j]
+            x += alphas[n] * w[n - 1, k - 1 - j] * history[n - k + j]
     return x
 
 

@@ -1,12 +1,16 @@
 """The benchmark's tracer (``perfbench/tracing.py``) wraps stepopt functions by
 name.  A renamed or removed function would silently drop its spans, so each
 traced ``(owner, attribute)`` pair must still exist, and the benchmark's layer
-probes must still run and yield every per-layer metric they stand in for."""
+probes must still run and yield every per-layer metric they stand in for.  The
+outputs the benchmark compares with its seed record must also stay within its
+drift tolerance, which the benchmark itself checks only when it runs."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # measured outside the spans: by an oracle and by comparing traced with untraced passes
@@ -51,3 +55,17 @@ def test_layer_probes_yield_every_per_layer_metric(tmp_path, monkeypatch):
     declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
     wanted = {m["name"] for m in declared} - NOT_FROM_SPANS
     assert wanted - set(tracing.layer_metrics(tracer, "probe-")) == set()
+
+
+@pytest.mark.parametrize("workload", ["sweep", "simulate"])
+def test_outputs_match_the_seed_record(tmp_path, monkeypatch, workload):
+    benchmath = _load("benchmath")
+    workloads = _load("workloads", monkeypatch)
+    wl = workloads.WORKLOADS[workload]
+    cmds = workloads.Commands()
+    wl.setup(cmds, tmp_path)
+    values = wl.drift_values(cmds, tmp_path)
+    assert cmds.failures == {}
+    record = json.loads((PERFBENCH / "seed_record.json").read_text(encoding="utf-8"))[workload]
+    value, where = benchmath.drift(values, record)
+    assert value <= workloads.DRIFT_TOLERANCE, f"drift {value:.3g} at {where}"

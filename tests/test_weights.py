@@ -64,16 +64,39 @@ def random_orders(rng, N, cap):
     return OrderSchedule(tuple(int(rng.integers(1, min(n, cap) + 1)) for n in range(1, N + 1)))
 
 
+def bincount_point_totals(w, orders):
+    """Point totals by scatter: the oracle for the diagonal sums of ``_point_totals``.
+
+    Reorders the by-age rows of ``w`` to basis index j, the evaluation
+    point ``n - k_n + j``, and sums each grid's points in its own range of
+    ``np.bincount`` bins, so every point adds its entries by increasing step.
+    """
+    k = np.array(orders.k)[:, None]
+    N, K = w.shape[-2:]
+    j = np.arange(K)
+    real = j < k
+    by_index = np.where(real, w[..., np.arange(N)[:, None], np.where(real, k - 1 - j, 0)], 0.0)
+    points = np.arange(N)[:, None] + 1 - k + j
+    bins = int(points.max()) + 1
+    lead = w.shape[:-2]
+    grids = math.prod(lead)
+    points = points + bins * np.arange(grids)[:, None, None]
+    # padded entries are zero, so the bins they land in do not matter
+    totals = np.bincount(points.ravel(), weights=by_index.ravel(), minlength=grids * bins)
+    return totals.reshape(*lead, bins)[..., :N]
+
+
 def kernel_integral(coeffs, a, width, shift):
     """``int exp(lam - shift) p(lam)`` over ``[a, a + width]`` through the kernel.
 
     The last step of a grid with ``deg`` earlier nodes spaced by the width
     interpolates a degree-``deg`` polynomial exactly, so its Lagrange
-    weights dotted with ``p`` at the nodes give the integral.
+    weights dotted with ``p`` at the nodes give the integral.  The row is
+    by age, newest node first; reversed, it lines up with ``lam[:-1]``.
     """
     deg = len(coeffs) - 1
     lam = a + width * np.arange(-deg, 2.0)
-    w = step_weight_array(lam, OrderSchedule.warmup(deg + 1, deg + 1), "lagrange", shift)[-1]
+    w = step_weight_array(lam, OrderSchedule.warmup(deg + 1, deg + 1), "lagrange", shift)[-1, ::-1]
     return float(w @ np.polynomial.polynomial.polyval(lam[:-1], coeffs))
 
 
@@ -89,7 +112,11 @@ def lagrange_basis(nodes, j):
 
 
 def mpmath_lagrange_weights(lam, orders, shift):
-    """Lagrange step weights at 50 digits: exact moments, monomial-form basis."""
+    """Lagrange step weights at 50 digits: exact moments, monomial-form basis.
+
+    Rows are by age, as the kernel returns them: basis index j of step n
+    goes to column ``k_n - 1 - j``.
+    """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         lam = [mp.mpf(float(v)) for v in lam]
@@ -110,7 +137,7 @@ def mpmath_lagrange_weights(lam, orders, shift):
                         coeffs = [a - node * b for a, b in zip([0] + coeffs, coeffs + [0])]
                         coeffs = [c / (nodes[j] - node) for c in coeffs]
                 value = sum(c * M for c, M in zip(coeffs, moments))
-                out[n - 1, j] = float(value * mp.exp(lam[n - 1] - shift))
+                out[n - 1, k - 1 - j] = float(value * mp.exp(lam[n - 1] - shift))
     return out
 
 
@@ -345,14 +372,16 @@ class TestStackedGrids:
                 "per step": lam[..., 1:],
             }[shift_kind]
             stacked = step_weight_array(lam, orders, kind, shift)
-            totals = _point_totals(stacked, orders)
+            totals = _point_totals(stacked)
             assert stacked.shape == (2, 3, N, max(orders.k))
             assert totals.shape == (2, 3, N)
+            assert np.array_equal(totals, bincount_point_totals(stacked, orders))
             for idx in np.ndindex(2, 3):
                 single_shift = shift if shift_kind == "scalar" else shift[idx]
                 single = step_weight_array(lam[idx], orders, kind, single_shift)
                 assert np.array_equal(stacked[idx], single)
-                assert np.array_equal(totals[idx], _point_totals(single, orders))
+                assert np.array_equal(totals[idx], _point_totals(single))
+                assert np.array_equal(totals[idx], bincount_point_totals(single, orders))
 
     def test_overflow_in_a_stack_names_the_step(self):
         orders = OrderSchedule.warmup(3, 2)
@@ -402,6 +431,12 @@ class TestAggregate:
         agg = aggregate(weights_lagrange(grid, orders, scale_anchor=0.0), orders)
         expect = np.exp(lam[1:]) - np.exp(lam[:-1])
         np.testing.assert_allclose(agg, expect, rtol=1e-12)
+
+    def test_orders_other_than_the_tables_are_rejected(self):
+        grid = grid_from_lambda([0.0, 0.8, 1.7, 2.9, 3.4, 4.0])
+        table = weights_lagrange(grid, OrderSchedule.warmup(5, 3))
+        with pytest.raises(ValueError, match="differ from the table's orders"):
+            aggregate(table, OrderSchedule((1, 2, 2, 3, 3)))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(23)
