@@ -3,8 +3,9 @@ solvers of diffusion probability-flow ODEs.
 
 The package computes solver weights exactly, evaluates the
 score-error-weighted bound those weights induce, minimizes it over the
-interior log-SNR nodes with a constrained trust-region method, and
-validates the resulting schedules against analytic-score simulations.
+interior log-SNR nodes with scipy's L-BFGS-B over softmax gap logits,
+which keep every node gap above the margin, and validates the resulting
+schedules against analytic-score simulations.
 """
 
 __version__ = "0.1.0"
@@ -35,7 +36,6 @@ from .optimizer import (  # noqa: F401
     InfeasibleError,
     OptimizedSchedule,
     OptimizerConfig,
-    feasibility_project,
     optimize_steps,
 )
 from .simulator import (  # noqa: F401

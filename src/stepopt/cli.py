@@ -148,7 +148,7 @@ def _cmd_optimize(args) -> int:
         f"in {best.iterations} iterations, {total_time:.3f} s"
     )
     if not best.converged:
-        print("note: stopped before reaching the stationarity tolerance", file=sys.stderr)
+        print("note: L-BFGS-B stopped before meeting its convergence tolerances", file=sys.stderr)
     return 0
 
 

@@ -12,6 +12,7 @@ import stepopt
 from stepopt import cli
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
+from stepopt.schedules import NoiseSchedule
 
 
 @pytest.fixture
@@ -247,6 +248,16 @@ class TestExitCodes:
             *flags, "--out", str(tmp_path / "x.json"),
         ) == 2
 
+    def test_margin_filling_the_span_is_2(self, tmp_path, capsys):
+        # one step whose margin is exactly the span leaves no room to place nodes
+        schedule = NoiseSchedule.vp_linear()
+        span = float(schedule.lambda_of_t(1e-3)) - float(schedule.lambda_of_t(1.0))
+        assert run(
+            "optimize", "--init", "edm", "--schedule", "vp-linear", "--N", "1",
+            "--margin", repr(span), "--out", str(tmp_path / "x.json"),
+        ) == 2
+        assert "cannot hold 1 gaps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family_flags", [
         ("--schedule", "vp-linear", "--beta-max", "inf"),
         ("--schedule", "vp-linear", "--beta-min", "nan"),
@@ -411,8 +422,8 @@ class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""
 
     def test_imports_without_scipy(self):
-        # scipy is imported by the reference integration alone, so that
-        # baseline, optimize and dump-weights start without it
+        # scipy is imported where it runs, by the optimizer and the reference
+        # integration, so that baseline and dump-weights start without it
         env = dict(os.environ, PYTHONPATH=str(Path(stepopt.__file__).parents[1]))
         code = ("import sys, stepopt, stepopt.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

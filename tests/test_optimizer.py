@@ -3,12 +3,7 @@ import pytest
 
 from stepopt import objective, optimizer
 from stepopt.objective import ObjectiveSpec, objective_value
-from stepopt.optimizer import (
-    InfeasibleError,
-    OptimizerConfig,
-    feasibility_project,
-    optimize_steps,
-)
+from stepopt.optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from stepopt.schedules import (
     NoiseSchedule,
     edm_grid,
@@ -19,36 +14,6 @@ from stepopt.weights import OrderSchedule
 
 VE = NoiseSchedule.ve_edm()
 VP = NoiseSchedule.vp_linear()
-
-
-class TestFeasibilityProject:
-    def test_identity_on_feasible(self):
-        x = np.array([0.5, 1.5, 3.0])
-        out = feasibility_project(x, 0.0, 4.0, 0.1)
-        np.testing.assert_array_equal(out, x)
-
-    def test_equal_points_separated_by_margin(self):
-        out = feasibility_project(np.array([1.0, 1.0]), 0.0, 4.0, 0.25)
-        assert out[1] - out[0] == pytest.approx(0.25)
-        assert out[0] >= 0.25 and out[1] <= 4.0 - 0.25
-
-    def test_infeasible_span(self):
-        with pytest.raises(InfeasibleError):
-            feasibility_project(np.array([0.4, 0.6]), 0.0, 1.0, 0.5)
-
-    def test_endpoint_crowding(self):
-        out = feasibility_project(np.array([-5.0, 3.95]), 0.0, 4.0, 0.1)
-        gaps = np.diff(np.concatenate(([0.0], out, [4.0])))
-        assert np.all(gaps >= 0.1 - 1e-12)
-
-    def test_random_outputs_feasible(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            n = int(rng.integers(1, 20))
-            x = rng.uniform(-3.0, 8.0, n)
-            out = feasibility_project(x, 0.0, 5.0, 0.05)
-            gaps = np.diff(np.concatenate(([0.0], out, [5.0])))
-            assert np.all(gaps >= 0.05 - 1e-12)
 
 
 def ve_spec(N, max_order=1, **kw):
@@ -150,6 +115,36 @@ class TestOptimizeSteps:
             optimize_steps(bad, OptimizerConfig(margin=1.0))
         del spec
 
+    def test_margin_equal_to_gap_share_is_infeasible(self):
+        # two gaps of exactly half the span leave no room to move a node
+        spec = ve_spec(2)
+        lam_T, lam_eps = spec.lambda_endpoints
+        half = (lam_eps - lam_T) / 2
+        assert 2 * half == lam_eps - lam_T
+        with pytest.raises(InfeasibleError):
+            optimize_steps(spec, OptimizerConfig(margin=half))
+
+    @pytest.mark.parametrize("margin", [0.3, 0.5, 1.0])
+    def test_start_gaps_below_margin(self, margin):
+        # the first uniform-t gap is 0.223, below every margin here
+        spec = ve_spec(5, max_order=3)
+        start = np.diff(uniform_t_grid(VE, 5, 80.0, 0.002).lam)
+        assert start[0] < margin
+        result = optimize_steps(spec, OptimizerConfig(init="uniform-t", margin=margin))
+        assert np.all(np.diff(result.grid.lam) >= margin)
+        assert result.objective < 0.05
+
+    def test_round_off_in_eps_keeps_best_of_3(self):
+        # changes in eps of about one ulp used to move this optimum from 0.0222 to 0.486
+        schedule = NoiseSchedule.vp_cosine()
+        best = []
+        for shift in (0.0, 4e-16, 1.2e-15, -1.6e-15):
+            spec = ObjectiveSpec(schedule, 5, schedule.t_domain[1], 1e-3 + shift,
+                                 OrderSchedule.warmup(5, 3), p=1)
+            best.append(min(optimize_steps(spec, OptimizerConfig(init=init)).objective
+                            for init in ("uniform-t", "uniform-lambda", "edm")))
+        assert max(best) <= min(best) * (1 + 1e-2)
+
     def test_objective_never_exceeds_initial(self):
         spec = ObjectiveSpec(VP, 7, 1.0, 1e-3, OrderSchedule.warmup(7, 3), p=2)
         for init in ("uniform-t", "uniform-lambda", "edm"):
@@ -182,17 +177,24 @@ class TestKernelCalls:
         gradient = optimizer.objective_gradient
 
         def requested(spec, x):
-            requests.append(np.array(x))
-            return gradient(spec, x)
+            value, grad = gradient(spec, x)
+            requests.append((np.array(x), value))
+            return value, grad
 
         monkeypatch.setattr(optimizer, "objective_gradient", requested)
         accepted = []
         result = optimize_steps(spec, OptimizerConfig(init="edm", max_iters=100),
-                                on_accept=lambda i, x, f: accepted.append(f))
+                                on_accept=lambda i, x, f: accepted.append((x, f)))
         assert len(evaluations) == len(requests)
+        # the start point is evaluated once
+        assert not np.array_equal(requests[0][0], requests[1][0])
+        assert result.initial_objective == requests[0][1]
         # some trials were rejected, so requests outnumber accepted points
         assert len(requests) > len(accepted) > 1
-        assert result.objective == accepted[-1]
+        assert result.objective == accepted[-1][1]
+        # every accepted point carries the value evaluated at that point
+        values = {x.tobytes(): f for x, f in requests}
+        assert all(values[x.tobytes()] == f for x, f in accepted)
 
     @pytest.mark.parametrize("family,eps,N,p,kind,init", [
         ("vp-linear", 1e-300, 5, 1, "taylor", "uniform-t"),
