@@ -90,19 +90,27 @@ def _read_input(read, path):
         raise UsageError(f"bad input file {path}: {exc}") from None
 
 
+# json.dump with indent runs json's pure-Python encoder, one write per
+# token; the table's fixed layout is built here as the same text in one pass
+_PAIR = "        [\n          %d,\n          %r\n        ]"
+_STEP = '    {\n      "n": %d,\n      "weights": [\n%s\n      ]\n    }'
+_TABLE = '{\n  "anchor": %r,\n  "steps": [\n%s\n  ]\n}\n'
+
+
 def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
-    grid = schedule_file.to_grid()
-    orders = OrderSchedule(tuple(schedule_file.orders))
+    """Write the weight table, byte for byte as ``json.dumps(table, indent=2) + "\\n"``.
+
+    Every weight is finite and every step has one at least, so floats
+    print as ``repr`` and no list is empty.
+    """
     build = weights_lagrange if schedule_file.polynomial_kind == "lagrange" else weights_taylor
-    table = build(grid, orders)
+    table = build(schedule_file.grid, schedule_file.spec.orders)
     steps = []
-    for n in range(1, grid.n_steps + 1):
-        pairs = [[j, w] for j, w in enumerate(table.step_weights(n).tolist())]
-        steps.append({"n": n, "weights": pairs})
-    payload = {"anchor": table.scale_anchor, "steps": steps}
+    for n in range(1, schedule_file.N + 1):
+        pairs = enumerate(table.step_weights(n).tolist())
+        steps.append(_STEP % (n, ",\n".join([_PAIR % pair for pair in pairs])))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(_TABLE % (table.scale_anchor, ",\n".join(steps)))
 
 
 def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
@@ -164,15 +172,12 @@ def _cmd_simulate(args) -> int:
             raise UsageError("schedule files must share family, T, eps and end log-SNR values")
         if f.orders != first.orders or f.polynomial_kind != first.polynomial_kind:
             raise UsageError("schedule files must share orders and polynomial kind")
-    schedule = NoiseSchedule.from_name(first.schedule_family)
-    grids = [f.to_grid() for f in files]
     labels = [Path(p).stem for p in args.steps]
-    orders = OrderSchedule(tuple(first.orders))
     reports = evaluate_schedules(
         model,
-        schedule,
-        grids,
-        orders,
+        first.spec.schedule,
+        [f.grid for f in files],
+        first.spec.orders,
         first.polynomial_kind,
         seeds=args.seeds,
         rng_seed=args.rng_seed,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ _KEYS = (
     "schema_version", "schedule_family", "T", "eps", "N", "lambda", "t", "orders",
     "polynomial_kind", "p", "objective", "init", "tool_version",
 )
+_ALLOWED_KEYS = frozenset(_KEYS) | {"converged"}
 _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 
 
@@ -66,16 +68,13 @@ class ScheduleFile:
             raise ValueError(f"init must be one of {SCHEMES}")
         if not (self.converged is None or isinstance(self.converged, bool)):
             raise ValueError("converged must be true or false when present")
-        # the spec the fields describe checks the family, p, the polynomial
-        # kind, the orders and T and eps against the family's time domain
-        ObjectiveSpec(
-            NoiseSchedule.from_name(self.schedule_family), self.N, self.T, self.eps,
-            OrderSchedule(tuple(self.orders)), self.p, self.polynomial_kind,
-        )
+        # building the spec checks the family, p, the polynomial kind, the
+        # orders and T and eps against the family's time domain
+        self.spec
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
         # node order and exact endpoint times, as a grid requires them
-        self.to_grid()
+        self.grid
 
     @classmethod
     def from_grid(
@@ -104,7 +103,17 @@ class ScheduleFile:
             converged=converged,
         )
 
-    def to_grid(self) -> LambdaGrid:
+    @cached_property
+    def spec(self) -> ObjectiveSpec:
+        """The objective the file's fields describe, built once by validation."""
+        return ObjectiveSpec(
+            NoiseSchedule.from_name(self.schedule_family), self.N, self.T, self.eps,
+            OrderSchedule(tuple(self.orders)), self.p, self.polynomial_kind,
+        )
+
+    @cached_property
+    def grid(self) -> LambdaGrid:
+        """The file's nodes as a grid, built once by validation."""
         return LambdaGrid(
             lam=np.array(self.lam), t=np.array(self.t), T=self.T, eps=self.eps
         )
@@ -119,6 +128,10 @@ class ScheduleFile:
     def parse(cls, text: str) -> "ScheduleFile":
         payload = json.loads(text)
         fields = {_ATTRIBUTE.get(key, key): payload[key] for key in _KEYS}
+        # a misspelt key would otherwise be dropped without a word
+        unknown = payload.keys() - _ALLOWED_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         return cls(**fields, converged=payload.get("converged"))
 
     def write(self, path) -> None:

@@ -13,6 +13,7 @@ from stepopt import cli
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
 from stepopt.schedules import NoiseSchedule
+from stepopt.weights import OrderSchedule, weights_lagrange, weights_taylor
 
 
 @pytest.fixture
@@ -513,7 +514,7 @@ class TestScheduleFile:
             "--out", str(out),
         ) == 0
         sf = ScheduleFile.read(out)
-        grid = sf.to_grid()
+        grid = sf.grid
         assert grid.n_steps == 5
         assert np.all(np.diff(grid.lam) > 0)
 
@@ -546,8 +547,54 @@ class TestScheduleFile:
             ScheduleFile.read(bad)
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
 
+    def test_rejects_unknown_key(self, tmp_path):
+        # a misspelt "converged" used to be dropped without a word, exit 0
+        bad = _edited(self._baseline(tmp_path), tmp_path / "typo.json", convereged=True)
+        with pytest.raises(ValueError, match="unknown keys"):
+            ScheduleFile.read(bad)
+        assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+
+
+def _json_weight_table(sched) -> str:
+    """The weight table of a schedule file as json's indent encoder writes it."""
+    sf = ScheduleFile.read(sched)
+    build = weights_lagrange if sf.polynomial_kind == "lagrange" else weights_taylor
+    table = build(sf.grid, OrderSchedule(tuple(sf.orders)))
+    steps = [
+        {"n": n, "weights": [[j, w] for j, w in enumerate(table.step_weights(n).tolist())]}
+        for n in range(1, sf.N + 1)
+    ]
+    return json.dumps({"anchor": table.scale_anchor, "steps": steps}, indent=2) + "\n"
+
 
 class TestDumpWeights:
+    @pytest.mark.parametrize("N", [1, 40])
+    @pytest.mark.parametrize("kind", ["lagrange", "taylor-p2", "mixed"])
+    @pytest.mark.parametrize("command", ["dump-weights", "baseline", "optimize"])
+    def test_bytes_match_json_indent_encoder(self, tmp_path, command, kind, N):
+        # eps 1e-300 puts the anchor near 346, far from the magnitudes near one
+        mixed = ",".join(str((1, 2, 1, 3, 2)[i % 5]) for i in range(N))
+        kind_flags = {
+            "lagrange": ("--order", "3"),
+            "taylor-p2": ("--kind", "taylor", "--p", "2"),
+            "mixed": ("--order", mixed),
+        }[kind]
+        sched, table = tmp_path / "s.json", tmp_path / "w.json"
+        spec_flags = ("--schedule", "vp-linear", "--eps", "1e-300", "--N", str(N), *kind_flags,
+                      "--out", str(sched))
+        if command == "optimize":
+            argv = ("optimize", "--init", "uniform-lambda", "--max-iters", "3", *spec_flags)
+        else:
+            argv = ("baseline", "--scheme", "edm", *spec_flags)
+        if command == "dump-weights":
+            assert run(*argv) == 0
+            assert run("dump-weights", "--steps", str(sched), "--out", str(table)) == 0
+        else:
+            assert run(*argv, "--dump-weights", str(table)) == 0
+        text = table.read_text(encoding="utf-8")
+        assert json.loads(text)["anchor"] == pytest.approx(346.5, abs=0.5)
+        assert text == _json_weight_table(sched)
+
     def test_table_contents(self, tmp_path):
         sched = tmp_path / "s.json"
         assert run(
