@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
-from .schedule_file import ScheduleFile
+from .schedule_file import ScheduleFile, recorded_parameters
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
@@ -117,7 +117,8 @@ def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str
                     converged: bool | None = None) -> None:
     """Write ``--out``, and ``--dump-weights`` when given, for a grid of ``spec``."""
     out = ScheduleFile.from_grid(
-        grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged
+        grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged,
+        **recorded_parameters(spec.schedule),
     )
     out.write(args.out)
     if args.dump_weights:
@@ -165,11 +166,14 @@ def _cmd_simulate(args) -> int:
     files = [_read_input(ScheduleFile.read, p) for p in args.steps]
     first = files[0]
     for f in files[1:]:
-        same = (f.schedule_family, f.T, f.eps) == (first.schedule_family, first.T, first.eps)
+        same = (f.spec.schedule, f.T, f.eps) == (first.spec.schedule, first.T, first.eps)
         # end log-SNR values to the tolerance of evaluate_schedules, whose check exits 1
         ends = (f.lam[0], f.lam[-1]), (first.lam[0], first.lam[-1])
         if not (same and np.allclose(*ends, rtol=1e-12, atol=1e-12)):
-            raise UsageError("schedule files must share family, T, eps and end log-SNR values")
+            raise UsageError(
+                "schedule files must share family and its parameters, T, eps "
+                "and end log-SNR values"
+            )
         if f.orders != first.orders or f.polynomial_kind != first.polynomial_kind:
             raise UsageError("schedule files must share orders and polynomial kind")
     labels = [Path(p).stem for p in args.steps]

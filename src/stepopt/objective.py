@@ -24,6 +24,7 @@ would perturb them, go through one batched evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,9 +95,11 @@ def _full_lambda(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
         raise ValueError(
             f"expected {spec.N - 1} interior values, got shape {interior.shape}"
         )
-    lam_T, lam_eps = spec.lambda_endpoints
-    full = np.concatenate(([lam_T], interior, [lam_eps]))
-    if not np.all(np.diff(full) > 0):
+    full = np.empty(spec.N + 1)
+    full[0], full[-1] = spec.lambda_endpoints
+    full[1:-1] = interior
+    # NaN compares false, so it fails the check too
+    if not (full[1:] > full[:-1]).all():
         raise ConstraintViolationError(
             "interior log-SNR values must be strictly increasing between the endpoints"
         )
@@ -109,6 +112,16 @@ def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
     signed = _point_totals(w)
     factors = score_error_weight(spec.schedule, lam_full[..., :-1], spec.p)
     return np.sum(factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING), axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _perturbation_rows(n_free: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate index ``i`` and mask ``i[:, None] > i`` of the finite-difference stack."""
+    i = np.arange(n_free)
+    lower = i[:, None] > i
+    i.setflags(write=False)
+    lower.setflags(write=False)
+    return i, lower
 
 
 def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
@@ -138,21 +151,28 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.
     relative, L-BFGS-B took other paths at N = 10 and 15, and the
     benchmark's ``optimize`` workload went from ``l2_ratio`` 0.708 to
     0.960 and from ``l2_rank_corr`` 0.933 to 0.867.
+
+    The stack is one C-contiguous ``(2(N - 1) + 1, N + 1)`` array, a grid
+    per row, filled in place; its coordinate index and the mask of the
+    coordinates ``j < i`` are built once per N.  The weight kernel takes
+    the stack whole, with the age axis in front of the grid and step axes
+    of every temporary.
     """
     lam_full = _full_lambda(spec, lambda_interior)
     n_free = spec.N - 1
     x = lam_full[1:-1]
-    gaps = np.diff(lam_full)
+    gaps = lam_full[1:] - lam_full[:-1]
     steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
     plus = x + steps
     minus = plus - 2.0 * steps
     restored = minus + steps
-    i = np.arange(n_free)
+    i, lower = _perturbation_rows(n_free)
     # rows 2i and 2i + 1 are the grids of f(x + h_i e_i) and f(x - h_i e_i);
     # the last row is the unperturbed grid
-    points = np.tile(lam_full, (2 * n_free + 1, 1))
-    perturbed = points[:-1].reshape(n_free, 2, lam_full.size)
-    perturbed[:, :, 1:-1] = np.where(i[:, None] > i, restored, x)[:, None, :]
+    points = np.empty((2 * n_free + 1, spec.N + 1))
+    points[:] = lam_full
+    perturbed = points[:-1].reshape(n_free, 2, spec.N + 1)
+    perturbed[:, :, 1:-1] = np.where(lower, restored, x)[:, None, :]
     perturbed[i, 0, i + 1] = plus
     perturbed[i, 1, i + 1] = minus
     f = _evaluate(spec, points)

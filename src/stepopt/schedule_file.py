@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from functools import cached_property
 
 import numpy as np
@@ -19,16 +19,41 @@ from .objective import ObjectiveSpec
 from .schedules import SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule
 
-__all__ = ["ScheduleFile", "SCHEMA_VERSION"]
+__all__ = ["ScheduleFile", "SCHEMA_VERSION", "recorded_parameters"]
 
 SCHEMA_VERSION = 1
-# required keys in file order; "converged" is optional and comes last
+# required keys in file order; the optional ones follow in this order
 _KEYS = (
     "schema_version", "schedule_family", "T", "eps", "N", "lambda", "t", "orders",
     "polynomial_kind", "p", "objective", "init", "tool_version",
 )
-_ALLOWED_KEYS = frozenset(_KEYS) | {"converged"}
+_PARAMETER_KEYS = ("beta_min", "beta_max", "cosine_shift")
+_OPTIONAL_KEYS = (*_PARAMETER_KEYS, "converged")
+_ALLOWED_KEYS = frozenset(_KEYS + _OPTIONAL_KEYS)
 _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
+# the parameters of each family a file may record; absent ones take the
+# NoiseSchedule defaults
+_FAMILY_PARAMETERS = {
+    "vp-linear": ("beta_min", "beta_max"), "vp-cosine": ("cosine_shift",), "ve-edm": (),
+}
+_DEFAULTS = {
+    f.name: f.default for f in dataclass_fields(NoiseSchedule) if f.name in _PARAMETER_KEYS
+}
+# relative tolerance of an interior node's t against its lambda, far above
+# the few-ulp spread of either map between libm builds
+_NODE_RTOL = 1e-10
+
+
+def recorded_parameters(schedule: NoiseSchedule) -> dict[str, float]:
+    """The parameters of ``schedule`` a file records: those not at their defaults.
+
+    Files of the default families so keep the keys they always had.
+    """
+    return {
+        name: getattr(schedule, name)
+        for name in _FAMILY_PARAMETERS[schedule.name]
+        if getattr(schedule, name) != _DEFAULTS[name]
+    }
 
 
 @dataclass(frozen=True)
@@ -46,6 +71,9 @@ class ScheduleFile:
     init: str
     schema_version: int = SCHEMA_VERSION
     tool_version: str = __version__
+    beta_min: float | None = None
+    beta_max: float | None = None
+    cosine_shift: float | None = None
     converged: bool | None = None
 
     def __post_init__(self):
@@ -68,13 +96,19 @@ class ScheduleFile:
             raise ValueError(f"init must be one of {SCHEMES}")
         if not (self.converged is None or isinstance(self.converged, bool)):
             raise ValueError("converged must be true or false when present")
-        # building the spec checks the family, p, the polynomial kind, the
-        # orders and T and eps against the family's time domain
+        if any(type(v) not in (int, float) for v in self.family_parameters.values()):
+            raise ValueError("beta_min, beta_max and cosine_shift must be numbers when present")
+        # building the spec checks the family and its parameters, p, the
+        # polynomial kind, the orders and T and eps against the time domain
         self.spec
+        foreign = self.family_parameters.keys() - set(_FAMILY_PARAMETERS[self.schedule_family])
+        if foreign:
+            raise ValueError(f"{sorted(foreign)} do not apply to {self.schedule_family}")
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
         # node order and exact endpoint times, as a grid requires them
         self.grid
+        self._check_interior_times()
 
     @classmethod
     def from_grid(
@@ -87,7 +121,9 @@ class ScheduleFile:
         objective: float,
         init: str,
         converged: bool | None = None,
+        **family_parameters: float,
     ) -> "ScheduleFile":
+        """File of ``grid``; ``family_parameters`` as :func:`recorded_parameters` gives them."""
         return cls(
             schedule_family=schedule_family,
             T=float(grid.T),
@@ -101,13 +137,24 @@ class ScheduleFile:
             objective=float(objective),
             init=init,
             converged=converged,
+            **family_parameters,
         )
+
+    @property
+    def family_parameters(self) -> dict[str, float]:
+        """The family parameters the file records, by ``NoiseSchedule`` field name."""
+        return {
+            name: getattr(self, name)
+            for name in _PARAMETER_KEYS
+            if getattr(self, name) is not None
+        }
 
     @cached_property
     def spec(self) -> ObjectiveSpec:
         """The objective the file's fields describe, built once by validation."""
+        schedule = NoiseSchedule.from_name(self.schedule_family, **self.family_parameters)
         return ObjectiveSpec(
-            NoiseSchedule.from_name(self.schedule_family), self.N, self.T, self.eps,
+            schedule, self.N, self.T, self.eps,
             OrderSchedule(tuple(self.orders)), self.p, self.polynomial_kind,
         )
 
@@ -120,8 +167,9 @@ class ScheduleFile:
 
     def emit(self) -> str:
         payload = {key: getattr(self, _ATTRIBUTE.get(key, key)) for key in _KEYS}
-        if self.converged is not None:
-            payload["converged"] = self.converged
+        for key in _OPTIONAL_KEYS:
+            if getattr(self, key) is not None:
+                payload[key] = getattr(self, key)
         return json.dumps(payload, indent=2) + "\n"
 
     @classmethod
@@ -132,7 +180,30 @@ class ScheduleFile:
         unknown = payload.keys() - _ALLOWED_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return cls(**fields, converged=payload.get("converged"))
+        return cls(**fields, **{key: payload.get(key) for key in _OPTIONAL_KEYS})
+
+    def _check_interior_times(self) -> None:
+        """Raise ``ValueError`` unless each interior node's ``t`` and ``lambda`` agree.
+
+        A node agrees when either map of the schedule takes one entry to
+        the other to a relative ``_NODE_RTOL``: grids built from log-SNR
+        values store ``t_of_lambda(lambda)``, uniform-t grids store
+        ``lambda_of_t(t)``, and the inverse map can miss a time by more
+        than the tolerance (vp-cosine with a small shift).
+        """
+        schedule = self.spec.schedule
+        lam, t = self.grid.lam[1:-1], self.grid.t[1:-1]
+        mapped = schedule.t_of_lambda(lam)
+        off = np.flatnonzero(~(np.abs(mapped - t) <= _NODE_RTOL * t))
+        if off.size:
+            scale = np.maximum(1.0, np.abs(lam[off]))
+            off = off[~(np.abs(schedule.lambda_of_t(t[off]) - lam[off]) <= _NODE_RTOL * scale)]
+        if off.size:
+            i = int(off[0]) + 1
+            raise ValueError(
+                f"t[{i}] = {self.t[i]!r} does not match lambda[{i}] = {self.lam[i]!r}, "
+                f"which {self.schedule_family} maps to t = {float(mapped[i - 1])!r}"
+            )
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -29,6 +29,14 @@ weight on node ``lam[n-1-d]``, the order in which a multistep sampler
 reads its past predictions, and the total weight on each evaluation
 point is a sum along one diagonal.  Only :meth:`WeightTable.step_weights`
 gives basis-index order, oldest node first.
+
+Inside the kernel the age axis comes first: nodes, moments, integrals
+and weights are contiguous ``(K, ..., N)`` arrays, one block per age,
+so each numpy call runs one loop over every step of every grid rather
+than a K-long inner loop per step (K <= 4).  The kernel returns the
+by-step ``(..., N, K)`` view of its weight array; the diagonal sums of
+the point totals read whole age blocks of it.
+
 Because raw coefficients carry a factor ``exp(lam)`` that can overflow
 for schedules reaching large log-SNR, every table stores weights
 pre-multiplied by ``exp(-scale_anchor)``.  The anchor defaults to the
@@ -71,8 +79,6 @@ _SERIES_WIDTH = 0.25
 _SERIES = np.array(
     [[1.0 / (math.factorial(k) * (m + k + 1)) for m in range(MAX_ORDER)] for k in range(15)]
 )
-_EYE = np.eye(MAX_ORDER)
-_UPPER = np.triu(np.ones((MAX_ORDER, MAX_ORDER), dtype=bool))
 # ascending coefficients of the antiderivative polynomials S_0 .. S_3 below
 _ANTIDERIVATIVE = np.array(
     [[1.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0], [2.0, -2.0, 1.0, 0.0], [-6.0, 6.0, -3.0, 1.0]]
@@ -127,7 +133,7 @@ class WeightTable:
 
 
 def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
-    """``M[..., n, m] = int_0^h[..., n] exp(u) u^m du`` for ``m < count <= 4``.
+    """``M[m, ..., n] = int_0^h[..., n] exp(u) u^m du`` for ``m < count <= 4``.
 
     Exact to round-off for any h > 0: wide intervals use the closed-form
     antiderivative
@@ -136,62 +142,76 @@ def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
 
     and narrow ones the (all-positive) power series of the moments,
     evaluated elementwise by Horner's rule.  Moments that overflow come
-    back as ``inf``.
+    back as ``inf``, under the caller's ``np.errstate``.  The result is
+    age-major: moment m is the contiguous block ``M[m]``.  The powers
+    ``h**m`` and their product with the antiderivative coefficients keep
+    the by-step (..., n, m) shape, on which that BLAS product rounds as it
+    always has.
     """
-    h = np.asarray(h, dtype=float)[..., None]
     m = np.arange(count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.exp(h) * (h**m @ _ANTIDERIVATIVE[:count, :count].T) - _ANTIDERIVATIVE[:count, 0]
-    narrow = h[..., 0] < _SERIES_WIDTH
+    poly = h[..., None] ** m @ _ANTIDERIVATIVE[:count, :count].T
+    out = np.multiply(np.exp(h), poly.transpose(-1, *range(h.ndim)), order="C")
+    out -= _ANTIDERIVATIVE[:count, 0].reshape(count, *(1,) * h.ndim)
+    narrow = h < _SERIES_WIDTH
     if narrow.any():
         hn = h[narrow]
-        total = _SERIES[-1, :count]
-        for coeff in _SERIES[-2::-1, :count]:
-            total = total * hn + coeff
-        out[narrow] = total * hn ** (m + 1)
+        total = _SERIES[-1, :count, None] * hn + _SERIES[-2, :count, None]
+        for coeff in _SERIES[-3::-1, :count, None]:
+            total *= hn
+            total += coeff
+        total *= hn ** (m + 1)[:, None]
+        out[:, narrow] = total
     return out
 
 
-def _newton_integrals(u: np.ndarray, moments: np.ndarray) -> np.ndarray:
+def _newton_integrals(nodes: np.ndarray, moments: np.ndarray) -> np.ndarray:
     """``I_m = int_0^h exp(u) prod_(l < m) (u - u_l) du``, one factor at a time.
 
     ``J_(m+1)^(j) = J_m^(j+1) - u_m J_m^(j)`` from ``J_0^(j) = M_j``, where
-    ``J_m^(j)`` is ``I_m`` with an extra ``u^j``; as ``u_l <= 0``, no term cancels.
+    ``J_m^(j)`` is ``I_m`` with an extra ``u^j`` and ``u_m = nodes[m] - nodes[0]``;
+    as ``u_l <= 0``, no term cancels.  ``nodes`` and ``moments`` are age-major,
+    (K, ..., N), and so is the result.
     """
+    out = np.empty_like(moments)
+    out[0] = moments[0]
     J = moments
-    out = [J[..., 0]]
-    for m in range(moments.shape[-1] - 1):
-        J = J[..., 1:] - u[..., m, None] * J[..., :-1]
-        out.append(J[..., 0])
-    return np.stack(out, axis=-1)
+    for m in range(len(moments) - 1):
+        J = J[1:] - (nodes[m] - nodes[0]) * J[:-1]
+        out[m + 1] = J[0]
+    return out
 
 
 def _local_weights(nodes: np.ndarray, used: np.ndarray, integrals: np.ndarray) -> np.ndarray:
     """Weights by age, ``w_d = sum_(d <= m < k_n) D[m, d] I_m``; zero past ``k_n``.
 
-    ``nodes[..., n-1, d] = lam[n-1-d]`` and ``used[m]`` marks the ages d of
-    each step with ``d <= m < k_n``.  A running product over the columns m
-    of ``u_d - u_m`` gives ``1 / D[m, d]`` for every age d at once, and the
-    terms are summed from m = 0 up.  Differences of grid values, not of
-    offsets, keep the gap of two close old nodes to the last bit.
+    Every array is age-major and contiguous: ``nodes[d, ..., n-1] =
+    lam[..., n-1-d]``, ``integrals[m]`` holds ``I_m`` of every step, and
+    ``used[m]`` marks the ages d of each step with ``d <= m < k_n``, so each
+    ufunc runs over one contiguous block in place of a K-long inner loop
+    per step.  A running product over m of ``u_d - u_m`` gives
+    ``1 / D[m, d]`` for every age d at once, and the terms are summed from
+    m = 0 up.  Differences of grid values, not of offsets, keep the gap of
+    two close old nodes to the last bit.
     """
-    K = nodes.shape[-1]
-    for m in range(K):
-        # the diagonal difference is exactly 0, so adding the identity skips it
-        diff = nodes - nodes[..., m, None] + _EYE[:K, m]
-        prod = diff if m == 0 else prod * diff
-        term = np.where(used[m], 1.0 / prod * integrals[..., m, None], 0.0)
+    for m in range(len(nodes)):
+        diff = nodes - nodes[m]
+        # the diagonal difference is exactly 0; a factor 1 skips it
+        diff[m] = 1.0
+        prod = diff if m == 0 else np.multiply(prod, diff, out=prod)
+        term = 1.0 / prod
+        term *= integrals[m]
+        term = np.where(used[m], term, 0.0)
         # an explicit left-to-right sum keeps stacked and single grids bitwise equal
-        w = term if m == 0 else w + term
+        w = term if m == 0 else np.add(w, term, out=w)
     return w
 
 
 class _Layout(NamedTuple):
-    """Index arrays that depend only on the order schedule.
+    """Index arrays that depend only on the order schedule, age-major.
 
-    * ``gather[n-1, d] = n - 1 - d`` (0 past the grid start): the node of
+    * ``gather[d, n-1] = n - 1 - d`` (0 past the grid start): the node of
       age d of step n;
-    * ``used[m, n-1, d]``: ``d <= m < k_n``, the terms of ``w_d``.
+    * ``used[m, d, n-1]``: ``d <= m < k_n``, the terms of ``w_d``.
     """
 
     gather: np.ndarray
@@ -202,12 +222,9 @@ class _Layout(NamedTuple):
 def _layout(orders: OrderSchedule) -> _Layout:
     k = np.array(orders.k)
     K = int(k.max())
-    d = np.arange(K)
-    real = d < k[:, None]
-    layout = _Layout(
-        gather=np.maximum(np.arange(k.size)[:, None] - d, 0),
-        used=np.ascontiguousarray(np.moveaxis(_UPPER[:K, :K] & real[:, None, :], -1, 0)),
-    )
+    age = np.arange(K)
+    m, d = age[:, None, None], age[:, None]
+    layout = _Layout(gather=np.maximum(np.arange(k.size) - d, 0), used=(d <= m) & (m < k))
     for arr in layout:
         arr.setflags(write=False)
     return layout
@@ -234,6 +251,9 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     :meth:`WeightTable.step_weights` gives one step in basis-index order.
     ``shift`` broadcasts against ``lam[..., :-1]``: a scalar anchor, one
     anchor per grid (shape ``(..., 1)``), or one value per step.
+
+    The result is a view of the kernel's age-major array:
+    ``np.moveaxis(w, -1, 0)`` is C-contiguous.
     """
     lam = np.asarray(lam, dtype=float)
     N = lam.shape[-1] - 1
@@ -241,22 +261,24 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
         raise ValueError(f"order schedule covers {len(orders)} steps but grid has {N}")
     check_order_cap(orders, kind)
     layout = _layout(orders)
-    K = layout.gather.shape[1]
-    # nodes by age, lam[n-1-d] for step n; ages past k_n are masked
-    nodes = lam[..., layout.gather]
+    K = len(layout.gather)
+    # nodes by age, lam[..., n-1-d] for step n; ages past k_n are masked
+    lead = lam.ndim - 1
+    nodes = np.ascontiguousarray(lam[..., layout.gather].transpose(lead, *range(lead), lead + 1))
+    used = layout.used.reshape(K, K, *(1,) * lead, N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        integrals = _exp_moments(np.diff(lam), K)
+        integrals = _exp_moments(lam[..., 1:] - lam[..., :-1], K)
         if kind == "lagrange":
-            integrals = _newton_integrals(nodes - nodes[..., :1], integrals)
-        w = _local_weights(nodes, layout.used, integrals)
-        w = w * np.exp(lam[..., :-1] - shift)[..., None]
+            integrals = _newton_integrals(nodes, integrals)
+        w = _local_weights(nodes, used, integrals)
+        w *= np.exp(lam[..., :-1] - shift)
     if not np.isfinite(w).all():
-        first = tuple(np.argwhere(~np.isfinite(w).all(axis=-1))[0])  # (grid..., step - 1)
-        anchor = np.broadcast_to(shift, w.shape[:-1])[first]
+        first = tuple(np.argwhere(~np.isfinite(w).all(axis=0))[0])  # (grid..., step - 1)
+        anchor = np.broadcast_to(shift, w.shape[1:])[first]
         raise OverflowError(
             f"weights of step {first[-1] + 1} are not finite at scale anchor {anchor}"
         )
-    return w
+    return w.transpose(*range(1, lead + 2), 0)
 
 
 def _table(grid: LambdaGrid, orders: OrderSchedule, kind: str, scale_anchor) -> WeightTable:

@@ -296,17 +296,25 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ("--beta-max", "10"),
+        None,
         ("--order", "2"),
         ("--kind", "taylor"),
-    ], ids=["end-lambda", "orders", "kind"])
-    def test_mismatched_schedule_files_are_2(self, tmp_path, model_file, flags):
+    ], ids=["beta-max", "end-lambda", "orders", "kind"])
+    def test_mismatched_schedule_files_are_2(self, tmp_path, model_file, capsys, flags):
         # a smaller --beta-max keeps family, T and eps but moves both end log-SNR values
         spec = ("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "5")
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert run(*spec, "--out", a) == 0
-        assert run(*spec, *flags, "--out", b) == 0
-        assert run("simulate", "--model", model_file, "--steps", a, "--steps", b,
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(*spec, "--out", str(a)) == 0
+        if flags is None:
+            # a last log-SNR value moved by 1e-9 keeps family, T, eps and every interior t
+            lam = json.loads(a.read_text())["lambda"]
+            _edited(a, b, **{"lambda": [*lam[:-1], lam[-1] + 1e-9]})
+        else:
+            assert run(*spec, *flags, "--out", str(b)) == 0
+        capsys.readouterr()
+        assert run("simulate", "--model", model_file, "--steps", str(a), "--steps", str(b),
                    "--seeds", "4", "--out", str(tmp_path / "r.json")) == 2
+        assert "schedule files must share" in capsys.readouterr().err
 
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
@@ -546,6 +554,70 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match="polynomial kind"):
             ScheduleFile.read(bad)
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+
+    def test_rejects_interior_time_off_its_lambda(self, tmp_path):
+        # t[2] is 0.592 here; a reader that checks only the end times took 0.5, exit 0
+        sched = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+                   "--out", str(sched)) == 0
+        t = json.loads(sched.read_text())["t"]
+        bad = _edited(sched, tmp_path / "t2.json", t=[*t[:2], 0.5, *t[3:]])
+        with pytest.raises(ValueError, match=r"t\[2\] = 0.5 does not match lambda\[2\]"):
+            ScheduleFile.read(bad)
+        assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+
+    @pytest.mark.parametrize("family,eps,params", [
+        ("vp-linear", "1e-300", ()), ("vp-linear", "1e-3", ()), ("vp-cosine", "1e-300", ()),
+        ("vp-cosine", "1e-5", ()), ("ve-edm", "0.002", ()),
+        ("vp-linear", "1e-300", ("--beta-min", "1e-6", "--beta-max", "1e-5")),
+        ("vp-linear", "1e-3", ("--beta-min", "5", "--beta-max", "100")),
+        ("vp-cosine", "1e-300", ("--cosine-shift", "1e-8")),
+        ("vp-cosine", "1e-5", ("--cosine-shift", "1e-4")),
+        ("vp-cosine", "1e-3", ("--cosine-shift", "1000")),
+    ])
+    def test_reads_every_scheme_it_writes(self, tmp_path, family, eps, params):
+        # uniform-t files keep the times as given; at a cosine shift of 1e-8
+        # t_of_lambda misses 199 of them by up to 1e-7 relative
+        for scheme in ("uniform-t", "uniform-lambda", "edm"):
+            sched = tmp_path / f"{scheme}.json"
+            assert run("baseline", "--scheme", scheme, "--schedule", family, "--N", "200",
+                       "--eps", eps, "--order", "1", *params, "--out", str(sched)) == 0
+            ScheduleFile.read(sched)
+
+    def test_records_family_parameters(self, tmp_path):
+        # files used to drop --beta-max, so simulate ran them on the default alpha and sigma
+        flags = ("--scheme", "uniform-t", "--N", "6", "--order", "2")
+        for family, params in (("vp-linear", {"beta_min": 0.2, "beta_max": 10.0}),
+                               ("vp-cosine", {"cosine_shift": 0.02})):
+            sched = tmp_path / f"{family}.json"
+            cli_params = [v for k, x in params.items() for v in ("--" + k.replace("_", "-"), repr(x))]
+            assert run("baseline", *flags, "--schedule", family, *cli_params,
+                       "--out", str(sched)) == 0
+            payload = json.loads(sched.read_text())
+            assert {k: payload[k] for k in params} == params
+            sf = ScheduleFile.read(sched)
+            assert sf.spec.schedule == NoiseSchedule.from_name(family, **params)
+            assert sf.emit() == sched.read_text()
+            assert run("dump-weights", "--steps", str(sched), "--out", str(tmp_path / "w.json")) == 0
+            # read as the default family, the recorded times no longer match
+            dropped = {k: v for k, v in payload.items() if k not in params}
+            bare = tmp_path / "bare.json"
+            bare.write_text(json.dumps(dropped, indent=2) + "\n")
+            with pytest.raises(ValueError, match="does not match lambda"):
+                ScheduleFile.read(bare)
+        # a default family records no parameter, and a foreign one is refused
+        default = tmp_path / "default.json"
+        assert run("baseline", *flags, "--schedule", "vp-linear", "--beta-max", "20",
+                   "--out", str(default)) == 0
+        assert ScheduleFile.read(default).family_parameters == {}
+        foreign = _edited(default, tmp_path / "foreign.json", cosine_shift=0.02)
+        with pytest.raises(ValueError, match="do not apply to vp-linear"):
+            ScheduleFile.read(foreign)
+        assert run("dump-weights", "--steps", foreign, "--out", str(tmp_path / "w.json")) == 2
+        for value in ("10", True):
+            bad = _edited(default, tmp_path / "typed.json", beta_max=value)
+            with pytest.raises(ValueError, match="must be numbers"):
+                ScheduleFile.read(bad)
 
     def test_rejects_unknown_key(self, tmp_path):
         # a misspelt "converged" used to be dropped without a word, exit 0

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from stepopt.schedules import LambdaGrid
+from stepopt.schedules import SCHEMES, LambdaGrid, NoiseSchedule, lambda_range, scheme_grid
 from stepopt.weights import (
+    _ANTIDERIVATIVE,
+    _SERIES,
+    _SERIES_WIDTH,
     OrderSchedule,
     aggregate,
     _point_totals,
@@ -84,6 +87,67 @@ def bincount_point_totals(w, orders):
     # padded entries are zero, so the bins they land in do not matter
     totals = np.bincount(points.ravel(), weights=by_index.ravel(), minlength=grids * bins)
     return totals.reshape(*lead, bins)[..., :N]
+
+
+def by_step_weight_array(lam, orders, kind, shift):
+    """The weight kernel on by-step ``(..., N, K)`` arrays: the oracle for the age-major one.
+
+    The same float operations in the same order as ``step_weight_array``,
+    with the age axis last in every temporary, so the two agree bitwise.
+    """
+    lam = np.asarray(lam, dtype=float)
+    k = np.array(orders.k)
+    K = int(k.max())
+    d = np.arange(K)
+    nodes = lam[..., np.maximum(np.arange(k.size)[:, None] - d, 0)]
+    # used[m, n-1, d]: d <= m < k_n
+    used = (d <= d[:, None, None]) & (d[:, None, None] < k[:, None])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = np.diff(lam)[..., None]
+        M = np.exp(h) * (h**d @ _ANTIDERIVATIVE[:K, :K].T) - _ANTIDERIVATIVE[:K, 0]
+        narrow = h[..., 0] < _SERIES_WIDTH
+        if narrow.any():
+            hn = h[narrow]
+            total = _SERIES[-1, :K]
+            for coeff in _SERIES[-2::-1, :K]:
+                total = total * hn + coeff
+            M[narrow] = total * hn ** (d + 1)
+        integrals = M
+        if kind == "lagrange":
+            u = nodes - nodes[..., :1]
+            J, out = M, [M[..., 0]]
+            for m in range(K - 1):
+                J = J[..., 1:] - u[..., m, None] * J[..., :-1]
+                out.append(J[..., 0])
+            integrals = np.stack(out, axis=-1)
+        for m in range(K):
+            diff = nodes - nodes[..., m, None] + np.eye(K)[m]
+            prod = diff if m == 0 else prod * diff
+            term = np.where(used[m], 1.0 / prod * integrals[..., m, None], 0.0)
+            w = term if m == 0 else w + term
+        return w * np.exp(lam[..., :-1] - shift)[..., None]
+
+
+def family_stack(rng, family, eps, N, lead, narrow):
+    """Random increasing grids on a family's log-SNR span, ``lead + (N + 1,)``.
+
+    ``narrow`` draws every gap below ``_SERIES_WIDTH``, so every step takes
+    the moment series; otherwise the span is split at random, and the
+    first grid is one of the baseline schemes.
+    """
+    schedule = NoiseSchedule.from_name(family)
+    lo, hi = lambda_range(schedule, N, schedule.t_domain[1], eps)
+    size = math.prod(lead)
+    if narrow:
+        gaps = rng.uniform(1e-3, _SERIES_WIDTH, (size, N))
+        # lam[j] = hi - sum(gaps[j:]), so the grid ends at the family's top value
+        lam = hi - np.concatenate([gaps[:, ::-1].cumsum(axis=1)[:, ::-1], np.zeros((size, 1))], axis=1)
+    else:
+        inner = np.sort(rng.uniform(lo, hi, (size, N - 1)), axis=1)
+        lam = np.concatenate([np.full((size, 1), lo), inner, np.full((size, 1), hi)], axis=1)
+        lam[0] = scheme_grid(SCHEMES[int(rng.integers(3))], schedule, N,
+                             schedule.t_domain[1], eps, 7).lam
+    return lam.reshape(*lead, N + 1)
 
 
 def kernel_integral(coeffs, a, width, shift):
@@ -382,6 +446,26 @@ class TestStackedGrids:
                 assert np.array_equal(stacked[idx], single)
                 assert np.array_equal(totals[idx], _point_totals(single))
                 assert np.array_equal(totals[idx], bincount_point_totals(single, orders))
+
+    @pytest.mark.parametrize("family,eps", [
+        ("vp-linear", 1e-3), ("vp-cosine", 1e-3), ("ve-edm", 0.002), ("vp-linear", 1e-300),
+    ])
+    @pytest.mark.parametrize("kind,orders", [
+        ("lagrange", 3), ("lagrange", 4), ("taylor", 3),
+        ("lagrange", (1, 2, 1, 3, 2)), ("taylor", (1, 2, 1, 3, 2)),
+    ], ids=["lagrange-3", "lagrange-4", "taylor-3", "lagrange-mixed", "taylor-mixed"])
+    def test_matches_by_step_kernel_bitwise(self, family, eps, kind, orders):
+        rng = np.random.default_rng([ord(c) for c in f"{family} {eps} {kind} {orders}"])
+        for lead in ((), (7,), (2, 5)):
+            for narrow in (False, True):
+                N = len(orders) if isinstance(orders, tuple) else int(rng.integers(1, 41))
+                schedule = (OrderSchedule(orders) if isinstance(orders, tuple)
+                            else OrderSchedule.warmup(N, orders))
+                lam = family_stack(rng, family, eps, N, lead, narrow)
+                for shift in (lam[..., -1:], lam[..., 1:]):
+                    w = step_weight_array(lam, schedule, kind, shift)
+                    assert w.shape == (*lead, N, max(schedule.k))
+                    assert np.array_equal(w, by_step_weight_array(lam, schedule, kind, shift))
 
     def test_overflow_in_a_stack_names_the_step(self):
         orders = OrderSchedule.warmup(3, 2)
