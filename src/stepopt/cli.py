@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
-from .schedule_file import ScheduleFile, recorded_parameters
+from .schedule_file import ScheduleFile
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
@@ -118,7 +118,7 @@ def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str
     """Write ``--out``, and ``--dump-weights`` when given, for a grid of ``spec``."""
     out = ScheduleFile.from_grid(
         grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged,
-        **recorded_parameters(spec.schedule),
+        **spec.schedule.parameters,
     )
     out.write(args.out)
     if args.dump_weights:

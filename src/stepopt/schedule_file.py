@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .objective import ObjectiveSpec
-from .schedules import SCHEMES, LambdaGrid, NoiseSchedule
+from .schedules import FAMILY_PARAMETERS, SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule
 
-__all__ = ["ScheduleFile", "SCHEMA_VERSION", "recorded_parameters"]
+__all__ = ["ScheduleFile", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
 # required keys in file order; the optional ones follow in this order
@@ -31,29 +31,9 @@ _PARAMETER_KEYS = ("beta_min", "beta_max", "cosine_shift")
 _OPTIONAL_KEYS = (*_PARAMETER_KEYS, "converged")
 _ALLOWED_KEYS = frozenset(_KEYS + _OPTIONAL_KEYS)
 _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
-# the parameters of each family a file may record; absent ones take the
-# NoiseSchedule defaults
-_FAMILY_PARAMETERS = {
-    "vp-linear": ("beta_min", "beta_max"), "vp-cosine": ("cosine_shift",), "ve-edm": (),
-}
-_DEFAULTS = {
-    f.name: f.default for f in dataclass_fields(NoiseSchedule) if f.name in _PARAMETER_KEYS
-}
-# relative tolerance of an interior node's t against its lambda, far above
-# the few-ulp spread of either map between libm builds
+# relative tolerance of an interior node's t against t_of_lambda(lambda),
+# far above the few-ulp spread of the map between libm builds
 _NODE_RTOL = 1e-10
-
-
-def recorded_parameters(schedule: NoiseSchedule) -> dict[str, float]:
-    """The parameters of ``schedule`` a file records: those not at their defaults.
-
-    Files of the default families so keep the keys they always had.
-    """
-    return {
-        name: getattr(schedule, name)
-        for name in _FAMILY_PARAMETERS[schedule.name]
-        if getattr(schedule, name) != _DEFAULTS[name]
-    }
 
 
 @dataclass(frozen=True)
@@ -101,7 +81,8 @@ class ScheduleFile:
         # building the spec checks the family and its parameters, p, the
         # polynomial kind, the orders and T and eps against the time domain
         self.spec
-        foreign = self.family_parameters.keys() - set(_FAMILY_PARAMETERS[self.schedule_family])
+        # a foreign parameter at its default passes the schedule's own check
+        foreign = self.family_parameters.keys() - FAMILY_PARAMETERS[self.spec.schedule.family]
         if foreign:
             raise ValueError(f"{sorted(foreign)} do not apply to {self.schedule_family}")
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
@@ -123,7 +104,7 @@ class ScheduleFile:
         converged: bool | None = None,
         **family_parameters: float,
     ) -> "ScheduleFile":
-        """File of ``grid``; ``family_parameters`` as :func:`recorded_parameters` gives them."""
+        """File of ``grid``; ``family_parameters`` as ``NoiseSchedule.parameters`` gives them."""
         return cls(
             schedule_family=schedule_family,
             T=float(grid.T),
@@ -183,21 +164,15 @@ class ScheduleFile:
         return cls(**fields, **{key: payload.get(key) for key in _OPTIONAL_KEYS})
 
     def _check_interior_times(self) -> None:
-        """Raise ``ValueError`` unless each interior node's ``t`` and ``lambda`` agree.
+        """Raise ``ValueError`` unless each interior node's ``t`` is ``t_of_lambda(lambda)``.
 
-        A node agrees when either map of the schedule takes one entry to
-        the other to a relative ``_NODE_RTOL``: grids built from log-SNR
-        values store ``t_of_lambda(lambda)``, uniform-t grids store
-        ``lambda_of_t(t)``, and the inverse map can miss a time by more
-        than the tolerance (vp-cosine with a small shift).
+        To a relative ``_NODE_RTOL``.  Grids built from log-SNR values
+        store ``t_of_lambda(lambda)`` and uniform-t grids ``lambda_of_t(t)``;
+        the inverse map round-trips either to 1e-12 relative.
         """
-        schedule = self.spec.schedule
         lam, t = self.grid.lam[1:-1], self.grid.t[1:-1]
-        mapped = schedule.t_of_lambda(lam)
+        mapped = self.spec.schedule.t_of_lambda(lam)
         off = np.flatnonzero(~(np.abs(mapped - t) <= _NODE_RTOL * t))
-        if off.size:
-            scale = np.maximum(1.0, np.abs(lam[off]))
-            off = off[~(np.abs(schedule.lambda_of_t(t[off]) - lam[off]) <= _NODE_RTOL * scale)]
         if off.size:
             i = int(off[0]) + 1
             raise ValueError(

@@ -25,7 +25,7 @@ times (decreasing) and as half log-SNR values (increasing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,11 +39,16 @@ __all__ = [
     "scheme_grid",
     "lambda_range",
     "FAMILIES",
+    "FAMILY_PARAMETERS",
     "SCHEDULE_NAMES",
     "SCHEMES",
 ]
 
-FAMILIES = ("vp_linear", "vp_cosine", "ve_edm")
+# the parameters of each family; a schedule keeps the others at their defaults
+FAMILY_PARAMETERS = {
+    "vp_linear": ("beta_min", "beta_max"), "vp_cosine": ("cosine_shift",), "ve_edm": (),
+}
+FAMILIES = tuple(FAMILY_PARAMETERS)
 
 # baseline grid schemes, in the order best-of-3 optimization tries them
 SCHEMES = ("uniform-t", "uniform-lambda", "edm")
@@ -77,6 +82,9 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown schedule family {self.family!r}")
+        foreign = self.parameters.keys() - FAMILY_PARAMETERS[self.family]
+        if foreign:
+            raise ValueError(f"{sorted(foreign)} do not apply to {self.name}")
         # chained comparisons, so NaN and infinite parameters fail too
         if self.family == "vp_linear" and not 0 < self.beta_min < self.beta_max < math.inf:
             raise ValueError("vp_linear requires finite 0 < beta_min < beta_max")
@@ -113,6 +121,15 @@ class NoiseSchedule:
     @property
     def name(self) -> str:
         return self.family.replace("_", "-")
+
+    @property
+    def parameters(self) -> dict[str, float]:
+        """The parameters off their field defaults; construction allows only the family's."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.init and f.name != "family" and getattr(self, f.name) != f.default
+        }
 
     @property
     def is_vp(self) -> bool:
@@ -198,11 +215,13 @@ class NoiseSchedule:
     def t_of_lambda(self, lam):
         """Inverse of :meth:`lambda_of_t`, in closed form for every family.
 
-        ``t`` is strictly decreasing in ``lam`` up to lam = 16 at least.
-        Round trips hold ``t`` to 1e-10 relative for t >= 1e-5, and
-        ``lam`` to 1e-7 absolute for lam <= 16.  Values within 1e-5 of
-        the attainable range (e.g. endpoints quoted to a few significant
-        digits) are accepted and mapped onto the boundary.
+        ``t`` is non-increasing in ``lam`` over the whole range.  Round
+        trips down to t = 1e-300 hold ``t`` to 2e-13 relative (1e-12 at a
+        vp-cosine shift of 1e-12, where sigma^2 is subnormal there) and
+        ``lam`` to 4e-13 * max(1, |lam|), measured at shifts 1e-12 to 1000
+        and (beta_min, beta_max) from (1e-6, 1e-5) to (1e-3, 1e6).  Values
+        within 1e-5 of the attainable range (e.g. endpoints quoted to a few
+        significant digits) are accepted and mapped onto the boundary.
         """
         lam = self._check_lambda(lam)
         if self.family == "ve_edm":
@@ -214,14 +233,15 @@ class NoiseSchedule:
             t = tmp / (np.sqrt(self.beta_min**2 + tmp) + self.beta_min) / d
         else:
             # alpha = cos(theta) / c0 with theta = (t + s) / (1 + s) * pi / 2;
-            # arcsin of sin(theta - theta_0), written in d = 1 - alpha so
-            # that nothing cancels as t -> 0
+            # arcsin of sin(theta - theta_0), written in d = 1 - alpha and
+            # 1 - (c0 alpha)^2 = r0^2 + e so that nothing cancels as t -> 0
+            # or as c0 -> 1 at a small shift
             s = self.cosine_shift
-            c0 = math.cos(s / (1.0 + s) * math.pi / 2.0)
-            r0 = math.sqrt(1.0 - c0 * c0)
+            theta0 = s / (1.0 + s) * math.pi / 2.0
+            c0, r0 = math.cos(theta0), math.sin(theta0)
             d = -np.expm1(-0.5 * np.logaddexp(0.0, -2.0 * lam))
-            a = c0 * (1.0 - d)
-            sin_dtheta = c0 * (c0 * c0 * d * (2.0 - d) / (np.sqrt(1.0 - a * a) + r0) + d * r0)
+            e = c0 * c0 * d * (2.0 - d)
+            sin_dtheta = c0 * (e / (np.sqrt(r0 * r0 + e) + r0) + d * r0)
             t = (1.0 + s) * (2.0 / math.pi) * np.arcsin(sin_dtheta)
         lo, hi = self.t_domain
         return np.clip(t, lo if self.family == "ve_edm" else np.nextafter(lo, hi), hi)

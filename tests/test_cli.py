@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
 from stepopt.schedules import NoiseSchedule
 from stepopt.weights import OrderSchedule, weights_lagrange, weights_taylor
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -271,6 +275,21 @@ class TestExitCodes:
             "baseline", "--scheme", "edm", "--N", "5", *family_flags,
             "--out", str(tmp_path / "x.json"),
         ) == 2
+
+    @pytest.mark.parametrize("family_flags", [
+        ("--schedule", "vp-linear", "--cosine-shift", "nan"),
+        ("--schedule", "vp-linear", "--cosine-shift", "0.02"),
+        ("--schedule", "ve-edm", "--beta-max", "5"),
+        ("--schedule", "vp-cosine", "--beta-min", "0.2"),
+    ], ids=["linear-shift-nan", "linear-shift", "edm-beta-max", "cosine-beta-min"])
+    def test_flag_of_another_family_is_2(self, tmp_path, family_flags, capsys):
+        # the flag used to be dropped without a word, exit 0
+        assert run(
+            "baseline", "--scheme", "edm", "--N", "4", *family_flags,
+            "--out", str(tmp_path / "x.json"),
+        ) == 2
+        assert "do not apply to" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("command", [("baseline", "--scheme", "edm"), ("optimize",)],
                              ids=["baseline", "optimize"])
@@ -574,10 +593,12 @@ class TestScheduleFile:
         ("vp-cosine", "1e-300", ("--cosine-shift", "1e-8")),
         ("vp-cosine", "1e-5", ("--cosine-shift", "1e-4")),
         ("vp-cosine", "1e-3", ("--cosine-shift", "1000")),
+        ("vp-cosine", "1e-300", ("--cosine-shift", "1e-12")),
     ])
     def test_reads_every_scheme_it_writes(self, tmp_path, family, eps, params):
-        # uniform-t files keep the times as given; at a cosine shift of 1e-8
-        # t_of_lambda misses 199 of them by up to 1e-7 relative
+        # reading checks each interior t against t_of_lambda(lambda) alone,
+        # and uniform-t files keep the times as given; at a cosine shift of
+        # 1e-12 uniform-lambda and edm used to exit 1
         for scheme in ("uniform-t", "uniform-lambda", "edm"):
             sched = tmp_path / f"{scheme}.json"
             assert run("baseline", "--scheme", scheme, "--schedule", family, "--N", "200",
@@ -712,3 +733,25 @@ class TestDumpWeights:
             "--N", "2", "--dump-weights", str(table), "--out", str(sched),
         ) == 0
         assert table.exists()
+
+
+class TestReadmeExample:
+    def test_result_table(self, tmp_path, monkeypatch):
+        # the README's command-line block, run as written, reproduces its
+        # result table to the two decimals the table prints
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line\n\n```bash\n", 1)[1].split("```", 1)[0]
+        model = re.search(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", block, re.S)
+        monkeypatch.chdir(tmp_path)
+        Path(model[1]).write_text(model[2])
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("stepopt ")]
+        assert len(commands) == 6
+        for line in commands:
+            assert run(*shlex.split(line)[1:]) == 0, line
+        table_text = text.split("\nOutput of the comparison above", 1)[1].split("\n\n")[1]
+        table = dict(re.findall(r"^\| (\S+)[^|]*\| (\d+\.\d\d) +\|$", table_text, re.M))
+        reports = json.loads(Path("report.json").read_text())["reports"]
+        assert {r["label"]: f"{r['mean_l2']:.2f}" for r in reports} == table
+        assert table == {"optimized": "0.44", "uniform-lambda": "0.99", "edm": "2.89",
+                         "uniform-t": "5.24"}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,30 @@ class TestTOfLambda:
         assert np.all(np.diff(t) < 0)
         back = schedule.lambda_of_t(t)
         assert np.max(np.abs(back - lam)) < 0.5 * (lam[1] - lam[0])
+
+    @pytest.mark.parametrize("schedule", [
+        NoiseSchedule.vp_cosine(1e-4), NoiseSchedule.vp_cosine(1e-8),
+        NoiseSchedule.vp_cosine(1e-12), NoiseSchedule.vp_cosine(1000.0),
+        NoiseSchedule.vp_linear(1e-6, 1e-5), NoiseSchedule.vp_linear(1e-3, 1e6),
+    ], ids=["cosine-1e-4", "cosine-1e-8", "cosine-1e-12", "cosine-1000",
+            "linear-1e-6-1e-5", "linear-1e-3-1e6"])
+    def test_round_trips_over_the_whole_domain(self, schedule):
+        # down to t = 1e-300; at a cosine shift of 1e-8 the inverse map used
+        # to miss t by 16 % and turn back, and at 1e-12 it divided 0 by 0
+        hi = schedule.t_domain[1]
+        rng = np.random.default_rng(2024)
+        t = np.concatenate([
+            np.geomspace(1e-300, hi, 20001), 10.0 ** rng.uniform(-300, math.log10(hi), 20000),
+            rng.uniform(0.0, hi, 20000),
+        ])
+        lam = schedule.lambda_of_t(t)
+        back = schedule.t_of_lambda(lam)
+        assert np.max(np.abs(back - t) / t) <= 1e-12
+        lam = np.linspace(schedule.lambda_domain()[0], float(schedule.lambda_of_t(1e-300)), 20001)
+        t = schedule.t_of_lambda(lam)
+        assert np.all(np.diff(t) <= 0)
+        back = schedule.lambda_of_t(t)
+        assert np.max(np.abs(back - lam) / np.maximum(1.0, np.abs(lam))) <= 1e-12
 
     @pytest.mark.parametrize("schedule", [VP_LINEAR, VP_COSINE, VE], ids=lambda s: s.name)
     def test_nan_is_a_domain_error(self, schedule):
@@ -218,6 +243,24 @@ def test_grid_validation():
         LambdaGrid(lam=np.array([0.0]), t=np.array([1.0]), T=1.0, eps=1.0)
     with pytest.raises(ValueError, match="unknown grid scheme"):
         scheme_grid("uniform-sigma", VP_LINEAR, 2, 1.0, 1e-3, 7)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("vp-linear", {"cosine_shift": 0.02}), ("vp-linear", {"cosine_shift": math.nan}),
+    ("vp-cosine", {"beta_min": 0.2}), ("ve-edm", {"beta_max": 5.0, "cosine_shift": 0.02}),
+], ids=["linear-shift", "linear-shift-nan", "cosine-beta-min", "edm-two"])
+def test_parameter_of_another_family_is_rejected(name, params):
+    # such a value used to be kept and ignored by every map
+    with pytest.raises(ValueError, match=re.escape(f"{sorted(params)} do not apply to {name}")):
+        NoiseSchedule.from_name(name, **params)
+
+
+def test_parameters_are_those_off_their_defaults():
+    assert NoiseSchedule.vp_linear().parameters == {}
+    assert NoiseSchedule.vp_linear(beta_max=10.0).parameters == {"beta_max": 10.0}
+    assert NoiseSchedule.vp_cosine(0.02).parameters == {"cosine_shift": 0.02}
+    # a foreign parameter at its default is no change
+    assert NoiseSchedule.from_name("ve-edm", beta_min=0.1).parameters == {}
 
 
 def test_from_name_round_trip():
