@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -30,9 +31,9 @@ import numpy as np
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
-from .schedule_file import ScheduleFile
+from .schedule_file import ScheduleFile, write_text
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
-from .simulator import evaluate_schedules, load_model
+from .simulator import evaluate_schedules, load_model, non_finite_message
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
 
 __all__ = ["main", "entry_point"]
@@ -109,8 +110,7 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
     for n in range(1, schedule_file.N + 1):
         pairs = enumerate(table.step_weights(n).tolist())
         steps.append(_STEP % (n, ",\n".join([_PAIR % pair for pair in pairs])))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_TABLE % (table.scale_anchor, ",\n".join(steps)))
+    write_text(path, _TABLE % (table.scale_anchor, ",\n".join(steps)))
 
 
 def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
@@ -157,7 +157,11 @@ def _cmd_optimize(args) -> int:
         f"in {best.iterations} iterations, {total_time:.3f} s"
     )
     if not best.converged:
-        print("note: L-BFGS-B stopped before meeting its convergence tolerances", file=sys.stderr)
+        print(
+            f"note: L-BFGS-B stopped ({best.message.strip()}) after {best.iterations} "
+            f"iterations and {best.evaluations} objective calls",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -187,23 +191,26 @@ def _cmd_simulate(args) -> int:
         rng_seed=args.rng_seed,
         labels=labels,
     )
+    diverged = [
+        non_finite_message(r.diverged_step, first.N, r.schedule_label)
+        for r in reports
+        if r.diverged_step is not None
+    ]
+    if diverged:
+        raise FloatingPointError("; ".join(diverged))
     payload = {
         "model": str(args.model),
         "seeds": args.seeds,
         "rng_seed": args.rng_seed,
         "reports": [r.to_dict() for r in reports],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_text(args.out, json.dumps(payload, indent=2) + "\n")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "N", "mean_l2", "median_l2"])
-            for f, r in zip(files, reports):
-                writer.writerow(
-                    [r.schedule_label, f.N, repr(r.mean_l2_error), repr(r.median_l2_error)]
-                )
+        table = io.StringIO()
+        csv.writer(table).writerows([["label", "N", "mean_l2", "median_l2"]] + [
+            [r.schedule_label, f.N, repr(r.mean_l2_error), repr(r.median_l2_error)]
+            for f, r in zip(files, reports)])
+        write_text(args.csv, table.getvalue())
     for r in reports:
         print(f"{r.schedule_label}: mean_l2={r.mean_l2_error:.6g} median_l2={r.median_l2_error:.6g}")
     return 0

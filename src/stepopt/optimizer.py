@@ -60,6 +60,8 @@ class OptimizedSchedule:
     iterations: int
     converged: bool
     wall_time_seconds: float
+    message: str  # scipy's reason for stopping
+    evaluations: int  # objective calls, each a value and a gradient
 
 
 def optimize_steps(
@@ -74,9 +76,9 @@ def optimize_steps(
     ``on_accept(iteration, x, f)`` is called at the start point and at
     every iterate the solver accepts, which is useful for tracing
     descent.  ``converged`` means scipy stopped on its own tolerances
-    (status 0), not on the iteration cap or a failed line search.  The
-    result is the last accepted iterate, or the start point if that is
-    not lower.
+    (status 0), not on the iteration cap or a failed line search;
+    ``message`` is scipy's reason.  The result is the last accepted
+    iterate, or the start point if that is not lower.
     """
     from scipy.optimize import minimize
 
@@ -127,6 +129,8 @@ def optimize_steps(
         iterations=res.nit,
         converged=res.status == 0,
         wall_time_seconds=time.perf_counter() - start,
+        message=str(res.message),
+        evaluations=int(res.nfev),
     )
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +21,7 @@ from .objective import ObjectiveSpec
 from .schedules import FAMILY_PARAMETERS, SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule
 
-__all__ = ["ScheduleFile", "SCHEMA_VERSION"]
+__all__ = ["ScheduleFile", "SCHEMA_VERSION", "write_text"]
 
 SCHEMA_VERSION = 1
 # required keys in file order; the optional ones follow in this order
@@ -34,6 +36,19 @@ _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 # relative tolerance of an interior node's t against t_of_lambda(lambda),
 # far above the few-ulp spread of the map between libm builds
 _NODE_RTOL = 1e-10
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place: no ``O_TRUNC``, so no ext4 truncate-and-flush."""
+    data = view = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -181,8 +196,7 @@ class ScheduleFile:
             )
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.emit())
+        write_text(path, self.emit())
 
     @classmethod
     def read(cls, path) -> "ScheduleFile":

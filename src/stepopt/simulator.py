@@ -17,6 +17,7 @@ with ``dlog(sigma)/dlam`` equal to ``-alpha^2`` for every family
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
@@ -34,6 +35,7 @@ __all__ = [
     "SimulationReport",
     "data_prediction",
     "multistep_sample",
+    "non_finite_message",
     "reference_solution",
     "evaluate_schedules",
     "standard_test_mixture",
@@ -122,6 +124,9 @@ class SimulationReport:
     median_l2_error: float
     per_seed_errors: np.ndarray
     schedule_label: str
+    # first step entered with a non-finite state, N + 1 if only the final
+    # state is; the errors of such a grid are inf
+    diverged_step: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -251,8 +256,7 @@ def _sample_batch(
     schedule: NoiseSchedule,
     predict,
     x_start: np.ndarray,
-    labels: list[str] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the multistep update on G grids at once.
 
     ``lam`` is a (G, N + 1) stack of log-SNR grids that share ``orders``,
@@ -268,9 +272,10 @@ def _sample_batch(
     per-step coefficient of each prediction is simply alpha at the new
     node times the stored weight; these are formed once, before the
     loop, with the float operations of one grid alone.  Only the last
-    ``max(orders.k)`` predictions are kept.  A non-finite state raises
-    ``FloatingPointError`` naming the step and, when ``labels`` are
-    given, the first grid it concerns.
+    ``max(orders.k)`` predictions are kept.  Returns the final state and,
+    per grid, the first step entered with a non-finite state (``N + 1``
+    if only the final state is, 0 if none); a grid that goes non-finite
+    does not stop the others, whose states are those they get alone.
     """
     n_steps = lam.shape[1] - 1
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
@@ -279,31 +284,56 @@ def _sample_batch(
     ratio = (sigmas[:, 1:] / sigmas[:, :-1]).T[:, :, None]  # (N, G, 1)
     coef = (alphas[:, 1:, None] * w).transpose(1, 2, 0)[..., None]  # (N, max order, G, 1)
     x = np.array(x_start, dtype=float, order="C")
+    entered = np.zeros(lam.shape[0], dtype=int)
     history: deque[np.ndarray] = deque(maxlen=max(orders.k))
-    for n in range(1, n_steps + 1):
-        _check_finite(x, f"entering step {n}", labels)
-        history.append(predict(x, alphas[:, n - 1], sigmas[:, n - 1]))
-        k = orders.k[n - 1]
-        x = ratio[n - 1] * x
-        for d in range(k - 1, -1, -1):
-            x += coef[n - 1, d] * history[-1 - d]
-    _check_finite(x, f"after step {n_steps}", labels)
-    return x
+    with contextlib.ExitStack() as scope:
+        for n in range(1, n_steps + 1):
+            _mark_non_finite(x, n, entered, scope)
+            history.append(predict(x, alphas[:, n - 1], sigmas[:, n - 1]))
+            k = orders.k[n - 1]
+            x = ratio[n - 1] * x
+            for d in range(k - 1, -1, -1):
+                x += coef[n - 1, d] * history[-1 - d]
+        _mark_non_finite(x, n_steps + 1, entered, scope)
+    return x, entered
 
 
-def _check_finite(x: np.ndarray, where: str, labels) -> None:
-    """Raise ``FloatingPointError`` if the (dim, G, S) state has a non-finite entry."""
-    if not np.isfinite(x).all():
-        grid = int(np.argmin(np.isfinite(x).all(axis=(0, 2))))
-        of = f" of grid {labels[grid]!r}" if labels else ""
-        raise FloatingPointError(f"sampler state non-finite {where}{of}")
+def _mark_non_finite(x: np.ndarray, step: int, entered: np.ndarray, scope) -> None:
+    """Set ``entered[g] = step`` for each grid g whose (dim, G, S) state first turns non-finite.
+
+    One ``isfinite(x).all()`` is the whole cost while every grid is
+    finite.  The first non-finite grid enters a scoped ``np.errstate`` on
+    ``scope``, so the rest of the pass raises no floating-point warnings.
+    """
+    if np.isfinite(x).all():
+        return
+    if not entered.any():
+        scope.enter_context(np.errstate(all="ignore"))
+    entered[(entered == 0) & ~np.isfinite(x).all(axis=(0, 2))] = step
+
+
+def non_finite_message(step: int, n_steps: int, label: str | None = None) -> str:
+    """The error for a sampler state first non-finite entering ``step`` (``N + 1``: after the last)."""
+    where = f"entering step {step}" if step <= n_steps else f"after step {n_steps}"
+    of = f" of grid {label!r}" if label is not None else ""
+    return f"sampler state non-finite {where}{of}"
 
 
 def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
-    """Terminal state of the multistep solver started from ``x_T``."""
+    """Terminal state of the multistep solver started from ``x_T``.
+
+    A non-finite state raises ``FloatingPointError`` naming the step.
+    """
     predict = functools.partial(_posterior_mean, run.model)
     args = (run.grid.lam[None], run.orders, run.polynomial_kind, run.schedule, predict)
-    return _on_draws(lambda x: _sample_batch(*args, x[:, None])[:, 0], x_T)
+
+    def sample(x):
+        out, entered = _sample_batch(*args, x[:, None])
+        if entered[0]:
+            raise FloatingPointError(non_finite_message(int(entered[0]), run.grid.n_steps))
+        return out[:, 0]
+
+    return _on_draws(sample, x_T)
 
 
 def _reference_batch(
@@ -388,8 +418,10 @@ def evaluate_schedules(
     computed once per draw and shared by all grids.  The grids run in
     one stacked sampler pass, so each step makes one posterior-mean call
     for all of them; each grid's errors are those it gets alone, since
-    the stack couples no grids.  Every grid must have ``len(orders)``
-    steps and the endpoints of the first.
+    the stack couples no grids.  A grid whose state goes non-finite gets
+    infinite errors and its ``diverged_step``; the others are unaffected.
+    Every grid must have ``len(orders)`` steps and the endpoints of the
+    first.
     """
     if seeds < 1:
         raise ValueError("need at least one seed")
@@ -420,14 +452,16 @@ def evaluate_schedules(
     lam = np.stack([g.lam for g in schedules])
     x_start = np.repeat(x_T[:, None], len(schedules), axis=1)  # (dim, G, S)
     predict = functools.partial(_posterior_mean, model)
-    x_out = _sample_batch(lam, orders, kind, schedule, predict, x_start, labels)
+    x_out, entered = _sample_batch(lam, orders, kind, schedule, predict, x_start)
     errors = np.linalg.norm(x_out - x_ref[:, None], axis=0)  # (G, S)
+    errors[entered > 0] = np.inf
     return [
         SimulationReport(
             mean_l2_error=float(np.mean(e)),
             median_l2_error=float(np.median(e)),
             per_seed_errors=e,
             schedule_label=label,
+            diverged_step=int(step) if step else None,
         )
-        for e, label in zip(errors, labels)
+        for e, label, step in zip(errors, labels, entered)
     ]

@@ -187,7 +187,7 @@ def test_criterion_6_constant_prediction_exactness():
             VE,
             lambda x, a, s: np.broadcast_to(c.T[:, None], x.shape),
             x_T.T[:, None],
-        )[:, 0].T
+        )[0][:, 0].T
         closed = math.exp(lam_T - lam_eps) * x_T + math.exp(-lam_eps) * (
             math.exp(lam_eps) - math.exp(lam_T)
         ) * c

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import stepopt
-from stepopt import cli
+from stepopt import cli, simulator
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile
 from stepopt.schedules import NoiseSchedule
@@ -188,6 +189,31 @@ class TestSimulate:
         lines = table.read_text().strip().splitlines()
         assert lines[0] == "label,N,mean_l2,median_l2"
         assert len(lines) == 3
+
+    def test_diverged_grids_exit_1_naming_each(self, tmp_path, model_file, monkeypatch, capsys):
+        # grids 'b' and 'c' get NaN predictions in the stacked pass; the
+        # one-grid reference is left alone
+        real = simulator._posterior_mean
+
+        def poisoned(model, x, alpha, sigma):
+            out = real(model, x, alpha, sigma)
+            out[:, 1:] = np.nan
+            return out
+
+        monkeypatch.setattr(simulator, "_posterior_mean", poisoned)
+        first = self._write_schedules(tmp_path)[0]
+        steps = []
+        for label in ("a", "b", "c"):
+            steps += ["--steps", str(tmp_path / f"{label}.json")]
+            (tmp_path / f"{label}.json").write_bytes(Path(first).read_bytes())
+        out = tmp_path / "rep.json"
+        capsys.readouterr()
+        rc = run("simulate", "--model", model_file, *steps, "--seeds", "8", "--out", str(out))
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: sampler state non-finite entering step 2 of grid 'b'; "
+            "sampler state non-finite entering step 2 of grid 'c'\n"
+        )
 
     def test_endpoint_mismatch_exits_2(self, tmp_path, model_file):
         a = tmp_path / "a.json"
@@ -511,6 +537,104 @@ class TestRepeatedCalls:
             "--out", str(out),
         ) == 0
         assert ScheduleFile.read(out).N == 3
+
+
+class TestOutputs:
+    """Every output goes through ``schedule_file.write_text``, which overwrites in place."""
+
+    def _write_all(self, d, model_file):
+        """Write all four outputs into ``d``; return their paths."""
+        paths = [d / name for name in ("s.json", "w.json", "rep.json", "rep.csv")]
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-cosine", "--N", "6",
+            "--out", str(paths[0]), "--dump-weights", str(paths[1]),
+        ) == 0
+        assert run(
+            "simulate", "--model", model_file, "--steps", str(paths[0]), "--steps", str(paths[0]),
+            "--seeds", "8", "--out", str(paths[2]), "--csv", str(paths[3]),
+        ) == 0
+        return paths
+
+    def test_overwrite_leaves_no_stale_tail(self, tmp_path, model_file):
+        # each output over a longer file equals the same output on a fresh path
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        fresh.mkdir()
+        stale.mkdir()
+        for name in ("s.json", "w.json", "rep.json", "rep.csv"):
+            (stale / name).write_bytes(b"junk\n" * 20000)
+        want = [p.read_bytes() for p in self._write_all(fresh, model_file)]
+        got = [p.read_bytes() for p in self._write_all(stale, model_file)]
+        assert got == want and all(0 < len(b) < 100000 for b in want)
+        # and dump-weights over the longer weight table of a larger grid
+        big = tmp_path / "big.json"
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-cosine", "--N", "40",
+            "--out", str(big), "--dump-weights", str(stale / "w.json"),
+        ) == 0
+        assert run("dump-weights", "--steps", str(fresh / "s.json"), "--out", str(stale / "w.json")) == 0
+        assert (stale / "w.json").read_bytes() == want[1]
+
+    def test_dev_null_output_is_0(self, tmp_path, model_file):
+        # not a regular file, so the writer leaves its length alone
+        steps = tmp_path / "s.json"
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+            "--out", os.devnull, "--dump-weights", os.devnull,
+        ) == 0
+        assert run(
+            "baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+            "--out", str(steps),
+        ) == 0
+        assert run("dump-weights", "--steps", str(steps), "--out", os.devnull) == 0
+        assert run(
+            "simulate", "--model", model_file, "--steps", str(steps), "--seeds", "4",
+            "--out", os.devnull, "--csv", os.devnull,
+        ) == 0
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_outputs_are_2(self, tmp_path, model_file, where):
+        bad = str(tmp_path if where == "directory" else tmp_path / "missing" / "x.json")
+        steps = tmp_path / "s.json"
+        base = ("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4")
+        assert run(*base, "--out", str(steps)) == 0
+        assert run(*base, "--out", bad) == 2
+        assert run(*base, "--out", str(tmp_path / "t.json"), "--dump-weights", bad) == 2
+        assert run("dump-weights", "--steps", str(steps), "--out", bad) == 2
+        sim = ("simulate", "--model", model_file, "--steps", str(steps), "--seeds", "4")
+        assert run(*sim, "--out", bad) == 2
+        assert run(*sim, "--out", str(tmp_path / "r.json"), "--csv", bad) == 2
+
+    def test_no_output_is_truncated_on_open(self, tmp_path, model_file, monkeypatch):
+        # a writer that opens with O_TRUNC or any writing mode of open()
+        # bypasses write_text
+        opened, modes = [], []
+        real_os_open, real_open = os.open, builtins.open
+
+        def os_open(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def py_open(file, mode="r", *args, **kwargs):
+            modes.append((file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(builtins, "open", py_open)
+        d = tmp_path
+        spec = ("--schedule", "vp-linear", "--N", "4")
+        assert run("baseline", "--scheme", "edm", *spec,
+                   "--out", str(d / "b.json"), "--dump-weights", str(d / "bw.json")) == 0
+        assert run("optimize", "--init", "edm", *spec,
+                   "--out", str(d / "o.json"), "--dump-weights", str(d / "ow.json")) == 0
+        assert run("dump-weights", "--steps", str(d / "b.json"), "--out", str(d / "dw.json")) == 0
+        assert run("simulate", "--model", model_file, "--steps", str(d / "b.json"),
+                   "--steps", str(d / "o.json"), "--seeds", "4",
+                   "--out", str(d / "r.json"), "--csv", str(d / "r.csv")) == 0
+        outputs = {str(d / n) for n in
+                   ("b.json", "bw.json", "o.json", "ow.json", "dw.json", "r.json", "r.csv")}
+        assert outputs <= {path for path, _ in opened}
+        assert not [(path, flags) for path, flags in opened if flags & os.O_TRUNC]
+        assert not [(f, mode) for f, mode in modes if set(mode) & set("wax+")]
 
 
 def _edited(src, dst, **changes):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,46 @@ class TestOptimizeSteps:
             OptimizerConfig(init="bogus")
         with pytest.raises(ValueError):
             OptimizerConfig(margin=1e-6)
+
+
+class TestStopReason:
+    """``optimize`` says why L-BFGS-B stopped; its stdout line keeps the form the bench parses."""
+
+    def _counted(self, monkeypatch, spec, config):
+        calls = []
+        gradient = optimizer.objective_gradient
+
+        def counted(spec, x):
+            calls.append(None)
+            return gradient(spec, x)
+
+        monkeypatch.setattr(optimizer, "objective_gradient", counted)
+        result = optimize_steps(spec, config)
+        assert result.evaluations == len(calls) > result.iterations
+        return result
+
+    def _run(self, tmp_path, capsys, *flags):
+        capsys.readouterr()
+        assert cli.main(["optimize", *flags, "--out", str(tmp_path / "o.json")]) == 0
+        captured = capsys.readouterr()
+        assert re.search(r"objective (\S+) -> (\S+) in \d+ iterations, ", captured.out)
+        return captured.err
+
+    def test_converged_run(self, tmp_path, capsys, monkeypatch):
+        result = self._counted(monkeypatch, ve_spec(2), OptimizerConfig(init="uniform-t"))
+        assert result.converged and result.message.startswith("CONVERGENCE")
+        flags = ("--schedule", "ve-edm", "--N", "2", "--order", "1", "--init", "uniform-t")
+        assert self._run(tmp_path, capsys, *flags) == ""
+
+    def test_abnormal_run_names_message_and_counts(self, tmp_path, capsys, monkeypatch):
+        spec = ObjectiveSpec(VP, 15, 1.0, 1e-3, OrderSchedule.warmup(15, 3))
+        result = self._counted(monkeypatch, spec, OptimizerConfig(init="edm"))
+        assert not result.converged and result.message.startswith("ABNORMAL")
+        err = self._run(tmp_path, capsys, "--schedule", "vp-linear", "--N", "15", "--init", "edm")
+        assert err == (
+            f"note: L-BFGS-B stopped ({result.message.strip()}) after {result.iterations} "
+            f"iterations and {result.evaluations} objective calls\n"
+        )
 
 
 class TestKernelCalls:

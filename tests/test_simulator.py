@@ -25,6 +25,7 @@ from stepopt.simulator import (
     load_model,
     model_from_dict,
     multistep_sample,
+    non_finite_message,
     reference_solution,
     standard_test_mixture,
 )
@@ -246,7 +247,7 @@ class TestMultistepSample:
                 VE,
                 lambda x, a, s: np.broadcast_to(c.T[:, None], x.shape),
                 x_T.T[:, None],
-            )[:, 0].T
+            )[0][:, 0].T
             lam_T, lam_eps = grid.lam[0], grid.lam[-1]
             closed = (math.exp(-lam_eps) / math.exp(-lam_T)) * x_T + math.exp(
                 -lam_eps
@@ -289,7 +290,7 @@ class TestMultistepSample:
                 VP,
                 functools.partial(_posterior_mean, model),
                 x_T.T[:, None],
-            )[:, 0].T
+            )[0][:, 0].T
             errs[N] = float(np.mean(np.linalg.norm(out - ref, axis=1)))
         assert errs[10] < errs[5]
 
@@ -297,7 +298,7 @@ class TestMultistepSample:
         model = standard_test_mixture()
         grid = uniform_lambda_grid(VP, 2, 1.0, 1e-3)
         run = SamplerRun(grid, OrderSchedule.warmup(2, 2), "lagrange", model, VP)
-        with pytest.raises(FloatingPointError, match="step"):
+        with pytest.raises(FloatingPointError, match=r"^sampler state non-finite entering step 1$"):
             multistep_sample(run, np.array([np.inf, 0.0]))
 
 
@@ -332,7 +333,7 @@ class TestStackedSampler:
             got = _sample_batch(
                 np.stack([g.lam for g in grids]), orders, kind, schedule,
                 functools.partial(_posterior_mean, model), x,
-            )
+            )[0]
             assert got.flags.c_contiguous and got.shape == x.shape
             for g, grid in enumerate(grids):
                 want = _per_grid_sample(grid, orders, kind, schedule, model, x[:, g].T)
@@ -359,15 +360,28 @@ class TestStackedSampler:
         assert len(refs) == 40 and max(alive) <= max(orders.k) + 1
 
     def test_non_finite_names_step_and_grid(self):
+        # grid 2 starts non-finite and grid 1 gets a NaN prediction at step
+        # 2; both are recorded, grid 0 finishes finite, and no floating-point
+        # warning (an error under pytest) escapes the sampler
         grid = uniform_lambda_grid(VP, 3, 1.0, 1e-3)
         x = np.zeros((2, 3, 4))
         x[1, 2, 3] = np.nan
-        predict = functools.partial(_posterior_mean, standard_test_mixture())
+        calls = []
+
+        def predict(x, alpha, sigma):
+            out = _posterior_mean(standard_test_mixture(), x, alpha, sigma)
+            calls.append(None)
+            if len(calls) == 2:
+                out[:, 1] = np.nan
+            return out
+
+        errors = np.geterr()
         args = (np.stack([grid.lam] * 3), OrderSchedule.warmup(3, 2), "lagrange", VP, predict, x)
-        with pytest.raises(FloatingPointError, match=r"entering step 1 of grid 'c'$"):
-            _sample_batch(*args, labels=["a", "b", "c"])
-        with pytest.raises(FloatingPointError, match=r"entering step 1$"):
-            _sample_batch(*args)
+        out, entered = _sample_batch(*args)
+        assert entered.tolist() == [0, 3, 1]
+        assert np.isfinite(out[:, 0]).all() and np.geterr() == errors
+        assert non_finite_message(1, 3, "c") == "sampler state non-finite entering step 1 of grid 'c'"
+        assert non_finite_message(4, 3) == "sampler state non-finite after step 3"
 
 
 def _per_grid_sample(grid, orders, kind, schedule, model, x):
@@ -623,10 +637,40 @@ class TestEvaluateSchedules:
 
         monkeypatch.setattr(simulator, "_posterior_mean", poisoned)
         grid = uniform_lambda_grid(VP, 4, 1.0, 1e-3)
-        with pytest.raises(FloatingPointError, match=r"entering step 2 of grid 'b'"):
-            evaluate_schedules(
-                single_gaussian([1.0, -1.0], 0.5), VP, [grid] * 3, OrderSchedule.warmup(4, 3),
-                "lagrange", 8, 0, labels=["a", "b", "c"],
+        a, b, c = evaluate_schedules(
+            single_gaussian([1.0, -1.0], 0.5), VP, [grid] * 3, OrderSchedule.warmup(4, 3),
+            "lagrange", 8, 0, labels=["a", "b", "c"],
+        )
+        assert b.diverged_step == 2
+        assert b.mean_l2_error == b.median_l2_error == math.inf
+        assert a.diverged_step is None and c.diverged_step is None
+        assert np.array_equal(a.per_seed_errors, c.per_seed_errors)
+        assert np.isfinite(a.per_seed_errors).all()
+
+    def test_diverged_grid_leaves_the_others_bitwise(self, monkeypatch):
+        # "b" turns NaN in the three-grid run only; "a" and "c" report
+        # exactly what they report without "b" beside them.  The reference
+        # (one grid) and the run without "b" (two) are left alone.
+        real = simulator._posterior_mean
+
+        def poisoned(model, x, alpha, sigma):
+            out = real(model, x, alpha, sigma)
+            if x.shape[1] == 3:
+                out[:, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(simulator, "_posterior_mean", poisoned)
+        a, b, c = (f(VP, 6, 1.0, 1e-3) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid))
+        args = (standard_test_mixture(), VP)
+        rest = (OrderSchedule.warmup(6, 3), "lagrange", 32, 5)
+        with_b = evaluate_schedules(*args, [a, b, c], *rest, labels=["a", "b", "c"])
+        without_b = evaluate_schedules(*args, [a, c], *rest, labels=["a", "c"])
+        assert with_b[1].diverged_step == 2
+        for got, want in zip((with_b[0], with_b[2]), without_b):
+            assert got.diverged_step is None
+            assert np.array_equal(got.per_seed_errors, want.per_seed_errors)
+            assert (got.mean_l2_error, got.median_l2_error) == (
+                want.mean_l2_error, want.median_l2_error
             )
 
     @pytest.mark.parametrize(
