@@ -40,13 +40,13 @@ _NODE_RTOL = 1e-10
 
 def write_text(path, text: str) -> None:
     """Write ``text`` as UTF-8 over ``path`` in place: no ``O_TRUNC``, so no ext4 truncate-and-flush."""
-    data = view = memoryview(text.encode("utf-8"))
+    view = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
+        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+            os.ftruncate(fd, len(view))  # first: a stopped write leaves nothing past the new end
         while view:
             view = view[os.write(fd, view):]
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
-            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 

@@ -33,4 +33,13 @@ def test_summary_counts_wins_by_direction():
     assert "wall_s 2.5 [1.75, 3.25] -> 1.25 [0.875, 1.625] (-50.0 %), change better in 4 of 4" in line
     assert "ops_per_s 25 [17.5, 32.5] -> 25 [17.5, 32.5] (+0.0 %), change better in 0 of 4 " \
            "pairs, equal in 4" in line
-    assert "8 of 8 runs correct with 0 failed" in line
+    assert "8 of 8 runs correct, 0 operations failed" in line
+
+
+def test_summary_counts_incorrect_runs_and_failed_operations_apart():
+    runs = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 1.0, 1.0),
+            _run(2, "parent", 1.0, 1.0), _run(2, "change", 1.0, 1.0)]
+    runs[1]["result"].update(correct=False, failed=3)
+    runs[2]["result"].update(failed=2)
+    (line,) = bench_pairs.summarize(runs, END_TO_END)
+    assert "3 of 4 runs correct, 5 operations failed" in line

@@ -14,7 +14,7 @@ import pytest
 import stepopt
 from stepopt import cli, simulator
 from stepopt.cli import main
-from stepopt.schedule_file import ScheduleFile
+from stepopt.schedule_file import ScheduleFile, write_text
 from stepopt.schedules import NoiseSchedule
 from stepopt.weights import OrderSchedule, weights_lagrange, weights_taylor
 
@@ -573,6 +573,26 @@ class TestOutputs:
         ) == 0
         assert run("dump-weights", "--steps", str(fresh / "s.json"), "--out", str(stale / "w.json")) == 0
         assert (stale / "w.json").read_bytes() == want[1]
+
+    def test_interrupted_overwrite_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        # the file is cut to the new length before any byte is written, so a
+        # write stopped part-way leaves no old bytes past the new end; those
+        # after the written prefix and before that end are still the old ones
+        path = tmp_path / "rep.csv"
+        path.write_bytes(b"old,row\n" * 5000)
+        real_write = os.write
+
+        def write_then_stop(fd, data):
+            real_write(fd, bytes(data[:10]))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "write", write_then_stop)
+        new = "grid,mean\n" + "a,0.5\n" * 100
+        with pytest.raises(KeyboardInterrupt):
+            write_text(path, new)
+        got = path.read_bytes()
+        assert len(got) == len(new) and got.startswith(new[:10].encode())
+        assert got[10:] == (b"old,row\n" * 5000)[10:len(new)]
 
     def test_dev_null_output_is_0(self, tmp_path, model_file):
         # not a regular file, so the writer leaves its length alone

@@ -113,11 +113,12 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
                 f"({change:+.1f} %), change better in {won} of {len(pairs)} pairs"
                 + (f", equal in {equal}" if equal else ""))
         results = [p[s]["result"] for p in pairs for s in SIDES]
-        correct = sum(r["correct"] and r["failed"] == 0 for r in results)
+        correct = sum(bool(r["correct"]) for r in results)
+        failed = sum(r["failed"] for r in results)
         drift = {s: sorted({p[s]["output_drift"] for p in pairs} - {None}) for s in SIDES}
         lines.append(f"{workload} ({len(pairs)} pairs, median [q1, q3] parent -> change): "
                      + "; ".join(parts)
-                     + f"; {correct} of {len(results)} runs correct with 0 failed"
+                     + f"; {correct} of {len(results)} runs correct, {failed} operations failed"
                      + (f"; output_drift parent {drift['parent']} change {drift['change']}"
                         if drift["parent"] or drift["change"] else ""))
     return lines
