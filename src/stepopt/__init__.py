@@ -20,7 +20,6 @@ from .schedules import (  # noqa: F401
 )
 from .weights import (  # noqa: F401
     OrderSchedule,
-    WeightTable,
     aggregate,
     weights_lagrange,
     weights_taylor,

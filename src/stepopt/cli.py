@@ -26,15 +26,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile, write_text
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model, non_finite_message
-from .weights import POLYNOMIAL_KINDS, OrderSchedule, weights_lagrange, weights_taylor
+from .weights import POLYNOMIAL_KINDS, OrderSchedule, step_weight_array
 
 __all__ = ["main", "entry_point"]
 
@@ -104,13 +102,14 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
     Every weight is finite and every step has one at least, so floats
     print as ``repr`` and no list is empty.
     """
-    build = weights_lagrange if schedule_file.polynomial_kind == "lagrange" else weights_taylor
-    table = build(schedule_file.grid, schedule_file.spec.orders)
+    lam = schedule_file.grid.lam
+    anchor = float(lam[-1])
+    w = step_weight_array(lam, schedule_file.spec.orders, schedule_file.polynomial_kind, anchor)
     steps = []
-    for n in range(1, schedule_file.N + 1):
-        pairs = enumerate(table.step_weights(n).tolist())
+    for n, k in enumerate(schedule_file.orders, start=1):
+        pairs = enumerate(w[n - 1, k - 1 :: -1].tolist())
         steps.append(_STEP % (n, ",\n".join([_PAIR % pair for pair in pairs])))
-    write_text(path, _TABLE % (table.scale_anchor, ",\n".join(steps)))
+    write_text(path, _TABLE % (anchor, ",\n".join(steps)))
 
 
 def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
@@ -169,17 +168,13 @@ def _cmd_simulate(args) -> int:
     model = _read_input(load_model, args.model)
     files = [_read_input(ScheduleFile.read, p) for p in args.steps]
     first = files[0]
-    for f in files[1:]:
-        same = (f.spec.schedule, f.T, f.eps) == (first.spec.schedule, first.T, first.eps)
-        # end log-SNR values to the tolerance of evaluate_schedules, whose check exits 1
-        ends = (f.lam[0], f.lam[-1]), (first.lam[0], first.lam[-1])
-        if not (same and np.allclose(*ends, rtol=1e-12, atol=1e-12)):
-            raise UsageError(
-                "schedule files must share family and its parameters, T, eps "
-                "and end log-SNR values"
-            )
-        if f.orders != first.orders or f.polynomial_kind != first.polynomial_kind:
-            raise UsageError("schedule files must share orders and polynomial kind")
+    # reading checked each file's end log-SNR values against its T and eps
+    shared = {(f.spec.schedule, f.T, f.eps, f.spec.orders, f.polynomial_kind) for f in files}
+    if len(shared) > 1:
+        raise UsageError(
+            "schedule files must share family and its parameters, T, eps, "
+            "orders and polynomial kind"
+        )
     labels = [Path(p).stem for p in args.steps]
     reports = evaluate_schedules(
         model,

@@ -36,6 +36,9 @@ _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 # relative tolerance of an interior node's t against t_of_lambda(lambda),
 # far above the few-ulp spread of the map between libm builds
 _NODE_RTOL = 1e-10
+# rtol = atol of lambda[0] and lambda[N] against lambda(T) and lambda(eps), under
+# half the 1e-12 to which evaluate_schedules requires grids to share them
+_END_TOL = 4e-13
 
 
 def write_text(path, text: str) -> None:
@@ -105,6 +108,10 @@ class ScheduleFile:
         # node order and exact endpoint times, as a grid requires them
         self.grid
         self._check_interior_times()
+        for i, end, at in zip((0, self.N), self.spec.lambda_endpoints, ("T", "eps")):
+            if not abs(self.lam[i] - end) <= _END_TOL * (1.0 + abs(end)):
+                raise ValueError(f"lambda[{i}] = {self.lam[i]!r} does not match the value "
+                                 f"{end!r} that {self.schedule_family} takes at {at}")
 
     @classmethod
     def from_grid(

@@ -68,16 +68,15 @@ class DomainError(ValueError):
 class NoiseSchedule:
     """Forward-process coefficients for one named schedule family.
 
-    Use the classmethod constructors (:meth:`vp_linear`, :meth:`vp_cosine`,
-    :meth:`ve_edm`, or :meth:`from_name`) rather than instantiating
-    directly.
+    Build one with :meth:`from_name` rather than instantiating directly.
     """
 
     family: str
     beta_min: float = 0.1
     beta_max: float = 20.0
     cosine_shift: float = 0.008
-    _lambda_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
+    # range of attainable half log-SNR values (min at t_max, max at t_min)
+    lambda_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -93,21 +92,7 @@ class NoiseSchedule:
         lo, hi = self.t_domain
         lam_min = float(self.lambda_of_t(hi))
         lam_max = float(self.lambda_of_t(lo)) if self.family == "ve_edm" else math.inf
-        object.__setattr__(self, "_lambda_domain", (lam_min, lam_max))
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def vp_linear(cls, beta_min: float = 0.1, beta_max: float = 20.0) -> "NoiseSchedule":
-        return cls("vp_linear", beta_min=beta_min, beta_max=beta_max)
-
-    @classmethod
-    def vp_cosine(cls, shift: float = 0.008) -> "NoiseSchedule":
-        return cls("vp_cosine", cosine_shift=shift)
-
-    @classmethod
-    def ve_edm(cls) -> "NoiseSchedule":
-        return cls("ve_edm")
+        object.__setattr__(self, "lambda_domain", (lam_min, lam_max))
 
     @classmethod
     def from_name(cls, name: str, **params) -> "NoiseSchedule":
@@ -192,17 +177,13 @@ class NoiseSchedule:
         m = self.log_alpha(t)
         return m - 0.5 * np.log(-np.expm1(2.0 * m))
 
-    def lambda_domain(self) -> tuple[float, float]:
-        """Range of attainable half log-SNR values (min at t_max, max at t_min)."""
-        return self._lambda_domain
-
     def _check_lambda(self, lam):
         """``lam`` as a float array, if every value is within 1e-5 of the attainable range.
 
         Written so that NaN fails the check, as in :meth:`_check_t`.
         """
         lam = np.asarray(lam, dtype=float)
-        lam_min, lam_max = self._lambda_domain
+        lam_min, lam_max = self.lambda_domain
         ok = (lam >= lam_min - 1e-5) & (lam <= lam_max + 1e-5)
         if not np.all(ok):
             bad = np.atleast_1d(lam)[~np.atleast_1d(ok)][0]

@@ -80,10 +80,6 @@ class AnalyticModel:
     def dim(self) -> int:
         return self.mus.shape[1]
 
-    @property
-    def n_components(self) -> int:
-        return self.pis.size
-
     @functools.cached_property
     def _terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """s_k^2, |mu_k|^2 and log pi_k, the posterior mean's per-component
@@ -138,7 +134,7 @@ class SimulationReport:
 
 
 def standard_test_mixture() -> AnalyticModel:
-    """Fixed two-component planar mixture used by the packaged experiments.
+    """Fixed two-component planar mixture, as in the README's library example.
 
     Multimodal enough that step placement matters, smooth enough that
     reference solutions converge quickly.
@@ -354,7 +350,7 @@ def _reference_batch(
     the right-hand side is folded in place, and at this tolerance DOP853
     needs about half as many calls as the 4th/5th order RK45.
     """
-    if model.n_components == 1:
+    if model.pis.size == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
         alpha_e, sigma_e = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_eps))
         s = float(model.stds[0])

@@ -27,8 +27,8 @@ which treats every step of a grid, or of a stack of grids, at once.
 Every weight array keeps them by age: column d of step n's row is the
 weight on node ``lam[n-1-d]``, the order in which a multistep sampler
 reads its past predictions, and the total weight on each evaluation
-point is a sum along one diagonal.  Only :meth:`WeightTable.step_weights`
-gives basis-index order, oldest node first.
+point is a sum along one diagonal.  Basis-index order, oldest node
+first, is step n's row read backwards from column ``k_n - 1``.
 
 Inside the kernel the age axis comes first: nodes, moments, integrals
 and weights are contiguous ``(K, ..., N)`` arrays, one block per age,
@@ -38,11 +38,11 @@ by-step ``(..., N, K)`` view of its weight array; the diagonal sums of
 the point totals read whole age blocks of it.
 
 Because raw coefficients carry a factor ``exp(lam)`` that can overflow
-for schedules reaching large log-SNR, every table stores weights
-pre-multiplied by ``exp(-scale_anchor)``.  The anchor defaults to the
-largest grid value, keeping all stored magnitudes of order one; the
-downstream objective is scale invariant in its minimizer, so the anchor
-never changes any decision.
+for schedules reaching large log-SNR, weights come pre-multiplied by
+``exp(-anchor)``.  :func:`weights_lagrange` and :func:`weights_taylor`
+anchor at the largest grid value, keeping all magnitudes of order one;
+the downstream objective is scale invariant in its minimizer, so the
+anchor never changes any decision.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .schedules import LambdaGrid
 
 __all__ = [
     "OrderSchedule",
-    "WeightTable",
     "POLYNOMIAL_KINDS",
     "check_order_cap",
     "step_weight_array",
@@ -109,27 +108,6 @@ class OrderSchedule:
 
     def __len__(self) -> int:
         return len(self.k)
-
-
-@dataclass(frozen=True)
-class WeightTable:
-    """Scaled solver weights, one row per step, by age.
-
-    Row ``n - 1`` holds the ``k_n`` weights of step ``n``, one per age d
-    (node ``lam[n-1-d]``, newest first), followed by zeros.  Only
-    :meth:`step_weights` gives basis-index order.
-    """
-
-    weights: np.ndarray  # (N, max order)
-    orders: OrderSchedule
-    scale_anchor: float
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-    def step_weights(self, n: int) -> np.ndarray:
-        """Weights of step n by basis index j, the node ``lam[n - k_n + j]`` (oldest first)."""
-        return self.weights[n - 1, self.orders.k[n - 1] - 1 :: -1]
 
 
 def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
@@ -248,7 +226,7 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     weights of step ``n`` (1-based) by age d, the weight on node
     ``lam[..., n-1-d]`` at column d, multiplied by
     ``exp(lam[..., n-1] - shift)``; entries past ``k_n`` are exactly zero.
-    :meth:`WeightTable.step_weights` gives one step in basis-index order.
+    ``w[..., n - 1, k_n - 1::-1]`` is step n in basis-index order.
     ``shift`` broadcasts against ``lam[..., :-1]``: a scalar anchor, one
     anchor per grid (shape ``(..., 1)``), or one value per step.
 
@@ -281,20 +259,14 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     return w.transpose(*range(1, lead + 2), 0)
 
 
-def _table(grid: LambdaGrid, orders: OrderSchedule, kind: str, scale_anchor) -> WeightTable:
-    anchor = float(grid.lam[-1]) if scale_anchor is None else float(scale_anchor)
-    w = step_weight_array(grid.lam, orders, kind, anchor)
-    return WeightTable(weights=w, orders=orders, scale_anchor=anchor)
+def weights_lagrange(grid: LambdaGrid, orders: OrderSchedule) -> np.ndarray:
+    """By-age weights of the interpolating-polynomial solver, anchored at ``grid.lam[-1]``."""
+    return step_weight_array(grid.lam, orders, "lagrange", grid.lam[-1])
 
 
-def weights_lagrange(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -> WeightTable:
-    """Weights of the interpolating-polynomial solver on the given grid."""
-    return _table(grid, orders, "lagrange", scale_anchor)
-
-
-def weights_taylor(grid: LambdaGrid, orders: OrderSchedule, scale_anchor=None) -> WeightTable:
-    """Weights of the Taylor-expansion solver on the given grid."""
-    return _table(grid, orders, "taylor", scale_anchor)
+def weights_taylor(grid: LambdaGrid, orders: OrderSchedule) -> np.ndarray:
+    """By-age weights of the Taylor-expansion solver, anchored at ``grid.lam[-1]``."""
+    return step_weight_array(grid.lam, orders, "taylor", grid.lam[-1])
 
 
 def _point_totals(w: np.ndarray) -> np.ndarray:
@@ -310,11 +282,12 @@ def _point_totals(w: np.ndarray) -> np.ndarray:
     return totals
 
 
-def aggregate(table: WeightTable, orders: OrderSchedule) -> np.ndarray:
-    """Absolute per-evaluation-point totals of the table's weights (same scale anchor).
+def aggregate(w: np.ndarray, orders: OrderSchedule) -> np.ndarray:
+    """Absolute per-evaluation-point totals of by-age weights ``w`` built for ``orders``.
 
-    ``orders`` must be the schedule the table was built with.
+    ``w`` must have shape ``(len(orders), max(orders.k))`` and zeros past each ``k_n``.
     """
-    if orders != table.orders:
-        raise ValueError(f"orders {orders.k} differ from the table's orders {table.orders.k}")
-    return np.abs(_point_totals(table.weights))
+    k = np.array(orders.k)
+    if w.shape != (k.size, k.max()) or np.any(w[np.arange(k.max()) >= k[:, None]]):
+        raise ValueError(f"weights of shape {w.shape} were not built for orders {orders.k}")
+    return np.abs(_point_totals(w))

@@ -43,3 +43,21 @@ def test_summary_counts_incorrect_runs_and_failed_operations_apart():
     runs[2]["result"].update(failed=2)
     (line,) = bench_pairs.summarize(runs, END_TO_END)
     assert "3 of 4 runs correct, 5 operations failed" in line
+
+
+def test_summary_splits_setup_by_run_order():
+    runs = []
+    # parent first on odd seeds: the side that runs second gets the faster set-up
+    for seed, (parent, change) in enumerate([(1.0, 0.5), (2.0, 4.0), (3.0, 1.5), (4.0, 8.0)], 1):
+        for side, value in (("parent", parent), ("change", change)):
+            run = _run(seed, side, 1.0, 1.0)
+            run["result"]["metrics"]["setup_s"] = {"value": value}
+            runs.append(run)
+    end_to_end = [{"name": "setup_s", "better": "lower"}, *END_TO_END]
+    (line,) = bench_pairs.summarize(runs, end_to_end)
+    assert "setup_s 2.5 [1.75, 3.25] -> 2.75 [1.25, 5] (+10.0 %), change better in 2 of 4" in line
+    assert "setup_s with the parent first 2 -> 1 (2 pairs)" in line
+    assert "setup_s with the change first 3 -> 6 (2 pairs)" in line
+    # runs without a set-up metric get no split
+    plain = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 1.0, 1.0)]
+    assert "with the parent first" not in bench_pairs.summarize(plain, END_TO_END)[0]

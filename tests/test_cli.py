@@ -281,7 +281,7 @@ class TestExitCodes:
 
     def test_margin_filling_the_span_is_2(self, tmp_path, capsys):
         # one step whose margin is exactly the span leaves no room to place nodes
-        schedule = NoiseSchedule.vp_linear()
+        schedule = NoiseSchedule.from_name("vp-linear")
         span = float(schedule.lambda_of_t(1e-3)) - float(schedule.lambda_of_t(1.0))
         assert run(
             "optimize", "--init", "edm", "--schedule", "vp-linear", "--N", "1",
@@ -351,7 +351,8 @@ class TestExitCodes:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert run(*spec, "--out", str(a)) == 0
         if flags is None:
-            # a last log-SNR value moved by 1e-9 keeps family, T, eps and every interior t
+            # a last log-SNR value moved by 1e-9 keeps family, T, eps and every interior
+            # t; reading the file rejects it, since lambda(eps) no longer matches
             lam = json.loads(a.read_text())["lambda"]
             _edited(a, b, **{"lambda": [*lam[:-1], lam[-1] + 1e-9]})
         else:
@@ -359,7 +360,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("simulate", "--model", model_file, "--steps", str(a), "--steps", str(b),
                    "--seeds", "4", "--out", str(tmp_path / "r.json")) == 2
-        assert "schedule files must share" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if flags is None:
+            assert f"bad input file {b}: lambda[5] = " in err
+            assert "does not match the value" in err and "takes at eps" in err
+        else:
+            assert "schedule files must share" in err
 
     def test_numeric_failure_is_1(self, tmp_path):
         # time outside the family domain is a numeric failure, not usage
@@ -729,6 +735,27 @@ class TestScheduleFile:
             ScheduleFile.read(bad)
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
 
+    @pytest.mark.parametrize("moves", [(-0.5, 1.0), (-1e-9, 0.0), (0.0, 1e-9)],
+                             ids=["both", "first", "last"])
+    def test_rejects_end_lambda_off_its_time(self, tmp_path, model_file, capsys, moves):
+        # the end times and every interior node still match; dump-weights and simulate
+        # used to exit 0, and simulate integrated between the file's own end values
+        sched = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "5",
+                   "--out", str(sched)) == 0
+        lam = json.loads(sched.read_text())["lambda"]
+        bad = _edited(sched, tmp_path / "ends.json",
+                      **{"lambda": [lam[0] + moves[0], *lam[1:-1], lam[-1] + moves[1]]})
+        i, at = (0, "T") if moves[0] else (5, "eps")
+        with pytest.raises(ValueError, match=rf"lambda\[{i}\] = .* does not match the value "
+                                             rf".* that vp-linear takes at {at}$"):
+            ScheduleFile.read(bad)
+        capsys.readouterr()
+        assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+        assert run("simulate", "--model", model_file, "--steps", bad, "--seeds", "4",
+                   "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr().err.count(f"bad input file {bad}: lambda[{i}]") == 2
+
     @pytest.mark.parametrize("family,eps,params", [
         ("vp-linear", "1e-300", ()), ("vp-linear", "1e-3", ()), ("vp-cosine", "1e-300", ()),
         ("vp-cosine", "1e-5", ()), ("ve-edm", "0.002", ()),
@@ -792,16 +819,22 @@ class TestScheduleFile:
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
 
 
+def basis_order(w, orders, n):
+    """Step n of by-age weights ``w`` by basis index j, the node ``lam[n - k_n + j]``."""
+    return w[n - 1, orders.k[n - 1] - 1 :: -1]
+
+
 def _json_weight_table(sched) -> str:
     """The weight table of a schedule file as json's indent encoder writes it."""
     sf = ScheduleFile.read(sched)
+    orders = OrderSchedule(tuple(sf.orders))
     build = weights_lagrange if sf.polynomial_kind == "lagrange" else weights_taylor
-    table = build(sf.grid, OrderSchedule(tuple(sf.orders)))
+    w, anchor = build(sf.grid, orders), float(sf.grid.lam[-1])
     steps = [
-        {"n": n, "weights": [[j, w] for j, w in enumerate(table.step_weights(n).tolist())]}
+        {"n": n, "weights": [[j, v] for j, v in enumerate(basis_order(w, orders, n).tolist())]}
         for n in range(1, sf.N + 1)
     ]
-    return json.dumps({"anchor": table.scale_anchor, "steps": steps}, indent=2) + "\n"
+    return json.dumps({"anchor": anchor, "steps": steps}, indent=2) + "\n"
 
 
 class TestDumpWeights:

@@ -10,11 +10,11 @@ from stepopt.objective import (
     objective_value,
     score_error_weight,
 )
-from stepopt.schedules import DomainError, LambdaGrid, NoiseSchedule
-from stepopt.weights import OrderSchedule, aggregate, weights_lagrange
+from stepopt.schedules import DomainError, NoiseSchedule
+from stepopt.weights import OrderSchedule, aggregate, step_weight_array
 
-VE = NoiseSchedule.ve_edm()
-VP = NoiseSchedule.vp_linear()
+VE = NoiseSchedule.from_name("ve-edm")
+VP = NoiseSchedule.from_name("vp-linear")
 
 
 def make_spec(schedule, N, T, eps, max_order=1, **kw):
@@ -26,9 +26,7 @@ def make_spec(schedule, N, T, eps, max_order=1, **kw):
 def exact_bound(spec, interior, anchor):
     """The unsmoothed objective, through the public weights API at the given anchor."""
     full = np.concatenate(([spec.lambda_endpoints[0]], interior, [spec.lambda_endpoints[1]]))
-    t = np.exp(-full)  # any decreasing times; the weights read only lam
-    grid = LambdaGrid(lam=full, t=t, T=t[0], eps=t[-1])
-    agg = aggregate(weights_lagrange(grid, spec.orders, scale_anchor=anchor), spec.orders)
+    agg = aggregate(step_weight_array(full, spec.orders, "lagrange", anchor), spec.orders)
     return float(np.sum(score_error_weight(spec.schedule, full[:-1], spec.p) * agg))
 
 
@@ -223,7 +221,8 @@ class TestObjectiveGradient:
     def test_no_time_map_calls_once_spec_exists(self, monkeypatch):
         # endpoints and the attainable log-SNR range are fixed per spec and
         # per schedule, so evaluations never map a time again
-        cases = [(VP, 1.0, 1e-3), (VE, 80.0, 0.002), (NoiseSchedule.vp_cosine(), 0.992, 1e-3)]
+        cosine = NoiseSchedule.from_name("vp-cosine")
+        cases = [(VP, 1.0, 1e-3), (VE, 80.0, 0.002), (cosine, 0.992, 1e-3)]
         specs = [make_spec(schedule, 4, T, eps, max_order=3) for schedule, T, eps in cases]
         interiors = [np.linspace(*spec.lambda_endpoints, 5)[1:-1] for spec in specs]
         calls = []
@@ -245,7 +244,8 @@ class TestObjectiveGradient:
         # reproduce the loop's perturbed values exactly, not only x +- h,
         # and the value from the same stack must be the single-grid value
         rng = np.random.default_rng(17)
-        families = [(VP, 1.0, 1e-3), (NoiseSchedule.vp_cosine(), 0.992, 1e-3), (VE, 80.0, 0.002)]
+        cosine = NoiseSchedule.from_name("vp-cosine")
+        families = [(VP, 1.0, 1e-3), (cosine, 0.992, 1e-3), (VE, 80.0, 0.002)]
         cases = []
         for schedule, T, eps in families:
             for p in (1, 2):

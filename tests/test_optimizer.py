@@ -15,8 +15,8 @@ from stepopt.schedules import (
 )
 from stepopt.weights import OrderSchedule
 
-VE = NoiseSchedule.ve_edm()
-VP = NoiseSchedule.vp_linear()
+VE = NoiseSchedule.from_name("ve-edm")
+VP = NoiseSchedule.from_name("vp-linear")
 
 
 def ve_spec(N, max_order=1, **kw):
@@ -139,7 +139,7 @@ class TestOptimizeSteps:
 
     def test_round_off_in_eps_keeps_best_of_3(self):
         # changes in eps of about one ulp used to move this optimum from 0.0222 to 0.486
-        schedule = NoiseSchedule.vp_cosine()
+        schedule = NoiseSchedule.from_name("vp-cosine")
         best = []
         for shift in (0.0, 4e-16, 1.2e-15, -1.6e-15):
             spec = ObjectiveSpec(schedule, 5, schedule.t_domain[1], 1e-3 + shift,

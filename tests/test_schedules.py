@@ -14,9 +14,9 @@ from stepopt.schedules import (
     uniform_t_grid,
 )
 
-VE = NoiseSchedule.ve_edm()
-VP_LINEAR = NoiseSchedule.vp_linear()
-VP_COSINE = NoiseSchedule.vp_cosine()
+VE = NoiseSchedule.from_name("ve-edm")
+VP_LINEAR = NoiseSchedule.from_name("vp-linear")
+VP_COSINE = NoiseSchedule.from_name("vp-cosine")
 
 ALL_FAMILIES = [
     (VP_LINEAR, 1e-5, 1.0),
@@ -72,7 +72,7 @@ class TestTOfLambda:
 
     @pytest.mark.parametrize("schedule,lo,hi", ALL_FAMILIES)
     def test_lambda_round_trip_to_high_log_snr(self, schedule, lo, hi):
-        lam_min, lam_max = schedule.lambda_domain()
+        lam_min, lam_max = schedule.lambda_domain
         lam = np.linspace(lam_min, min(16.0, lam_max), 2000)
         back = schedule.lambda_of_t(schedule.t_of_lambda(lam))
         assert np.max(np.abs(back - lam)) <= 1e-7
@@ -82,7 +82,7 @@ class TestTOfLambda:
         # decreasing, and in order with the forward map: mapped back, each
         # node stays within half a spacing of where it was, so inverse
         # nodes and forward-mapped endpoints of a grid interleave correctly
-        lam_min, lam_max = schedule.lambda_domain()
+        lam_min, lam_max = schedule.lambda_domain
         lam = np.linspace(lam_min, min(16.0, lam_max), 201)
         t = schedule.t_of_lambda(lam)
         assert np.all(np.diff(t) < 0)
@@ -90,9 +90,10 @@ class TestTOfLambda:
         assert np.max(np.abs(back - lam)) < 0.5 * (lam[1] - lam[0])
 
     @pytest.mark.parametrize("schedule", [
-        NoiseSchedule.vp_cosine(1e-4), NoiseSchedule.vp_cosine(1e-8),
-        NoiseSchedule.vp_cosine(1e-12), NoiseSchedule.vp_cosine(1000.0),
-        NoiseSchedule.vp_linear(1e-6, 1e-5), NoiseSchedule.vp_linear(1e-3, 1e6),
+        *(NoiseSchedule.from_name("vp-cosine", cosine_shift=s)
+          for s in (1e-4, 1e-8, 1e-12, 1000.0)),
+        NoiseSchedule.from_name("vp-linear", beta_min=1e-6, beta_max=1e-5),
+        NoiseSchedule.from_name("vp-linear", beta_min=1e-3, beta_max=1e6),
     ], ids=["cosine-1e-4", "cosine-1e-8", "cosine-1e-12", "cosine-1000",
             "linear-1e-6-1e-5", "linear-1e-3-1e6"])
     def test_round_trips_over_the_whole_domain(self, schedule):
@@ -107,7 +108,7 @@ class TestTOfLambda:
         lam = schedule.lambda_of_t(t)
         back = schedule.t_of_lambda(lam)
         assert np.max(np.abs(back - t) / t) <= 1e-12
-        lam = np.linspace(schedule.lambda_domain()[0], float(schedule.lambda_of_t(1e-300)), 20001)
+        lam = np.linspace(schedule.lambda_domain[0], float(schedule.lambda_of_t(1e-300)), 20001)
         t = schedule.t_of_lambda(lam)
         assert np.all(np.diff(t) <= 0)
         back = schedule.lambda_of_t(t)
@@ -256,9 +257,10 @@ def test_parameter_of_another_family_is_rejected(name, params):
 
 
 def test_parameters_are_those_off_their_defaults():
-    assert NoiseSchedule.vp_linear().parameters == {}
-    assert NoiseSchedule.vp_linear(beta_max=10.0).parameters == {"beta_max": 10.0}
-    assert NoiseSchedule.vp_cosine(0.02).parameters == {"cosine_shift": 0.02}
+    assert NoiseSchedule.from_name("vp-linear").parameters == {}
+    assert NoiseSchedule.from_name("vp-linear", beta_max=10.0).parameters == {"beta_max": 10.0}
+    cosine = NoiseSchedule.from_name("vp-cosine", cosine_shift=0.02)
+    assert cosine.parameters == {"cosine_shift": 0.02}
     # a foreign parameter at its default is no change
     assert NoiseSchedule.from_name("ve-edm", beta_min=0.1).parameters == {}
 

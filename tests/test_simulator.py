@@ -32,8 +32,8 @@ from stepopt.simulator import (
 from stepopt.simulator import _posterior_mean, _reference_batch, _sample_batch
 from stepopt.weights import OrderSchedule, step_weight_array
 
-VE = NoiseSchedule.ve_edm()
-VP = NoiseSchedule.vp_linear()
+VE = NoiseSchedule.from_name("ve-edm")
+VP = NoiseSchedule.from_name("vp-linear")
 FAMILY_RANGES = {"vp-linear": (1.0, 1e-3), "vp-cosine": (0.992, 1e-3), "ve-edm": (80.0, 0.002)}
 
 
@@ -687,7 +687,7 @@ class TestEvaluateSchedules:
             mus=2.0 * rng.normal(size=(K, dim)),
             stds=rng.uniform(0.3, 1.2, size=K),
         )
-        schedule = NoiseSchedule.vp_cosine()
+        schedule = NoiseSchedule.from_name("vp-cosine")
         a, b, c = (
             f(schedule, 8, 0.992, 1e-300) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid)
         )

@@ -44,6 +44,11 @@ def taylor_value_polys(local_nodes):
     return polys
 
 
+def basis_order(w, orders, n):
+    """Step n of by-age weights ``w`` by basis index j, the node ``lam[n - k_n + j]``."""
+    return w[n - 1, orders.k[n - 1] - 1 :: -1]
+
+
 def grid_from_lambda(lam):
     """Wrap a raw increasing log-SNR array (times via the VE relation)."""
     lam = np.asarray(lam, dtype=float)
@@ -267,8 +272,8 @@ class TestLagrangeWeights:
         # closed-form integration by parts on [1, 2] with nodes {0, 1},
         # cross-checked against the quadrature oracle
         grid = grid_from_lambda([0.0, 1.0, 2.0])
-        table = weights_lagrange(grid, OrderSchedule((1, 2)), scale_anchor=0.0)
-        w = table.step_weights(2)
+        orders = OrderSchedule((1, 2))
+        w = basis_order(step_weight_array(grid.lam, orders, "lagrange", 0.0), orders, 2)
         assert w[0] == pytest.approx(-E, rel=1e-12)
         assert w[1] == pytest.approx(E * E, rel=1e-12)
         for j in range(2):
@@ -277,9 +282,11 @@ class TestLagrangeWeights:
 
     def test_first_order_weight(self):
         grid = grid_from_lambda([-1.0, 0.5, 2.0])
-        table = weights_lagrange(grid, OrderSchedule((1, 1)), scale_anchor=0.0)
-        assert table.step_weights(1)[0] == pytest.approx(math.exp(0.5) - math.exp(-1.0), rel=1e-12)
-        assert table.step_weights(2)[0] == pytest.approx(math.exp(2.0) - math.exp(0.5), rel=1e-12)
+        orders = OrderSchedule((1, 1))
+        w = step_weight_array(grid.lam, orders, "lagrange", 0.0)
+        w1, w2 = basis_order(w, orders, 1), basis_order(w, orders, 2)
+        assert w1[0] == pytest.approx(math.exp(0.5) - math.exp(-1.0), rel=1e-12)
+        assert w2[0] == pytest.approx(math.exp(2.0) - math.exp(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("build,cap", [(weights_lagrange, 4), (weights_taylor, 3)])
     def test_weight_sum_identity(self, build, cap):
@@ -288,12 +295,11 @@ class TestLagrangeWeights:
             grid = random_grid(rng)
             N = grid.n_steps
             orders = random_orders(rng, N, cap)
-            table = build(grid, orders)
+            w = build(grid, orders)
+            anchor = grid.lam[-1]
             for n in range(1, N + 1):
-                total = math.fsum(table.step_weights(n))
-                expect = math.exp(grid.lam[n] - table.scale_anchor) - math.exp(
-                    grid.lam[n - 1] - table.scale_anchor
-                )
+                total = math.fsum(basis_order(w, orders, n))
+                expect = math.exp(grid.lam[n] - anchor) - math.exp(grid.lam[n - 1] - anchor)
                 assert total == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("build,cap", [(weights_lagrange, 4), (weights_taylor, 3)])
@@ -302,8 +308,8 @@ class TestLagrangeWeights:
         for _ in range(40):
             grid = random_grid(rng, min_gap=0.05)
             orders = random_orders(rng, grid.n_steps, cap)
-            table = build(grid, orders)
-            lam, anchor = grid.lam, table.scale_anchor
+            weights = build(grid, orders)
+            lam, anchor = grid.lam, grid.lam[-1]
             for n, k in enumerate(orders.k, start=1):
                 local = lam[n - k : n] - lam[n - 1]
                 polys = (
@@ -315,15 +321,15 @@ class TestLagrangeWeights:
                     gauss_legendre_oracle(p, 0.0, lam[n] - lam[n - 1], anchor - lam[n - 1])
                     for p in polys
                 ]
-                w = table.step_weights(n)
+                w = basis_order(weights, orders, n)
                 np.testing.assert_allclose(w, oracle, rtol=0, atol=1e-10 * np.max(np.abs(oracle)))
-                assert np.all(table.weights[n - 1, k:] == 0.0)
+                assert np.all(weights[n - 1, k:] == 0.0)
 
     def test_all_weights_finite(self):
         rng = np.random.default_rng(5)
         grid = random_grid(rng)
-        table = weights_lagrange(grid, OrderSchedule.warmup(grid.n_steps, 3))
-        assert np.all(np.isfinite(table.weights))
+        w = weights_lagrange(grid, OrderSchedule.warmup(grid.n_steps, 3))
+        assert np.all(np.isfinite(w))
 
     def test_matches_50_digit_oracle(self):
         # close old nodes make the Lagrange weights large and cancelling;
@@ -343,12 +349,12 @@ class TestLagrangeWeights:
     def test_scale_anchor_proportionality(self):
         grid = grid_from_lambda([-2.0, -0.5, 1.0, 2.5, 4.0])
         orders = OrderSchedule.warmup(4, 3)
-        t_a = weights_lagrange(grid, orders, scale_anchor=4.0)
-        t_b = weights_lagrange(grid, orders, scale_anchor=2.0)
+        t_a = step_weight_array(grid.lam, orders, "lagrange", 4.0)
+        t_b = step_weight_array(grid.lam, orders, "lagrange", 2.0)
         factor = math.exp(4.0 - 2.0)
         for n in range(1, 5):
             np.testing.assert_allclose(
-                t_a.step_weights(n) * factor, t_b.step_weights(n), rtol=1e-12
+                basis_order(t_a, orders, n) * factor, basis_order(t_b, orders, n), rtol=1e-12
             )
         c_a = aggregate(t_a, orders)
         c_b = aggregate(t_b, orders)
@@ -362,12 +368,14 @@ class TestLagrangeWeights:
         lam += np.maximum(0, 1e-3 - np.diff(lam, prepend=lam[0] - 1)).cumsum()
         const = 1.75
         orders = random_orders(rng, 6, 4)
-        base = weights_lagrange(grid_from_lambda(lam), orders, scale_anchor=lam[-1])
-        moved = weights_lagrange(
-            grid_from_lambda(lam + const), orders, scale_anchor=lam[-1] + const
+        base = step_weight_array(grid_from_lambda(lam).lam, orders, "lagrange", lam[-1])
+        moved = step_weight_array(
+            grid_from_lambda(lam + const).lam, orders, "lagrange", lam[-1] + const
         )
         for n in range(1, 7):
-            np.testing.assert_allclose(moved.step_weights(n), base.step_weights(n), rtol=1e-10)
+            np.testing.assert_allclose(
+                basis_order(moved, orders, n), basis_order(base, orders, n), rtol=1e-10
+            )
 
 
 class TestTaylorWeights:
@@ -377,7 +385,7 @@ class TestTaylorWeights:
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
         for n in (1, 2):
-            assert tl.step_weights(n) == pytest.approx(tt.step_weights(n))
+            assert basis_order(tl, orders, n) == pytest.approx(basis_order(tt, orders, n))
 
     def test_second_order_matches_lagrange_on_uniform_grid(self):
         grid = grid_from_lambda(np.linspace(-1.0, 3.0, 5))
@@ -385,7 +393,9 @@ class TestTaylorWeights:
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
         for n in range(1, grid.n_steps + 1):
-            np.testing.assert_allclose(tt.step_weights(n), tl.step_weights(n), rtol=1e-12)
+            np.testing.assert_allclose(
+                basis_order(tt, orders, n), basis_order(tl, orders, n), rtol=1e-12
+            )
 
     def test_second_order_matches_lagrange_on_any_grid(self):
         # the two-value secant slope reproduces the linear interpolant
@@ -394,24 +404,27 @@ class TestTaylorWeights:
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
         for n in range(1, grid.n_steps + 1):
-            np.testing.assert_allclose(tt.step_weights(n), tl.step_weights(n), rtol=1e-12)
+            np.testing.assert_allclose(
+                basis_order(tt, orders, n), basis_order(tl, orders, n), rtol=1e-12
+            )
 
     def test_third_order_differs_on_nonuniform_grid(self):
         grid = grid_from_lambda([-1.0, 0.2, 0.9, 2.6])
         orders = OrderSchedule((1, 2, 3))
         tl = weights_lagrange(grid, orders)
         tt = weights_taylor(grid, orders)
-        assert abs(tl.step_weights(3)[0] - tt.step_weights(3)[0]) > 1e-6
+        assert abs(basis_order(tl, orders, 3)[0] - basis_order(tt, orders, 3)[0]) > 1e-6
 
     def test_second_derivative_stencil_annihilates_constants(self):
         # derivative stencils are zero-sum, so on a constant prediction
         # only the newest value's constant term is left: the weights of a
         # step sum to the exact integral of exp over it
         grid = grid_from_lambda([-1.7, -0.6, 0.0, 1.1])
-        table = weights_taylor(grid, OrderSchedule((1, 2, 3)), scale_anchor=0.0)
+        orders = OrderSchedule((1, 2, 3))
+        w = step_weight_array(grid.lam, orders, "taylor", 0.0)
         for n in (2, 3):
             expect = math.exp(grid.lam[n]) - math.exp(grid.lam[n - 1])
-            assert math.fsum(table.step_weights(n)) == pytest.approx(expect, rel=1e-12)
+            assert math.fsum(basis_order(w, orders, n)) == pytest.approx(expect, rel=1e-12)
 
     def test_order_cap(self):
         grid = grid_from_lambda([0.0, 1.0, 2.0, 3.0, 4.0])
@@ -491,9 +504,9 @@ class TestAggregate:
     def test_bookkeeping_n3(self):
         grid = grid_from_lambda([0.0, 0.8, 1.7, 2.9])
         orders = OrderSchedule((1, 2, 3))
-        table = weights_lagrange(grid, orders)
-        agg = aggregate(table, orders)
-        w1, w2, w3 = (table.step_weights(n) for n in (1, 2, 3))
+        w = weights_lagrange(grid, orders)
+        agg = aggregate(w, orders)
+        w1, w2, w3 = (basis_order(w, orders, n) for n in (1, 2, 3))
         expect = [
             abs(w1[0] + w2[0] + w3[0]),
             abs(w2[1] + w3[1]),
@@ -505,22 +518,28 @@ class TestAggregate:
     def test_single_step(self):
         grid = grid_from_lambda([0.0, 1.3])
         orders = OrderSchedule((1,))
-        agg = aggregate(weights_lagrange(grid, orders, scale_anchor=0.0), orders)
+        agg = aggregate(step_weight_array(grid.lam, orders, "lagrange", 0.0), orders)
         assert agg[0] == pytest.approx(math.exp(1.3) - 1.0, rel=1e-12)
 
     def test_all_first_order(self):
         lam = np.array([-1.0, 0.1, 1.4, 2.0])
         grid = grid_from_lambda(lam)
         orders = OrderSchedule((1, 1, 1))
-        agg = aggregate(weights_lagrange(grid, orders, scale_anchor=0.0), orders)
+        agg = aggregate(step_weight_array(grid.lam, orders, "lagrange", 0.0), orders)
         expect = np.exp(lam[1:]) - np.exp(lam[:-1])
         np.testing.assert_allclose(agg, expect, rtol=1e-12)
 
     def test_orders_other_than_the_tables_are_rejected(self):
         grid = grid_from_lambda([0.0, 0.8, 1.7, 2.9, 3.4, 4.0])
-        table = weights_lagrange(grid, OrderSchedule.warmup(5, 3))
-        with pytest.raises(ValueError, match="differ from the table's orders"):
-            aggregate(table, OrderSchedule((1, 2, 2, 3, 3)))
+        w = weights_lagrange(grid, OrderSchedule.warmup(5, 3))
+        # same shape, but step 3 has a weight past the order 2 it is read with
+        with pytest.raises(ValueError, match="were not built for orders"):
+            aggregate(w, OrderSchedule((1, 2, 2, 3, 3)))
+        # a shape that does not fit: too few steps, or too few ages
+        with pytest.raises(ValueError, match=r"shape \(5, 3\) were not built"):
+            aggregate(w, OrderSchedule.warmup(4, 3))
+        with pytest.raises(ValueError, match=r"shape \(5, 3\) were not built"):
+            aggregate(w, OrderSchedule.warmup(5, 2))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(23)

@@ -8,14 +8,18 @@ Run from the repository root:
 
 The parent tree is ``git archive <ref>``.  The change tree is the same
 archive with its ``src/`` replaced by the working tree's ``src/``, so
-both sides run the same harness from the same layout.  Per seed, each
-side runs ``perfbench/run.py --trace 0`` once, the parent first on odd
-seeds and the change first on even seeds.  Both trees live in a
+both sides run the same harness from the same layout.  Before the first
+pair, each side runs one untimed ``perfbench/run.py --setup-only``
+process per workload, so that neither side's first timed set-up is the
+one that loads a cold tree.  Per seed, each side runs ``perfbench/run.py
+--trace 0`` once, the parent first on odd seeds and the change first on
+even seeds.  Both trees live in a
 temporary directory that is removed on exit, so nothing is written
 under the working tree's ``perfbench/``.  The output file is rewritten
 after every pair; the summary, printed at the end and kept as the
 file's ``notes``, gives per workload and end-to-end metric each side's
-median and quartiles and the number of pairs the change won.
+median and quartiles and the number of pairs the change won, and the
+``setup_s`` medians of parent-first and change-first pairs apart.
 """
 
 from __future__ import annotations
@@ -64,15 +68,26 @@ def build_trees(ref: str, tmp: Path) -> dict[str, Path]:
     return trees
 
 
+def _run_harness(tree: Path, workload: str, *flags: str, timeout: float, what: str):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, *flags]
+    child = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                           timeout=timeout, check=False)
+    if child.returncode != 0:
+        raise RuntimeError(f"{workload} {what} in {tree.name} failed: {child.stderr[-800:]}")
+    return child
+
+
+def warm_up(tree: Path, workload: str) -> None:
+    """One untimed ``--setup-only`` process of ``workload`` in ``tree``; its output is dropped."""
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-warm-up-") as d:
+        _run_harness(tree, workload, "--setup-only", d, timeout=600, what="warm-up")
+
+
 def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run in ``tree``: its final JSON line and its output drift."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
-    child = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
-                           timeout=10 * seconds + 600, check=False)
-    if child.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} in {tree.name} failed: {child.stderr[-800:]}")
+    child = _run_harness(tree, workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
+                         "--trace", "0", timeout=10 * seconds + 600, what=f"seed {seed}")
     drift = re.search(r"^output_drift = (\S+)", child.stdout, re.MULTILINE)
     return {"result": json.loads(child.stdout.strip().splitlines()[-1]),
             "output_drift": float(drift.group(1)) if drift else None}
@@ -85,8 +100,18 @@ def _quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _pair_values(pairs: list[dict], name: str) -> list[list[float]]:
+    """``[parent, change]`` values of metric ``name`` in every pair that reports it."""
+    return [[p[s]["result"]["metrics"][name]["value"] for s in SIDES] for p in pairs
+            if all(name in p[s]["result"]["metrics"] for s in SIDES)]
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """Per workload and metric: median [q1, q3] per side and the pairs the change won."""
+    """Per workload and metric: median [q1, q3] per side and the pairs the change won.
+
+    ``setup_s`` is also given per run order: its medians over the pairs
+    where the parent ran first (odd seeds) and where the change did (even).
+    """
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_seed: dict[int, dict[str, dict]] = {}
@@ -99,8 +124,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
         parts = []
         for m in end_to_end:
             name = m["name"]
-            both = [[p[s]["result"]["metrics"][name]["value"] for s in SIDES] for p in pairs
-                    if all(name in p[s]["result"]["metrics"] for s in SIDES)]
+            both = _pair_values(pairs, name)
             if not both:
                 continue
             sign = 1.0 if m["better"] == "higher" else -1.0
@@ -112,6 +136,13 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
                 f"{name} {pmed:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cmed:.6g} [{cq1:.6g}, {cq3:.6g}] "
                 f"({change:+.1f} %), change better in {won} of {len(pairs)} pairs"
                 + (f", equal in {equal}" if equal else ""))
+        for first, odd in (("parent", 1), ("change", 0)):
+            both = _pair_values([p for seed, p in by_seed.items()
+                                 if len(p) == 2 and seed % 2 == odd], "setup_s")
+            if both:
+                pmed, cmed = (statistics.median(side) for side in zip(*both))
+                parts.append(f"setup_s with the {first} first {pmed:.6g} -> {cmed:.6g} "
+                             f"({len(both)} pairs)")
         results = [p[s]["result"] for p in pairs for s in SIDES]
         correct = sum(bool(r["correct"]) for r in results)
         failed = sum(r["failed"] for r in results)
@@ -152,7 +183,8 @@ def main(argv=None) -> int:
         "parent": parent,
         "command": COMMAND.format(seconds=args.seconds),
         "protocol": (
-            "per workload, parent and change back to back per seed, parent first on odd seeds "
+            "one untimed --setup-only process per side and workload first; then per workload, "
+            "parent and change back to back per seed, parent first on odd seeds "
             f"and change first on even seeds, in this order: {order}; parent from a git archive "
             "of the parent commit, change from the same archive with src/ replaced by this "
             "change's src/, so both sides have the same layout; result is the final JSON line "
@@ -163,6 +195,9 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = build_trees(args.parent, Path(tmp))
+        for workload in dict.fromkeys(w for w, _ in args.pairs):
+            for side in SIDES:
+                warm_up(trees[side], workload)
         for workload, seeds in args.pairs:
             for seed in seeds:
                 for side in SIDES if seed % 2 else SIDES[::-1]:
