@@ -29,7 +29,7 @@ from pathlib import Path
 from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
-from .schedule_file import ScheduleFile, write_text
+from .schedule_file import ScheduleFile, write_texts
 from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model, non_finite_message
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, step_weight_array
@@ -96,8 +96,8 @@ _STEP = '    {\n      "n": %d,\n      "weights": [\n%s\n      ]\n    }'
 _TABLE = '{\n  "anchor": %r,\n  "steps": [\n%s\n  ]\n}\n'
 
 
-def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
-    """Write the weight table, byte for byte as ``json.dumps(table, indent=2) + "\\n"``.
+def _weight_table(schedule_file: ScheduleFile) -> str:
+    """The weight table, byte for byte as ``json.dumps(table, indent=2) + "\\n"`` gives it.
 
     Every weight is finite and every step has one at least, so floats
     print as ``repr`` and no list is empty.
@@ -109,7 +109,7 @@ def _dump_weight_table(schedule_file: ScheduleFile, path) -> None:
     for n, k in enumerate(schedule_file.orders, start=1):
         pairs = enumerate(w[n - 1, k - 1 :: -1].tolist())
         steps.append(_STEP % (n, ",\n".join([_PAIR % pair for pair in pairs])))
-    write_text(path, _TABLE % (anchor, ",\n".join(steps)))
+    return _TABLE % (anchor, ",\n".join(steps))
 
 
 def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
@@ -119,9 +119,10 @@ def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str
         grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged,
         **spec.schedule.parameters,
     )
-    out.write(args.out)
+    outputs = [(args.out, out.emit())]
     if args.dump_weights:
-        _dump_weight_table(out, args.dump_weights)
+        outputs.append((args.dump_weights, _weight_table(out)))
+    write_texts(*outputs)
 
 
 def _cmd_baseline(args) -> int:
@@ -199,20 +200,21 @@ def _cmd_simulate(args) -> int:
         "rng_seed": args.rng_seed,
         "reports": [r.to_dict() for r in reports],
     }
-    write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    outputs = [(args.out, json.dumps(payload, indent=2) + "\n")]
     if args.csv:
         table = io.StringIO()
         csv.writer(table).writerows([["label", "N", "mean_l2", "median_l2"]] + [
             [r.schedule_label, f.N, repr(r.mean_l2_error), repr(r.median_l2_error)]
             for f, r in zip(files, reports)])
-        write_text(args.csv, table.getvalue())
+        outputs.append((args.csv, table.getvalue()))
+    write_texts(*outputs)
     for r in reports:
         print(f"{r.schedule_label}: mean_l2={r.mean_l2_error:.6g} median_l2={r.median_l2_error:.6g}")
     return 0
 
 
 def _cmd_dump_weights(args) -> int:
-    _dump_weight_table(_read_input(ScheduleFile.read, args.steps), args.out)
+    write_texts((args.out, _weight_table(_read_input(ScheduleFile.read, args.steps))))
     print(f"wrote {args.out}")
     return 0
 

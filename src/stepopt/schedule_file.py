@@ -21,7 +21,7 @@ from .objective import ObjectiveSpec
 from .schedules import FAMILY_PARAMETERS, SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule
 
-__all__ = ["ScheduleFile", "SCHEMA_VERSION", "write_text"]
+__all__ = ["ScheduleFile", "SCHEMA_VERSION", "write_texts"]
 
 SCHEMA_VERSION = 1
 # required keys in file order; the optional ones follow in this order
@@ -41,17 +41,32 @@ _NODE_RTOL = 1e-10
 _END_TOL = 4e-13
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8 over ``path`` in place: no ``O_TRUNC``, so no ext4 truncate-and-flush."""
-    view = memoryview(text.encode("utf-8"))
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+def write_texts(*outputs) -> None:
+    """Write each ``(path, text)`` as UTF-8 over its path in place, every path opened first.
+
+    No ``O_TRUNC``, so no ext4 truncate-and-flush.  If any path cannot be
+    opened, no output is written; on any failure the files this call
+    created are removed, and the others keep what was written to them.
+    """
+    fds, created = [], []
     try:
-        if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
-            os.ftruncate(fd, len(view))  # first: a stopped write leaves nothing past the new end
-        while view:
-            view = view[os.write(fd, view):]
+        for path, _ in outputs:
+            existed = os.path.lexists(path)
+            fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666))
+            created += [] if existed else [path]
+        for fd, (_, text) in zip(fds, outputs):
+            view = memoryview(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+                os.ftruncate(fd, len(view))  # first: a stopped write leaves nothing past the new end
+            while view:
+                view = view[os.write(fd, view):]
+    except BaseException:
+        for path in created:
+            os.unlink(path)
+        raise
     finally:
-        os.close(fd)
+        for fd in fds:
+            os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -203,7 +218,7 @@ class ScheduleFile:
             )
 
     def write(self, path) -> None:
-        write_text(path, self.emit())
+        write_texts((path, self.emit()))
 
     @classmethod
     def read(cls, path) -> "ScheduleFile":

@@ -56,8 +56,9 @@ SCHEMES = ("uniform-t", "uniform-lambda", "edm")
 # CLI / JSON names for the families, in the same order
 SCHEDULE_NAMES = tuple(family.replace("_", "-") for family in FAMILIES)
 
-# vp_cosine has unbounded log-SNR at t = 1; cap the usable range below it.
-_COSINE_T_MAX = 0.992
+# closed time domain of each family: vp_cosine's log-SNR is unbounded at
+# t = 1, and below t = 1e-300 the VP maps would lose digits
+_T_DOMAINS = {"vp_linear": (1e-300, 1.0), "vp_cosine": (1e-300, 0.992), "ve_edm": (0.002, 80.0)}
 
 
 class DomainError(ValueError):
@@ -89,9 +90,8 @@ class NoiseSchedule:
             raise ValueError("vp_linear requires finite 0 < beta_min < beta_max")
         if self.family == "vp_cosine" and not 0 < self.cosine_shift < math.inf:
             raise ValueError("vp_cosine requires a finite positive shift")
-        lo, hi = self.t_domain
-        lam_min = float(self.lambda_of_t(hi))
-        lam_max = float(self.lambda_of_t(lo)) if self.family == "ve_edm" else math.inf
+        # both ends in one call; lambda decreases in t
+        lam_min, lam_max = self.lambda_of_t(np.array(self.t_domain[::-1])).tolist()
         object.__setattr__(self, "lambda_domain", (lam_min, lam_max))
 
     @classmethod
@@ -117,92 +117,58 @@ class NoiseSchedule:
         }
 
     @property
-    def is_vp(self) -> bool:
-        return self.family in ("vp_linear", "vp_cosine")
-
-    # -- valid time domain ----------------------------------------------
-
-    @property
     def t_domain(self) -> tuple[float, float]:
-        """(t_min, t_max); t_min is exclusive for VP families (log-SNR diverges)."""
-        if self.family == "ve_edm":
-            return (0.002, 80.0)
-        if self.family == "vp_cosine":
-            return (0.0, _COSINE_T_MAX)
-        return (0.0, 1.0)
+        """The closed time domain (t_min, t_max)."""
+        return _T_DOMAINS[self.family]
+
+    def _check_range(self, x, lo: float, hi: float, what: str, slack: float = 0.0):
+        """``x`` as a float array, if all of it lies in [lo - slack, hi + slack]; NaN fails."""
+        x = np.asarray(x, dtype=float)
+        ok = (x >= lo - slack) & (x <= hi + slack)
+        if not np.all(ok):
+            bad = np.atleast_1d(x)[~np.atleast_1d(ok)][0]
+            raise DomainError(f"{what} {bad} outside valid domain [{lo}, {hi}] of {self.name}")
+        return x
 
     def _check_t(self, t):
-        t = np.asarray(t, dtype=float)
-        lo, hi = self.t_domain
-        ok = (t > lo) & (t <= hi) if self.is_vp else (t >= lo) & (t <= hi)
-        if not np.all(ok):
-            bad = np.atleast_1d(t)[~np.atleast_1d(ok)][0]
-            span = f"{'(' if self.is_vp else '['}{lo}, {hi}]"
-            raise DomainError(f"time {bad} outside valid domain {span} of {self.name}")
-        return t
+        return self._check_range(t, *self.t_domain, "time")
 
-    # -- forward coefficients --------------------------------------------
+    def _check_lambda(self, lam):
+        """``lam`` as a float array, if every value is within 1e-5 of the attainable range."""
+        return self._check_range(lam, *self.lambda_domain, "half log-SNR", 1e-5)
 
-    def log_alpha(self, t):
-        """log(alpha_t) for valid t; 0 for variance-exploding schedules."""
-        t = self._check_t(t)
+    def _log_alpha(self, t):
+        """log(alpha_t) of checked times ``t`` on a VP family."""
         if self.family == "vp_linear":
             return -0.25 * t * t * (self.beta_max - self.beta_min) - 0.5 * t * self.beta_min
-        if self.family == "vp_cosine":
-            # log(cos(theta_0 + d) / cos(theta_0)) with d = t / (1 + s) * pi / 2,
-            # expanded so that nothing cancels as t -> 0
-            s = self.cosine_shift
-            d = t / (1.0 + s) * (math.pi / 2.0)
-            tan0 = math.tan(s / (1.0 + s) * (math.pi / 2.0))
-            return np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - tan0 * np.sin(d))
-        return np.zeros_like(t)
-
-    def alpha(self, t):
-        """Signal coefficient alpha_t."""
-        return np.exp(self.log_alpha(t))
-
-    def sigma(self, t):
-        """Noise coefficient sigma_t."""
-        if self.family == "ve_edm":
-            return np.asarray(self._check_t(t), dtype=float)
-        # sqrt(1 - alpha^2) via expm1 to stay accurate when alpha is near 1
-        return np.sqrt(-np.expm1(2.0 * self.log_alpha(t)))
+        # log(cos(theta_0 + d) / cos(theta_0)) with d = t / (1 + s) * pi / 2,
+        # expanded so that nothing cancels as t -> 0
+        s = self.cosine_shift
+        d = t / (1.0 + s) * (math.pi / 2.0)
+        tan0 = math.tan(s / (1.0 + s) * (math.pi / 2.0))
+        return np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - tan0 * np.sin(d))
 
     # -- half log-SNR and its inverse -------------------------------------
 
     def lambda_of_t(self, t):
         """Half log-SNR log(alpha_t / sigma_t); strictly decreasing in t."""
+        t = self._check_t(t)
         if self.family == "ve_edm":
-            return -np.log(self._check_t(t))
-        m = self.log_alpha(t)
+            return -np.log(t)
+        m = self._log_alpha(t)
         return m - 0.5 * np.log(-np.expm1(2.0 * m))
-
-    def _check_lambda(self, lam):
-        """``lam`` as a float array, if every value is within 1e-5 of the attainable range.
-
-        Written so that NaN fails the check, as in :meth:`_check_t`.
-        """
-        lam = np.asarray(lam, dtype=float)
-        lam_min, lam_max = self.lambda_domain
-        ok = (lam >= lam_min - 1e-5) & (lam <= lam_max + 1e-5)
-        if not np.all(ok):
-            bad = np.atleast_1d(lam)[~np.atleast_1d(ok)][0]
-            raise DomainError(
-                f"half log-SNR {bad} outside attainable range "
-                f"[{lam_min}, {lam_max}] of {self.name}"
-            )
-        return lam
 
     def t_of_lambda(self, lam):
         """Inverse of :meth:`lambda_of_t`, in closed form for every family.
 
         ``t`` is non-increasing in ``lam`` over the whole range.  Round
-        trips down to t = 1e-300 hold ``t`` to 2e-13 relative (1e-12 at a
-        vp-cosine shift of 1e-12, where sigma^2 is subnormal there) and
-        ``lam`` to 4e-13 * max(1, |lam|), measured at shifts 1e-12 to 1000
-        and (beta_min, beta_max) from (1e-6, 1e-5) to (1e-3, 1e6).  Values
-        within 1e-5 of the attainable range (e.g. endpoints quoted to a few
-        significant digits) are accepted and mapped onto the boundary.
+        trips over each family's whole domain hold ``t`` to 2e-13 relative
+        (1e-12 at a vp-cosine shift of 1e-12, where sigma^2 is subnormal
+        near t = 1e-300) and ``lam`` to 4e-13 * max(1, |lam|), measured at
+        shifts 1e-12 to 1000 and (beta_min, beta_max) from (1e-6, 1e-5) to
+        (1e-3, 1e6).  Values within 1e-5 of the attainable range (e.g.
+        endpoints quoted to a few significant digits) are accepted and
+        mapped onto the boundary.
         """
         lam = self._check_lambda(lam)
         if self.family == "ve_edm":
@@ -224,8 +190,7 @@ class NoiseSchedule:
             e = c0 * c0 * d * (2.0 - d)
             sin_dtheta = c0 * (e / (np.sqrt(r0 * r0 + e) + r0) + d * r0)
             t = (1.0 + s) * (2.0 / math.pi) * np.arcsin(sin_dtheta)
-        lo, hi = self.t_domain
-        return np.clip(t, lo if self.family == "ve_edm" else np.nextafter(lo, hi), hi)
+        return np.clip(t, *self.t_domain)
 
     # -- coefficients as functions of the half log-SNR --------------------
 

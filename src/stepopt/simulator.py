@@ -240,8 +240,8 @@ def _on_draws(batch, x) -> np.ndarray:
 
 def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.ndarray:
     """Posterior-mean prediction of the clean datum from a noisy state."""
-    alpha = np.array([float(schedule.alpha(t))])
-    sigma = np.array([float(schedule.sigma(t))])
+    lam = schedule.lambda_of_t(t)
+    alpha, sigma = (np.reshape(v, 1) for v in schedule.alpha_sigma_of_lambda(lam))
     return _on_draws(lambda xb: _posterior_mean(model, xb[:, None], alpha, sigma)[:, 0], x)
 
 

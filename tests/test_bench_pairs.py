@@ -8,7 +8,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-END_TO_END = [{"name": "wall_s", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
+END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+              {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
 
 
 def _run(seed, side, wall, ops):
@@ -53,7 +54,7 @@ def test_summary_splits_setup_by_run_order():
             run = _run(seed, side, 1.0, 1.0)
             run["result"]["metrics"]["setup_s"] = {"value": value}
             runs.append(run)
-    end_to_end = [{"name": "setup_s", "better": "lower"}, *END_TO_END]
+    end_to_end = [{"name": "setup_s", "better": "lower", "bound": 0.25}, *END_TO_END]
     (line,) = bench_pairs.summarize(runs, end_to_end)
     assert "setup_s 2.5 [1.75, 3.25] -> 2.75 [1.25, 5] (+10.0 %), change better in 2 of 4" in line
     assert "setup_s with the parent first 2 -> 1 (2 pairs)" in line
@@ -61,3 +62,36 @@ def test_summary_splits_setup_by_run_order():
     # runs without a set-up metric get no split
     plain = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 1.0, 1.0)]
     assert "with the parent first" not in bench_pairs.summarize(plain, END_TO_END)[0]
+
+
+def _verdicts(parent_walls, change_walls):
+    """The summary's wall_s and ops_per_s parts; ops_per_s is equal in every pair."""
+    runs = []
+    for seed, (parent, change) in enumerate(zip(parent_walls, change_walls), 1):
+        runs += [_run(seed, "parent", parent, 10.0), _run(seed, "change", change, 10.0)]
+    (line,) = bench_pairs.summarize(runs, END_TO_END)
+    return line.split("): ", 1)[1].split("; ")[:2]
+
+
+def test_regression_rule_clean():
+    wall, ops = _verdicts([1.0, 1.02, 0.98, 1.0], [1.1, 1.12, 1.08, 1.1])
+    assert wall.endswith("change better in 0 of 4 pairs")
+    assert ops.endswith("equal in 4")
+
+
+def test_regression_rule_over_bound():
+    # 30 % slower against a bound of 25 %; a higher-is-better metric counts the other way
+    wall, ops = _verdicts([1.0, 1.02, 0.98, 1.0], [1.3, 1.32, 1.28, 1.3])
+    assert wall.endswith("change better in 0 of 4 pairs, over bound")
+    assert ops.endswith("equal in 4")
+    assert bench_pairs.verdict({"better": "higher", "bound": 0.1}, [[10.0, 8.9]] * 3) == "over bound"
+    assert bench_pairs.verdict({"better": "higher", "bound": 0.1}, [[10.0, 9.1]] * 3) == ""
+
+
+def test_regression_rule_unresolved():
+    # parent quartiles [1.75, 3.25] are wider than 0.25 * 2.5: the change cannot be told apart
+    # unless every change run beats every parent run
+    wall, _ = _verdicts([1.0, 2.0, 3.0, 4.0], [2.4, 2.5, 2.6, 2.5])
+    assert wall.endswith("change better in 2 of 4 pairs, unresolved")
+    wall, _ = _verdicts([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8])
+    assert wall.endswith("change better in 4 of 4 pairs")

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import stepopt
 from stepopt import cli, simulator
 from stepopt.cli import main
-from stepopt.schedule_file import ScheduleFile, write_text
+from stepopt.schedule_file import ScheduleFile, write_texts
 from stepopt.schedules import NoiseSchedule
 from stepopt.weights import OrderSchedule, weights_lagrange, weights_taylor
 
@@ -375,6 +376,26 @@ class TestExitCodes:
                 "--N", "2", "--T", T, "--out", str(tmp_path / "x.json"),
             ) == 1, family
 
+    def test_time_below_the_vp_domain_is_1(self, tmp_path, capsys):
+        # below t = 1e-300 the VP maps lose digits; at 1e-315 lambda was inf
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(
+                "baseline", "--scheme", "uniform-t", "--schedule", "vp-cosine",
+                "--cosine-shift", "1e-12", "--eps", "1e-315", "--N", "4", "--out", str(out),
+            ) == 1
+        assert "time 1e-315 outside valid domain [1e-300, 0.992] of vp-cosine" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        # the domain is closed: 1e-300 itself is in it, and a file below it is bad input
+        assert run("baseline", "--scheme", "uniform-t", "--schedule", "vp-cosine",
+                   "--eps", "1e-300", "--N", "4", "--out", str(out)) == 0
+        below = _edited(out, tmp_path / "below.json", eps=1e-315)
+        assert run("dump-weights", "--steps", below, "--out", str(tmp_path / "w.json")) == 2
+        err = capsys.readouterr().err
+        assert f"bad input file {below}" in err and "outside valid domain [1e-300" in err
+
     def test_zero_seeds_is_2(self, tmp_path, model_file):
         a = tmp_path / "a.json"
         assert run(
@@ -546,7 +567,7 @@ class TestRepeatedCalls:
 
 
 class TestOutputs:
-    """Every output goes through ``schedule_file.write_text``, which overwrites in place."""
+    """Every output goes through ``schedule_file.write_texts``, which overwrites in place."""
 
     def _write_all(self, d, model_file):
         """Write all four outputs into ``d``; return their paths."""
@@ -595,7 +616,7 @@ class TestOutputs:
         monkeypatch.setattr(os, "write", write_then_stop)
         new = "grid,mean\n" + "a,0.5\n" * 100
         with pytest.raises(KeyboardInterrupt):
-            write_text(path, new)
+            write_texts((path, new))
         got = path.read_bytes()
         assert len(got) == len(new) and got.startswith(new[:10].encode())
         assert got[10:] == (b"old,row\n" * 5000)[10:len(new)]
@@ -629,10 +650,18 @@ class TestOutputs:
         sim = ("simulate", "--model", model_file, "--steps", str(steps), "--seeds", "4")
         assert run(*sim, "--out", bad) == 2
         assert run(*sim, "--out", str(tmp_path / "r.json"), "--csv", bad) == 2
+        # every output is opened before any is written: a failed command
+        # leaves no new file behind and an existing one as it was
+        assert not (tmp_path / "t.json").exists() and not (tmp_path / "r.json").exists()
+        kept = tmp_path / "kept.json"
+        kept.write_bytes(b"old bytes\n")
+        assert run(*base, "--out", str(kept), "--dump-weights", bad) == 2
+        assert run(*sim, "--out", str(kept), "--csv", bad) == 2
+        assert kept.read_bytes() == b"old bytes\n"
 
     def test_no_output_is_truncated_on_open(self, tmp_path, model_file, monkeypatch):
         # a writer that opens with O_TRUNC or any writing mode of open()
-        # bypasses write_text
+        # bypasses write_texts
         opened, modes = [], []
         real_os_open, real_open = os.open, builtins.open
 

@@ -50,9 +50,15 @@ class TestScoreErrorWeight:
         for schedule, lo, hi in [(VP, 1e-4, 1.0), (VE, 0.002, 80.0)]:
             t = rng.uniform(lo, hi, 50)
             lam = schedule.lambda_of_t(t)
+            # alpha and sigma from t itself: 1 and t on ve-edm
+            if schedule is VE:
+                alpha, sigma = np.ones_like(t), t
+            else:
+                log_alpha = schedule._log_alpha(t)
+                alpha, sigma = np.exp(log_alpha), np.sqrt(-np.expm1(2.0 * log_alpha))
             for p in (0, 1, 2, 3):
                 direct = score_error_weight(schedule, lam, p)
-                via_t = schedule.sigma(t) ** p / schedule.alpha(t)
+                via_t = sigma ** p / alpha
                 np.testing.assert_allclose(direct, via_t, rtol=1e-10)
 
     def test_domain_error(self):

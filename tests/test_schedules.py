@@ -25,6 +25,15 @@ ALL_FAMILIES = [
 ]
 
 
+def alpha_sigma_of_t(schedule, t):
+    """(alpha_t, sigma_t) computed from t, not through lambda: 1 and t on ve-edm."""
+    t = np.asarray(t, dtype=float)
+    if schedule.family == "ve_edm":
+        return np.ones_like(t), t
+    log_alpha = schedule._log_alpha(t)
+    return np.exp(log_alpha), np.sqrt(-np.expm1(2.0 * log_alpha))
+
+
 class TestLambdaOfT:
     def test_ve_at_one(self):
         assert float(VE.lambda_of_t(1.0)) == pytest.approx(0.0, abs=1e-15)
@@ -35,7 +44,7 @@ class TestLambdaOfT:
 
     def test_vp_linear_zero_where_alpha_equals_sigma(self):
         t_star = float(VP_LINEAR.t_of_lambda(0.0))
-        alpha, sigma = float(VP_LINEAR.alpha(t_star)), float(VP_LINEAR.sigma(t_star))
+        alpha, sigma = (float(v) for v in alpha_sigma_of_t(VP_LINEAR, t_star))
         assert alpha == pytest.approx(sigma, rel=1e-10)
         assert float(VP_LINEAR.lambda_of_t(t_star)) == pytest.approx(0.0, abs=1e-10)
 
@@ -46,13 +55,21 @@ class TestLambdaOfT:
         assert np.all(np.diff(lam) < 0)
 
     def test_domain_error_outside_range(self):
-        with pytest.raises(DomainError, match=r"domain \(0\.0, 1\.0\] of vp-linear"):
+        with pytest.raises(DomainError, match=r"domain \[1e-300, 1\.0\] of vp-linear"):
             VP_LINEAR.lambda_of_t(1.5)
         with pytest.raises(DomainError):
             VP_COSINE.lambda_of_t(0.0)  # unbounded log-SNR
         # ve-edm's lower end is in its domain
         with pytest.raises(DomainError, match=r"domain \[0\.002, 80\.0\] of ve-edm"):
             VE.lambda_of_t(100.0)
+
+    @pytest.mark.parametrize("schedule", [VP_LINEAR, VP_COSINE], ids=lambda s: s.name)
+    def test_vp_domain_is_closed_at_1e_300(self, schedule):
+        assert schedule.t_domain[0] == 1e-300
+        assert np.isfinite(schedule.lambda_of_t(1e-300))
+        below = np.nextafter(1e-300, 0.0)
+        with pytest.raises(DomainError, match=rf"time {below} outside valid domain \[1e-300, "):
+            schedule.lambda_of_t(below)
 
 
 class TestTOfLambda:
@@ -122,6 +139,14 @@ class TestTOfLambda:
         with pytest.raises(DomainError):
             schedule.t_of_lambda(np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("schedule", [VP_LINEAR, VP_COSINE, VE], ids=lambda s: s.name)
+    def test_slack_above_the_domain_maps_onto_its_lower_end(self, schedule):
+        lam_min, lam_max = schedule.lambda_domain
+        assert np.isfinite(lam_min) and np.isfinite(lam_max) and lam_min < lam_max
+        assert float(schedule.t_of_lambda(lam_max + 5e-6)) == schedule.t_domain[0]
+        with pytest.raises(DomainError):
+            schedule.t_of_lambda(lam_max + 2e-5)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             VE.t_of_lambda(10.0)
@@ -133,9 +158,9 @@ class TestTOfLambda:
 def test_vp_identity_and_positivity(schedule, lo, hi):
     rng = np.random.default_rng(7)
     t = rng.uniform(lo, hi, 1000)
-    alpha, sigma = schedule.alpha(t), schedule.sigma(t)
+    alpha, sigma = schedule.alpha_sigma_of_lambda(schedule.lambda_of_t(t))
     assert np.all(alpha > 0) and np.all(sigma > 0)
-    if schedule.is_vp:
+    if schedule.family != "ve_edm":
         assert np.max(np.abs(alpha**2 + sigma**2 - 1.0)) < 1e-12
 
 
@@ -145,8 +170,9 @@ def test_alpha_sigma_of_lambda_consistent():
         t = rng.uniform(lo, hi, 50)
         lam = schedule.lambda_of_t(t)
         alpha, sigma = schedule.alpha_sigma_of_lambda(lam)
-        assert np.allclose(alpha, schedule.alpha(t), rtol=1e-10)
-        assert np.allclose(sigma, schedule.sigma(t), rtol=1e-10)
+        alpha_t, sigma_t = alpha_sigma_of_t(schedule, t)
+        assert np.allclose(alpha, alpha_t, rtol=1e-10)
+        assert np.allclose(sigma, sigma_t, rtol=1e-10)
 
 
 class TestUniformTGrid:

@@ -465,8 +465,8 @@ class TestReferenceSolution:
 
     def test_mean_line_fixed_trajectory(self):
         model = single_gaussian([2.0, -1.0], 0.5)
-        alpha_T = float(VP.alpha(1.0))
-        alpha_eps = float(VP.alpha(1e-3))
+        alpha_T = math.exp(VP._log_alpha(1.0))
+        alpha_eps = math.exp(VP._log_alpha(1e-3))
         x_T = alpha_T * model.mus[0]
         out = reference_solution(model, VP, x_T, 1.0, 1e-3)
         np.testing.assert_allclose(out, alpha_eps * model.mus[0], atol=1e-10)

@@ -20,6 +20,12 @@ after every pair; the summary, printed at the end and kept as the
 file's ``notes``, gives per workload and end-to-end metric each side's
 median and quartiles and the number of pairs the change won, and the
 ``setup_s`` medians of parent-first and change-first pairs apart.
+
+It also applies the regression rule with each metric's ``bound`` from
+``BENCHMARK.json``: a metric is ``over bound`` when the change median is
+worse than the parent median by more than ``bound * |parent median|``,
+and ``unresolved`` when the parent's interquartile range is wider than
+that and not every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -106,8 +112,21 @@ def _pair_values(pairs: list[dict], name: str) -> list[list[float]]:
             if all(name in p[s]["result"]["metrics"] for s in SIDES)]
 
 
+def verdict(metric: dict, both: list[list[float]]) -> str:
+    """``over bound``, ``unresolved`` or empty, for ``[parent, change]`` pairs of ``metric``."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    (pq1, pmed, pq3), (_, cmed, _) = (_quartiles(list(side)) for side in zip(*both))
+    limit = metric["bound"] * abs(pmed)
+    if sign * (pmed - cmed) > limit:
+        return "over bound"
+    parent, change = ([sign * v for v in side] for side in zip(*both))
+    if pq3 - pq1 > limit and not min(change) > max(parent):
+        return "unresolved"
+    return ""
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
-    """Per workload and metric: median [q1, q3] per side and the pairs the change won.
+    """Per workload and metric: median [q1, q3] per side, the pairs the change won, the verdict.
 
     ``setup_s`` is also given per run order: its medians over the pairs
     where the parent ran first (odd seeds) and where the change did (even).
@@ -135,7 +154,8 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> list[str]:
             parts.append(
                 f"{name} {pmed:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cmed:.6g} [{cq1:.6g}, {cq3:.6g}] "
                 f"({change:+.1f} %), change better in {won} of {len(pairs)} pairs"
-                + (f", equal in {equal}" if equal else ""))
+                + (f", equal in {equal}" if equal else "")
+                + (f", {flag}" if (flag := verdict(m, both)) else ""))
         for first, odd in (("parent", 1), ("change", 0)):
             both = _pair_values([p for seed, p in by_seed.items()
                                  if len(p) == 2 and seed % 2 == odd], "setup_s")
