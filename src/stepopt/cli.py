@@ -115,10 +115,7 @@ def _weight_table(schedule_file: ScheduleFile) -> str:
 def _write_schedule(args, spec: ObjectiveSpec, grid, objective: float, init: str,
                     converged: bool | None = None) -> None:
     """Write ``--out``, and ``--dump-weights`` when given, for a grid of ``spec``."""
-    out = ScheduleFile.from_grid(
-        grid, args.schedule, spec.orders, args.kind, args.p, objective, init, converged,
-        **spec.schedule.parameters,
-    )
+    out = ScheduleFile._of_spec(spec, grid, objective, init, converged)
     outputs = [(args.out, out.emit())]
     if args.dump_weights:
         outputs.append((args.dump_weights, _weight_table(out)))

@@ -142,21 +142,41 @@ class ScheduleFile:
         **family_parameters: float,
     ) -> "ScheduleFile":
         """File of ``grid``; ``family_parameters`` as ``NoiseSchedule.parameters`` gives them."""
-        return cls(
-            schedule_family=schedule_family,
+        schedule = NoiseSchedule.from_name(schedule_family, **family_parameters)
+        spec = ObjectiveSpec(
+            schedule, grid.n_steps, float(grid.T), float(grid.eps), orders, int(p), polynomial_kind
+        )
+        return cls._of_spec(spec, grid, objective, init, converged)
+
+    @classmethod
+    def _of_spec(
+        cls, spec: ObjectiveSpec, grid: LambdaGrid, objective: float, init: str,
+        converged: bool | None = None,
+    ) -> "ScheduleFile":
+        """File of ``grid``, a grid built for ``spec``.
+
+        Validation takes ``spec`` and ``grid`` as they are instead of
+        building them again from the fields; every check on the fields
+        still runs against them.
+        """
+        out = cls.__new__(cls)
+        vars(out).update(spec=spec, grid=grid)  # the cached properties __post_init__ reads
+        out.__init__(
+            schedule_family=spec.schedule.name,
             T=float(grid.T),
             eps=float(grid.eps),
             N=grid.n_steps,
             lam=[float(v) for v in grid.lam],
             t=[float(v) for v in grid.t],
-            orders=[int(k) for k in orders.k],
-            polynomial_kind=polynomial_kind,
-            p=int(p),
+            orders=[int(k) for k in spec.orders.k],
+            polynomial_kind=spec.polynomial_kind,
+            p=spec.p,
             objective=float(objective),
             init=init,
             converged=converged,
-            **family_parameters,
+            **spec.schedule.parameters,
         )
+        return out
 
     @property
     def family_parameters(self) -> dict[str, float]:

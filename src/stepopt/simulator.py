@@ -21,6 +21,7 @@ import contextlib
 import functools
 import gc
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -344,11 +345,28 @@ def _reference_batch(
     Single Gaussians use the exact closed form; mixtures integrate the
     flattened (dim, S) state with scipy's DOP853, an adaptive explicit
     Runge-Kutta method of order 8, at rtol 1e-10 and atol 1e-13.  The
-    solver is stepped directly and only its final state is kept.  Every
-    right-hand-side call costs one posterior mean over the whole batch,
-    the G = 1 case of the stacked kernel, into whose output the rest of
-    the right-hand side is folded in place, and at this tolerance DOP853
-    needs about half as many calls as the 4th/5th order RK45.
+    solver is stepped directly and only its final state is kept; at this
+    tolerance DOP853 needs about half as many right-hand-side calls as
+    the 4th/5th order RK45.
+
+    The right-hand side has a flow kernel of its own.  With
+    ``var_k = alpha^2 s_k^2 + sigma^2`` and responsibilities ``r_k``, the
+    flow ``alpha D(x) - alpha^2 x`` of the posterior mean ``D`` is
+
+        sum_k r_k (alpha sigma^2 mu_k - alpha^2 (sigma^2 - s_k^2 (1 - alpha^2)) x) / var_k
+        / sum_k r_k
+
+    so each call is two small products: the (K, dim + 2) per-lambda
+    coefficients of ``log r_k`` times the features ``[x; |x|^2; 1]``,
+    and, after the max shift and ``exp``, the (dim + 2, K) coefficients
+    of ``mu_k`` and ``x`` and a row of ones times ``r``, which gives the
+    unnormalised flow and ``sum_k r_k`` together; the flow is divided by
+    that sum once.  ``1 - alpha^2`` comes from ``log alpha`` through
+    ``expm1``, so the coefficient of ``x`` shrinks with ``sigma^2`` at
+    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  Both
+    coefficient arrays and the feature buffer are allocated once per
+    solve.  The sampler and :func:`data_prediction` keep
+    :func:`_posterior_mean`.
     """
     if model.pis.size == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -362,16 +380,36 @@ def _reference_batch(
     # imported here, so that commands without a mixture reference start without scipy
     from scipy.integrate import DOP853
 
-    shape = (x_start.shape[0], 1, x_start.shape[1])  # the G = 1 layout of _posterior_mean
+    dim, S = x_start.shape
+    mus = model.mus
+    s2, mu2, log_pi = (v.ravel() for v in model._terms)
+    log_coef = np.empty((mus.shape[0], dim + 2))  # alpha mu_k / var_k, -1 / (2 var_k), constant
+    flow_coef = np.empty((dim + 2, mus.shape[0]))  # of mu_k and of x, over var_k; then 1
+    flow_coef[-1] = 1.0
+    features = np.empty((dim + 2, S))
+    features[-1] = 1.0
 
     def rhs(lam, y):
-        x = y.reshape(shape)
-        coeffs = np.array(schedule.alpha_sigma_of_lambda(lam))  # (alpha, sigma)
-        dx = _posterior_mean(model, x, coeffs[:1], coeffs[1:])
-        alpha = float(coeffs[0])
-        dx *= alpha
-        dx += -alpha**2 * x  # dlog(sigma)/dlam
-        return dx.ravel()
+        x = y.reshape(dim, S)
+        log_alpha, log_sigma = (float(v) for v in schedule.log_alpha_sigma_of_lambda(lam))
+        alpha, sigma2 = math.exp(log_alpha), math.exp(2.0 * log_sigma)
+        a2 = alpha * alpha
+        inv_var = 1.0 / (s2 * a2 + sigma2)
+        log_coef[:, :dim] = mus * (alpha * inv_var)[:, None]
+        log_coef[:, dim] = -0.5 * inv_var
+        log_coef[:, dim + 1] = log_pi + 0.5 * dim * np.log(inv_var) - (0.5 * a2) * mu2 * inv_var
+        flow_coef[:dim] = mus.T * ((alpha * sigma2) * inv_var)
+        flow_coef[dim] = (a2 * (s2 * -math.expm1(2.0 * log_alpha) - sigma2)) * inv_var
+        features[:dim] = x
+        np.einsum("ij,ij->j", x, x, out=features[dim])
+        r = log_coef @ features  # log-responsibilities, (K, S)
+        r -= r.max(axis=0)
+        np.exp(r, out=r)
+        out = flow_coef @ r  # (dim + 2, S), the last row sum_k r_k
+        flow = out[dim] * x
+        flow += out[:dim]
+        flow /= out[dim + 1]
+        return flow.ravel()
 
     solver = DOP853(rhs, lam_T, x_start.ravel(), lam_eps, rtol=1e-10, atol=1e-13)
     while solver.status == "running":

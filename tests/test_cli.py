@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import json
 import math
@@ -700,6 +701,14 @@ def _edited(src, dst, **changes):
     return str(dst)
 
 
+def _counted(post_init, calls):
+    def counted(self):
+        calls.append(type(self).__name__)
+        post_init(self)
+
+    return counted
+
+
 class TestScheduleFile:
     def test_round_trip_bit_exact(self, tmp_path):
         out = tmp_path / "s.json"
@@ -763,6 +772,34 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match=r"t\[2\] = 0.5 does not match lambda\[2\]"):
             ScheduleFile.read(bad)
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
+
+    def test_written_file_reuses_the_command_spec_and_still_checks_times(
+        self, tmp_path, monkeypatch
+    ):
+        # the writer takes the command's spec and grid as built; a grid whose
+        # interior t is off its lambda is still refused, and nothing is written
+        from stepopt.objective import ObjectiveSpec
+        from stepopt.schedules import LambdaGrid, edm_grid
+
+        built = []
+        for cls in (NoiseSchedule, ObjectiveSpec, LambdaGrid):
+            monkeypatch.setattr(cls, "__post_init__", _counted(cls.__post_init__, built))
+        schedule = NoiseSchedule.from_name("vp-linear")
+        spec = ObjectiveSpec(schedule, 4, 1.0, 1e-3, OrderSchedule.warmup(4, 3))
+        grid = edm_grid(schedule, 4, 1.0, 1e-3)
+        args = argparse.Namespace(out=str(tmp_path / "s.json"), dump_weights=None)
+        built.clear()
+        cli._write_schedule(args, spec, grid, 1.0, init="edm")
+        assert built == []
+        assert ScheduleFile.read(args.out).grid.lam.tolist() == grid.lam.tolist()
+
+        t = grid.t.copy()
+        t[2] = 0.5  # 0.592 on this grid
+        off = LambdaGrid(lam=grid.lam, t=t, T=grid.T, eps=grid.eps)
+        args.out = str(tmp_path / "t2.json")
+        with pytest.raises(ValueError, match=r"t\[2\] = 0.5 does not match lambda\[2\]"):
+            cli._write_schedule(args, spec, off, 1.0, init="edm")
+        assert not os.path.exists(args.out)
 
     @pytest.mark.parametrize("moves", [(-0.5, 1.0), (-1e-9, 0.0), (0.0, 1e-9)],
                              ids=["both", "first", "last"])

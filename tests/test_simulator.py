@@ -536,6 +536,49 @@ class TestReferenceSolution:
                         rtol=1e-10, atol=1e-13)
         assert np.array_equal(got, sol.y[:, -1].reshape(2, -1).T)
 
+    def test_flow_kernel_matches_posterior_mean(self, monkeypatch):
+        # the reference's right-hand side against alpha D(x) - alpha^2 x from the
+        # posterior mean, on random mixtures with draws from the marginal at each
+        # lambda of the family's range, up to about 346 on the VP families; one
+        # component takes the closed form, so K = 1 runs as two equal halves
+        rhs = []
+
+        class Recording(DOP853):
+            def __init__(self, fun, *args, **kwargs):
+                rhs.append(fun)
+                super().__init__(fun, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+        rng = np.random.default_rng(23)
+        worst = 0.0
+        for trial in range(24):
+            schedule = NoiseSchedule.from_name(sorted(FAMILY_RANGES)[trial % 3])
+            K, dim = 1 + trial % 8, int(rng.integers(1, 17))
+            # far apart against their widths at 12, so responsibilities saturate
+            spread = (1.0, 4.0, 12.0)[trial // 3 % 3]
+            mus = spread * rng.normal(size=(K, dim))
+            stds = np.exp(rng.uniform(math.log(0.05), 0.0, K))
+            pis = rng.dirichlet(np.ones(K))
+            halves = 2 if K == 1 else 1
+            model = AnalyticModel(np.repeat(pis, halves) / halves, np.repeat(mus, halves, axis=0),
+                                  np.repeat(stds, halves))
+            S = 64
+            lo, hi = schedule.lambda_domain
+            rhs.clear()
+            _reference_batch(model, schedule, np.zeros((dim, S)), lo, lo + 1e-6)
+            (flow,) = rhs
+            for lam in np.linspace(lo, hi, 25):
+                alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
+                k = rng.choice(K, size=S, p=pis)
+                clean = mus[k].T + stds[k] * rng.normal(size=(dim, S))
+                x = alpha * clean + sigma * rng.normal(size=(dim, S))
+                pm = _posterior_mean(model, x[:, None], np.array([alpha]), np.array([sigma]))[:, 0]
+                want = alpha * pm - alpha**2 * x
+                got = flow(lam, x.ravel()).reshape(dim, S)
+                scale = np.linalg.norm(alpha * pm, axis=0) + np.linalg.norm(alpha**2 * x, axis=0)
+                worst = max(worst, float(np.max(np.linalg.norm(got - want, axis=0) / scale)))
+        assert worst <= 1e-13
+
     def test_failed_integration_raises(self, monkeypatch, tmp_path):
         class Failing(DOP853):
             def _step_impl(self):
