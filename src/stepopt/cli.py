@@ -38,6 +38,8 @@ __all__ = ["main", "entry_point"]
 
 # default end time per family; the default start time is the top of its domain
 _DEFAULT_EPS = {"vp-linear": 1e-3, "vp-cosine": 1e-3, "ve-edm": 0.002}
+# NoiseSchedule fields, one flag each, passed only when given
+_PARAMETER_FLAGS = ("beta_min", "beta_max", "cosine_shift")
 
 
 class UsageError(ValueError):
@@ -62,11 +64,9 @@ def _spec_from_args(args) -> ObjectiveSpec:
     :class:`DomainError`, a numeric failure.
     """
     try:
+        given = {name: getattr(args, name) for name in _PARAMETER_FLAGS}
         schedule = NoiseSchedule.from_name(
-            args.schedule,
-            beta_min=args.beta_min,
-            beta_max=args.beta_max,
-            cosine_shift=args.cosine_shift,
+            args.schedule, **{name: value for name, value in given.items() if value is not None}
         )
         if "," in args.order:
             orders = OrderSchedule(tuple(int(v) for v in args.order.split(",")))
@@ -222,13 +222,13 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=None, help="start time (family default)")
     p.add_argument("--eps", type=float, default=None, help="end time (family default)")
     p.add_argument("--order", default="3", help="max order, or comma list k1,k2,...")
-    p.add_argument("--p", type=int, default=1, choices=PROXY_EXPONENTS,
+    p.add_argument("--p", type=int, default=ObjectiveSpec.p, choices=PROXY_EXPONENTS,
                    help="error-proxy exponent (1: pixel-space, 2: latent-space)")
-    p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default="lagrange")
-    p.add_argument("--rho", type=_int_at_least(1), default=7, help="exponent of the edm scheme")
-    p.add_argument("--beta-min", type=float, default=0.1)
-    p.add_argument("--beta-max", type=float, default=20.0)
-    p.add_argument("--cosine-shift", type=float, default=0.008)
+    p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default=ObjectiveSpec.polynomial_kind)
+    p.add_argument("--rho", type=_int_at_least(1), default=OptimizerConfig.rho,
+                   help="exponent of the edm scheme")
+    for name in _PARAMETER_FLAGS:
+        p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--out", required=True, help="output schedule JSON")
     p.add_argument("--dump-weights", default=None, help="also write the weight table JSON")
 
@@ -256,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="minimize the bound objective over interior nodes")
     p.add_argument("--init", choices=SCHEMES + ("best-of-3",), default="best-of-3")
     p.add_argument("--margin", type=float, default=None, help="minimum log-SNR gap")
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
     _add_spec_flags(p)
     p.set_defaults(func=_cmd_optimize)
 

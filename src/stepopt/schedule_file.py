@@ -45,18 +45,24 @@ def write_texts(*outputs) -> None:
     """Write each ``(path, text)`` as UTF-8 over its path in place, every path opened first.
 
     No ``O_TRUNC``, so no ext4 truncate-and-flush.  If any path cannot be
-    opened, no output is written; on any failure the files this call
+    opened, or two paths name the same regular file (by any spelling or
+    link), no output is written; on any failure the files this call
     created are removed, and the others keep what was written to them.
     """
     fds, created = [], []
     try:
         for path, _ in outputs:
-            existed = os.path.lexists(path)
+            existed = os.path.exists(path)  # through a link, whether its target does
             fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666))
-            created += [] if existed else [path]
-        for fd, (_, text) in zip(fds, outputs):
+            created += [] if existed else [os.path.realpath(path)]
+        infos, seen = [os.fstat(fd) for fd in fds], {}
+        for i, info in enumerate(infos):
+            first = seen.setdefault((info.st_dev, info.st_ino), i)
+            if first != i and stat.S_ISREG(info.st_mode):  # /dev/null may be given twice
+                raise OSError(f"outputs {outputs[first][0]} and {outputs[i][0]} are the same file")
+        for fd, info, (_, text) in zip(fds, infos, outputs):
             view = memoryview(text.encode("utf-8"))
-            if stat.S_ISREG(os.fstat(fd).st_mode):  # /dev/null and pipes cannot be cut
+            if stat.S_ISREG(info.st_mode):  # /dev/null and pipes cannot be cut
                 os.ftruncate(fd, len(view))  # first: a stopped write leaves nothing past the new end
             while view:
                 view = view[os.write(fd, view):]

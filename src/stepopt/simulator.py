@@ -17,7 +17,6 @@ with ``dlog(sigma)/dlam`` equal to ``-alpha^2`` for every family
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import gc
 import json
@@ -273,6 +272,9 @@ def _sample_batch(
     per grid, the first step entered with a non-finite state (``N + 1``
     if only the final state is, 0 if none); a grid that goes non-finite
     does not stop the others, whose states are those they get alone.
+    The loop runs under one ``np.errstate(all="ignore")``: any overflow
+    that matters leaves a non-finite state, which the next check records,
+    so no caller's floating-point setting can fail the pass for one grid.
     """
     n_steps = lam.shape[1] - 1
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
@@ -283,30 +285,18 @@ def _sample_batch(
     x = np.array(x_start, dtype=float, order="C")
     entered = np.zeros(lam.shape[0], dtype=int)
     history: deque[np.ndarray] = deque(maxlen=max(orders.k))
-    with contextlib.ExitStack() as scope:
-        for n in range(1, n_steps + 1):
-            _mark_non_finite(x, n, entered, scope)
+    with np.errstate(all="ignore"):
+        for n in range(1, n_steps + 2):  # the last pass only checks the final state
+            if not np.isfinite(x).all():
+                entered[(entered == 0) & ~np.isfinite(x).all(axis=(0, 2))] = n
+            if n > n_steps:
+                break
             history.append(predict(x, alphas[:, n - 1], sigmas[:, n - 1]))
             k = orders.k[n - 1]
             x = ratio[n - 1] * x
             for d in range(k - 1, -1, -1):
                 x += coef[n - 1, d] * history[-1 - d]
-        _mark_non_finite(x, n_steps + 1, entered, scope)
     return x, entered
-
-
-def _mark_non_finite(x: np.ndarray, step: int, entered: np.ndarray, scope) -> None:
-    """Set ``entered[g] = step`` for each grid g whose (dim, G, S) state first turns non-finite.
-
-    One ``isfinite(x).all()`` is the whole cost while every grid is
-    finite.  The first non-finite grid enters a scoped ``np.errstate`` on
-    ``scope``, so the rest of the pass raises no floating-point warnings.
-    """
-    if np.isfinite(x).all():
-        return
-    if not entered.any():
-        scope.enter_context(np.errstate(all="ignore"))
-    entered[(entered == 0) & ~np.isfinite(x).all(axis=(0, 2))] = step
 
 
 def non_finite_message(step: int, n_steps: int, label: str | None = None) -> str:

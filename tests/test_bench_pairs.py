@@ -24,6 +24,17 @@ def test_parse_pairs():
         bench_pairs.parse_pairs("sweep")
 
 
+def test_src_lines_counts_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "stepopt"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("x = 1\ny = 2")  # no final newline: wc -l counts 1
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (package / "sub").mkdir()
+    (package / "sub" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+
+
 def test_summary_counts_wins_by_direction():
     runs = []
     for seed, (wall, ops) in enumerate([(1.0, 10.0), (2.0, 20.0), (3.0, 30.0), (4.0, 40.0)], 1):

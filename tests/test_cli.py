@@ -92,6 +92,23 @@ class TestBaseline:
         assert run(*args, "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_family_flags_reach_the_schedule_only_when_given(self, tmp_path, monkeypatch):
+        # an unset flag leaves the parameter to NoiseSchedule's own default
+        calls = []
+        real = NoiseSchedule.from_name.__func__
+
+        def spy(cls, name, **params):
+            calls.append(params)
+            return real(cls, name, **params)
+
+        monkeypatch.setattr(NoiseSchedule, "from_name", classmethod(spy))
+        base = ("baseline", "--scheme", "edm", "--schedule", "vp-cosine", "--N", "4")
+        assert run(*base, "--out", str(tmp_path / "a.json")) == 0
+        assert calls == [{}]
+        calls.clear()
+        assert run(*base, "--cosine-shift", "0.02", "--out", str(tmp_path / "b.json")) == 0
+        assert calls == [{"cosine_shift": 0.02}]
+
 
 class TestOptimize:
     def test_two_step_midpoint(self, tmp_path):
@@ -659,6 +676,29 @@ class TestOutputs:
         assert run(*base, "--out", str(kept), "--dump-weights", bad) == 2
         assert run(*sim, "--out", str(kept), "--csv", bad) == 2
         assert kept.read_bytes() == b"old bytes\n"
+
+    def test_one_file_given_twice_is_2(self, tmp_path, model_file, monkeypatch, capsys):
+        # two outputs naming one regular file, by any spelling or a link,
+        # write nothing: a new file is removed and an existing one kept as it was
+        monkeypatch.chdir(tmp_path)
+        base = ("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4")
+        os.symlink("s.json", "link.json")  # dangling until s.json exists
+        for first, twice in [("s.json", "s.json"), ("s.json", "./s.json"),
+                             ("s.json", str(tmp_path / "s.json")), ("s.json", "link.json"),
+                             ("link.json", "s.json")]:
+            assert run(*base, "--out", first, "--dump-weights", twice) == 2
+            assert capsys.readouterr().err == f"error: outputs {first} and {twice} are the same file\n"
+            assert not os.path.exists("s.json") and os.path.islink("link.json")
+        assert run(*base, "--out", "b.json") == 0
+        sim = ("simulate", "--model", model_file, "--steps", "b.json", "--seeds", "4")
+        for twice in ("r.json", "./r.json"):
+            assert run(*sim, "--out", "r.json", "--csv", twice) == 2
+            assert not os.path.exists("r.json")
+        old = Path("b.json").read_bytes()
+        os.symlink("b.json", "to-b.json")
+        assert run(*base, "--out", "b.json", "--dump-weights", "./b.json") == 2
+        assert run(*sim, "--out", "to-b.json", "--csv", "b.json") == 2
+        assert Path("b.json").read_bytes() == old
 
     def test_no_output_is_truncated_on_open(self, tmp_path, model_file, monkeypatch):
         # a writer that opens with O_TRUNC or any writing mode of open()

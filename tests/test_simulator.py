@@ -383,6 +383,25 @@ class TestStackedSampler:
         assert non_finite_message(1, 3, "c") == "sampler state non-finite entering step 1 of grid 'c'"
         assert non_finite_message(4, 3) == "sampler state non-finite after step 3"
 
+    @pytest.mark.parametrize("mode", [None, "raise"])
+    def test_overflowing_grid_leaves_the_others_bitwise(self, mode):
+        # grid 1 starts at a finite 1e200 and overflows: it names its own
+        # step, grids 0 and 2 equal a run without it, and neither a warning
+        # (an error under pytest) nor a caller's raising errstate stops the
+        # pass, whose floating-point settings are restored afterwards
+        grid = uniform_lambda_grid(VP, 3, 1.0, 1e-3)
+        x = np.random.default_rng(7).normal(size=(2, 3, 4))
+        x[:, 1] = 1e200
+        predict = functools.partial(_posterior_mean, standard_test_mixture())
+        rest = (OrderSchedule.warmup(3, 2), "lagrange", VP, predict)
+        with np.errstate(all=mode):
+            errors = np.geterr()
+            out, entered = _sample_batch(np.stack([grid.lam] * 3), *rest, x)
+            assert np.geterr() == errors
+        alone = _sample_batch(np.stack([grid.lam] * 2), *rest, np.ascontiguousarray(x[:, ::2]))[0]
+        assert entered.tolist() == [0, 2, 0]
+        assert np.array_equal(out[:, ::2], alone) and np.isfinite(alone).all()
+
 
 def _per_grid_sample(grid, orders, kind, schedule, model, x):
     """The sampler on one grid and an (S, dim) draw-major batch, keeping
@@ -709,6 +728,35 @@ class TestEvaluateSchedules:
         with_b = evaluate_schedules(*args, [a, b, c], *rest, labels=["a", "b", "c"])
         without_b = evaluate_schedules(*args, [a, c], *rest, labels=["a", "c"])
         assert with_b[1].diverged_step == 2
+        for got, want in zip((with_b[0], with_b[2]), without_b):
+            assert got.diverged_step is None
+            assert np.array_equal(got.per_seed_errors, want.per_seed_errors)
+            assert (got.mean_l2_error, got.median_l2_error) == (
+                want.mean_l2_error, want.median_l2_error
+            )
+
+    def test_overflowing_grid_leaves_the_others_bitwise(self, monkeypatch):
+        # the first stacked prediction of "b" is a finite 1e300, so its state
+        # overflows on the next step; "a" and "c" report exactly what they
+        # report without "b" beside them
+        real = simulator._posterior_mean
+        calls = []
+
+        def poisoned(model, x, alpha, sigma):
+            out = real(model, x, alpha, sigma)
+            if x.shape[1] == 3 and not calls:
+                calls.append(None)
+                out[:, 1] = 1e300
+            return out
+
+        monkeypatch.setattr(simulator, "_posterior_mean", poisoned)
+        a, b, c = (f(VP, 6, 1.0, 1e-3) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid))
+        args = (standard_test_mixture(), VP)
+        rest = (OrderSchedule.warmup(6, 3), "lagrange", 32, 5)
+        with_b = evaluate_schedules(*args, [a, b, c], *rest, labels=["a", "b", "c"])
+        without_b = evaluate_schedules(*args, [a, c], *rest, labels=["a", "c"])
+        assert calls and with_b[1].diverged_step == 3
+        assert with_b[1].mean_l2_error == with_b[1].median_l2_error == math.inf
         for got, want in zip((with_b[0], with_b[2]), without_b):
             assert got.diverged_step is None
             assert np.array_equal(got.per_seed_errors, want.per_seed_errors)

@@ -19,7 +19,9 @@ under the working tree's ``perfbench/``.  The output file is rewritten
 after every pair; the summary, printed at the end and kept as the
 file's ``notes``, gives per workload and end-to-end metric each side's
 median and quartiles and the number of pairs the change won, and the
-``setup_s`` medians of parent-first and change-first pairs apart.
+``setup_s`` medians of parent-first and change-first pairs apart.  The
+record's ``src_lines`` counts each tree's lines of ``src/stepopt/*.py``
+(as ``wc -l`` does); the notes give both counts before the summary.
 
 It also applies the regression rule with each metric's ``bound`` from
 ``BENCHMARK.json``: a metric is ``over bound`` when the change median is
@@ -72,6 +74,11 @@ def build_trees(ref: str, tmp: Path) -> dict[str, Path]:
     shutil.copytree(ROOT / "src", trees["change"] / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     return trees
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of ``tree``'s ``src/stepopt/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "stepopt").glob("*.py"))
 
 
 def _run_harness(tree: Path, workload: str, *flags: str, timeout: float, what: str):
@@ -198,23 +205,27 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     order = ", ".join(f"{w} seeds {s[0]}-{s[-1]}" if s == list(range(s[0], s[-1] + 1))
                       else f"{w} seeds {s}" for w, s in args.pairs)
-    record = {
-        "change": args.change,
-        "parent": parent,
-        "command": COMMAND.format(seconds=args.seconds),
-        "protocol": (
-            "one untimed --setup-only process per side and workload first; then per workload, "
-            "parent and change back to back per seed, parent first on odd seeds "
-            f"and change first on even seeds, in this order: {order}; parent from a git archive "
-            "of the parent commit, change from the same archive with src/ replaced by this "
-            "change's src/, so both sides have the same layout; result is the final JSON line "
-            "of each run (tools/bench_pairs.py)"),
-        "machine": machine(),
-        "notes": list(args.note),
-        "runs": [],
-    }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = build_trees(args.parent, Path(tmp))
+        sizes = {side: src_lines(tree) for side, tree in trees.items()}
+        notes = [*args.note,
+                 "lines of src/stepopt/*.py: parent {parent} -> change {change}".format(**sizes)]
+        record = {
+            "change": args.change,
+            "parent": parent,
+            "command": COMMAND.format(seconds=args.seconds),
+            "protocol": (
+                "one untimed --setup-only process per side and workload first; then per "
+                "workload, parent and change back to back per seed, parent first on odd seeds "
+                f"and change first on even seeds, in this order: {order}; parent from a git "
+                "archive of the parent commit, change from the same archive with src/ replaced "
+                "by this change's src/, so both sides have the same layout; result is the final "
+                "JSON line of each run (tools/bench_pairs.py)"),
+            "machine": machine(),
+            "src_lines": sizes,
+            "notes": notes,
+            "runs": [],
+        }
         for workload in dict.fromkeys(w for w, _ in args.pairs):
             for side in SIDES:
                 warm_up(trees[side], workload)
@@ -227,7 +238,7 @@ def main(argv=None) -> int:
                     metrics = run["result"]["metrics"]
                     print(f"{workload} seed {seed} {side}: " + ", ".join(
                         f"{k} {v['value']:.6g}" for k, v in metrics.items()), flush=True)
-                record["notes"] = list(args.note) + summarize(record["runs"], end_to_end)
+                record["notes"] = notes + summarize(record["runs"], end_to_end)
                 args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print("\n".join(record["notes"]))
     return 0
