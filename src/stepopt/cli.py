@@ -197,7 +197,8 @@ def _cmd_simulate(args) -> int:
         "rng_seed": args.rng_seed,
         "reports": [r.to_dict() for r in reports],
     }
-    outputs = [(args.out, json.dumps(payload, indent=2) + "\n")]
+    # an error beyond the float range fails the command (ValueError) rather than write Infinity
+    outputs = [(args.out, json.dumps(payload, indent=2, allow_nan=False) + "\n")]
     if args.csv:
         table = io.StringIO()
         csv.writer(table).writerows([["label", "N", "mean_l2", "median_l2"]] + [

@@ -105,4 +105,25 @@ def test_regression_rule_unresolved():
     wall, _ = _verdicts([1.0, 2.0, 3.0, 4.0], [2.4, 2.5, 2.6, 2.5])
     assert wall.endswith("change better in 2 of 4 pairs, unresolved")
     wall, _ = _verdicts([1.0, 2.0, 3.0, 4.0], [0.5, 0.6, 0.7, 0.8])
+    assert wall.endswith("change better in 4 of 4 pairs, gain")
+    # every change run beats every parent run, by less than the parent's quartile spread
+    wall, _ = _verdicts([1.0, 2.0, 2.1, 10.0], [0.9, 0.9, 0.9, 0.9])
     assert wall.endswith("change better in 4 of 4 pairs")
+
+
+def test_gain_rule():
+    # parent quartiles [1.0, 1.2] over 10 pairs: a gain needs 9 wins (ties count for neither)
+    # and a median better by more than 0.2
+    parent = [1.0, 1.0, 1.0, 1.0, 1.1, 1.1, 1.2, 1.2, 1.2, 1.3]
+    faster = [p - 0.3 for p in parent]
+    wall, ops = _verdicts(parent, faster[:9] + [parent[9]])
+    assert wall.endswith("change better in 9 of 10 pairs, equal in 1, gain")
+    assert ops.endswith("equal in 10")
+    wall, _ = _verdicts(parent, faster[:8] + parent[8:])
+    assert wall.endswith("change better in 8 of 10 pairs, equal in 2")
+    wall, _ = _verdicts(parent, [p - 0.15 for p in parent])
+    assert wall.endswith("change better in 10 of 10 pairs")
+    # a higher-is-better metric gains the other way
+    higher = {"better": "higher", "bound": 0.25}
+    assert bench_pairs.verdict(higher, [[p, p + 0.3] for p in parent]) == "gain"
+    assert bench_pairs.verdict(higher, [[p, p - 0.3] for p in parent]) == "over bound"

@@ -1,5 +1,6 @@
 import argparse
 import builtins
+import dataclasses
 import json
 import math
 import os
@@ -233,6 +234,24 @@ class TestSimulate:
             "error: sampler state non-finite entering step 2 of grid 'b'; "
             "sampler state non-finite entering step 2 of grid 'c'\n"
         )
+
+    def test_error_beyond_float_range_exits_1(self, tmp_path, model_file, monkeypatch, capsys):
+        # a finite state whose mean error exceeds the float range is not
+        # written as Infinity: the command fails and writes nothing
+        real = cli.evaluate_schedules
+
+        def overflowing(*args, **kwargs):
+            first, *rest = real(*args, **kwargs)
+            return [dataclasses.replace(first, mean_l2_error=math.inf), *rest]
+
+        monkeypatch.setattr(cli, "evaluate_schedules", overflowing)
+        files = self._write_schedules(tmp_path)
+        out, table = tmp_path / "rep.json", tmp_path / "rep.csv"
+        capsys.readouterr()
+        rc = run("simulate", "--model", model_file, "--steps", files[0], "--steps", files[1],
+                 "--seeds", "4", "--out", str(out), "--csv", str(table))
+        assert rc == 1 and not out.exists() and not table.exists()
+        assert capsys.readouterr().err.startswith("error: Out of range float values")
 
     def test_endpoint_mismatch_exits_2(self, tmp_path, model_file):
         a = tmp_path / "a.json"

@@ -178,10 +178,11 @@ class TestDataPrediction:
 
     def test_matches_draw_major_layout(self):
         # Bitwise where the float operations are those of the draw-major
-        # kernel: dim <= 2 with K >= 2.  Otherwise the row reductions
-        # (einsum over dim >= 3, numpy's gemv for K = 1) sum in another
-        # order, so the two may differ by rounding that the exponentials
-        # amplify; 1000 eps of the largest entry bounds that.
+        # kernel: K = 1 (the closed form reduces over nothing) at every
+        # dim, and dim <= 2 for mixtures.  Otherwise the einsum over
+        # dim >= 3 sums in another order, so the two may differ by
+        # rounding that the exponentials amplify; 1000 eps of the largest
+        # entry bounds that.
         rng = np.random.default_rng(23)
         coefficients = [(0.6, 0.8), (0.999, 0.04), (0.01, 0.9999)]
         for name, (T, eps) in FAMILY_RANGES.items():
@@ -204,7 +205,7 @@ class TestDataPrediction:
                     model, np.ascontiguousarray(x.T)[:, None], np.array([alpha]), np.array([sigma])
                 )
                 assert got.flags.c_contiguous and got.shape == (dim, 1, 64)
-                if dim <= 2 and K >= 2:
+                if K == 1 or dim <= 2:
                     exact += 1
                     assert np.array_equal(got[:, 0].T, want)
                 else:
@@ -306,7 +307,7 @@ class TestStackedSampler:
     def test_matches_per_grid_loop(self):
         # one stacked pass against the one-grid-at-a-time loop on the
         # draw-major layout, each grid with draws of its own; bitwise where
-        # the posterior means are (dim <= 2 with K >= 2), else 1000 eps
+        # the posterior means are (K = 1, or dim <= 2), else 1000 eps
         rng = np.random.default_rng(31)
         exact = 0
         for trial in range(36):
@@ -337,7 +338,7 @@ class TestStackedSampler:
             assert got.flags.c_contiguous and got.shape == x.shape
             for g, grid in enumerate(grids):
                 want = _per_grid_sample(grid, orders, kind, schedule, model, x[:, g].T)
-                if dim <= 2 and K >= 2:
+                if K == 1 or dim <= 2:
                     exact += 1
                     assert np.array_equal(got[:, g].T, want)
                 else:
@@ -401,6 +402,39 @@ class TestStackedSampler:
         alone = _sample_batch(np.stack([grid.lam] * 2), *rest, np.ascontiguousarray(x[:, ::2]))[0]
         assert entered.tolist() == [0, 2, 0]
         assert np.array_equal(out[:, ::2], alone) and np.isfinite(alone).all()
+
+    @pytest.mark.parametrize("kind", ["lagrange", "taylor"])
+    @pytest.mark.parametrize("name", sorted(FAMILY_RANGES))
+    def test_single_gaussian_matches_scalar_recursion(self, name, kind):
+        # on N(mu, s^2 I) each prediction is a_n x + b_n mu, so the terminal
+        # state is g x_T + h mu with scalars g and h that follow the steps
+        rng = np.random.default_rng(sorted(FAMILY_RANGES).index(name) * 2 + (kind == "taylor"))
+        schedule = NoiseSchedule.from_name(name)
+        T, eps = FAMILY_RANGES[name]
+        for N, make in zip((5, 10, 15), (uniform_lambda_grid, edm_grid, uniform_t_grid)):
+            dim, s = int(rng.integers(1, 17)), float(rng.uniform(0.05, 2.0))
+            mu = 3.0 * rng.normal(size=dim)
+            lam = make(schedule, N, T, eps).lam
+            orders = OrderSchedule.warmup(N, 3)
+            alpha_T, sigma_T = schedule.alpha_sigma_of_lambda(lam[0])
+            x_T = math.sqrt(alpha_T**2 * (s * s + mu @ mu / dim) + sigma_T**2) * rng.normal(
+                size=(dim, 1, 16))
+            got = _sample_batch(lam[None], orders, kind, schedule,
+                                functools.partial(_posterior_mean, single_gaussian(mu, s)), x_T)[0]
+            alphas, sigmas = (v.tolist() for v in schedule.alpha_sigma_of_lambda(lam))
+            w = step_weight_array(lam, orders, kind, lam[1:]).tolist()
+            g, h, preds = 1.0, 0.0, []  # the state g x_T + h mu, the predictions likewise
+            for n in range(1, N + 1):
+                a, sig = alphas[n - 1], sigmas[n - 1]
+                var = a * a * s * s + sig * sig
+                preds.append((a * s * s / var * g, (a * s * s * h + sig * sig) / var))
+                g, h = sigmas[n] / sigmas[n - 1] * g, sigmas[n] / sigmas[n - 1] * h
+                for d in range(orders.k[n - 1]):
+                    pg, ph = preds[n - 1 - d]
+                    g += alphas[n] * w[n - 1][d] * pg
+                    h += alphas[n] * w[n - 1][d] * ph
+            want = g * x_T + h * mu[:, None, None]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _per_grid_sample(grid, orders, kind, schedule, model, x):
@@ -764,14 +798,70 @@ class TestEvaluateSchedules:
                 want.mean_l2_error, want.median_l2_error
             )
 
+    @pytest.mark.parametrize("case", ["late-1e300-prediction", "single-gaussian-1e200-start"])
+    def test_finite_far_grid_gets_exact_errors(self, monkeypatch, case):
+        # "b" ends finite but far out, where the squares of its errors
+        # overflow: on the mixture one finite 1e300 prediction at its last
+        # step, on one component a start at 1e200, which the affine
+        # prediction keeps finite (about 5e199 at the end).  "b" is not
+        # diverged, its errors are the exact norms, and "a" and "c" report
+        # exactly what they report without "b" beside them.
+        real_sample, real_reference = simulator._sample_batch, simulator._reference_batch
+        seen = {}
+
+        def sample(lam, orders, kind, schedule, predict, x_start):
+            if x_start.shape[1] == 3 and case == "late-1e300-prediction":
+                calls = []
+                inner = predict
+
+                def predict(x, alpha, sigma):
+                    out = inner(x, alpha, sigma)
+                    calls.append(None)
+                    if len(calls) == len(orders):
+                        out[:, 1] = 1e300
+                    return out
+            elif x_start.shape[1] == 3:
+                x_start = x_start.copy()
+                x_start[:, 1] = 1e200
+            out = real_sample(lam, orders, kind, schedule, predict, x_start)
+            seen["b"] = out[0][:, 1]
+            return out
+
+        def reference(*args):
+            seen["ref"] = real_reference(*args)
+            return seen["ref"]
+
+        monkeypatch.setattr(simulator, "_sample_batch", sample)
+        monkeypatch.setattr(simulator, "_reference_batch", reference)
+        if case == "late-1e300-prediction":
+            model, size = standard_test_mixture(), 1e299
+        else:
+            model, size = single_gaussian([1.0, -1.0], 0.5), 1e199
+        grids = [f(VP, 4, 1.0, 1e-3) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid)]
+        rest = (OrderSchedule.warmup(4, 3), "lagrange", 8, 0)
+        a, b, c = evaluate_schedules(model, VP, grids, *rest, labels=["a", "b", "c"])
+        x_b = seen["b"]
+        assert np.isfinite(x_b).all() and np.abs(x_b).max() > size
+        assert b.diverged_step is None and np.isfinite(b.per_seed_errors).all()
+        want = [math.hypot(*col) for col in (x_b - seen["ref"]).T]
+        np.testing.assert_allclose(b.per_seed_errors, want, rtol=1e-14)
+        assert (b.mean_l2_error, b.median_l2_error) == (
+            float(np.mean(b.per_seed_errors)), float(np.median(b.per_seed_errors)))
+        without_b = evaluate_schedules(model, VP, grids[::2], *rest, labels=["a", "c"])
+        for got, want in zip((a, c), without_b):
+            assert got.diverged_step is None
+            assert np.array_equal(got.per_seed_errors, want.per_seed_errors)
+            assert (got.mean_l2_error, got.median_l2_error) == (
+                want.mean_l2_error, want.median_l2_error)
+
     @pytest.mark.parametrize(
         "K,dim,kind",
         [(2, 1, "lagrange"), (3, 2, "taylor"), (1, 2, "lagrange"), (3, 3, "taylor"),
-         (4, 16, "lagrange")],
+         (4, 16, "lagrange"), (1, 7, "taylor"), (1, 16, "lagrange")],
     )
     def test_grids_are_not_coupled(self, K, dim, kind):
         # each grid's errors do not depend on which grids run beside it;
-        # bitwise where the posterior means are (dim <= 2 with K >= 2)
+        # bitwise where the posterior means are (K = 1, or dim <= 2)
         rng = np.random.default_rng(K * 100 + dim)
         model = AnalyticModel(
             pis=rng.dirichlet(np.ones(K)),
@@ -790,7 +880,7 @@ class TestEvaluateSchedules:
 
         abc, ca, alone = errors([a, b, c]), errors([c, a]), errors([b])
         for got, want in ((ca[1], abc[0]), (ca[0], abc[2]), (alone[0], abc[1])):
-            if dim <= 2 and K >= 2:
+            if K == 1 or dim <= 2:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e3 * np.finfo(float).eps * np.max(want)

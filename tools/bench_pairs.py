@@ -27,7 +27,10 @@ It also applies the regression rule with each metric's ``bound`` from
 ``BENCHMARK.json``: a metric is ``over bound`` when the change median is
 worse than the parent median by more than ``bound * |parent median|``,
 and ``unresolved`` when the parent's interquartile range is wider than
-that and not every change run beats every parent run.
+that and not every change run beats every parent run.  It applies the
+gain rule too: a metric is ``gain`` when the change wins at least nine
+tenths of the pairs, ties counting for neither side, and its median is
+better than the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -120,12 +123,15 @@ def _pair_values(pairs: list[dict], name: str) -> list[list[float]]:
 
 
 def verdict(metric: dict, both: list[list[float]]) -> str:
-    """``over bound``, ``unresolved`` or empty, for ``[parent, change]`` pairs of ``metric``."""
+    """``over bound``, ``gain``, ``unresolved`` or empty, for ``[parent, change]`` pairs of ``metric``."""
     sign = 1.0 if metric["better"] == "higher" else -1.0
     (pq1, pmed, pq3), (_, cmed, _) = (_quartiles(list(side)) for side in zip(*both))
     limit = metric["bound"] * abs(pmed)
     if sign * (pmed - cmed) > limit:
         return "over bound"
+    won = sum(sign * (c - p) > 0 for p, c in both)
+    if 10 * won >= 9 * len(both) and sign * (cmed - pmed) > pq3 - pq1:
+        return "gain"
     parent, change = ([sign * v for v in side] for side in zip(*both))
     if pq3 - pq1 > limit and not min(change) > max(parent):
         return "unresolved"
