@@ -17,7 +17,7 @@ increasing grid has one.  :func:`objective_gradient` returns the value
 and the gradient together, the ``fun`` shape of
 ``scipy.optimize.minimize(..., jac=True)``: the unperturbed grid and the
 2(N - 1) perturbed ones, rounded exactly as a loop over the coordinates
-would perturb them, go through one batched evaluation.
+would perturb them, share one kernel call over their distinct windows.
 :func:`objective_value` evaluates one grid alone.
 """
 
@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 
 from .schedules import NoiseSchedule, lambda_range
-from .weights import OrderSchedule, _point_totals, check_order_cap, step_weight_array
+from .weights import (OrderSchedule, _layout, _point_totals, _window_weights, check_order_cap,
+                      step_weight_array)
 
 __all__ = [
     "ConstraintViolationError",
@@ -119,19 +120,13 @@ def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray, proxy=_proxy) -> np.nda
     endpoints of ``spec`` and strictly increasing nodes between them.
     """
     w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[..., -1:])
+    return _smoothed_bound(proxy(spec.schedule, lam_full[..., :-1], spec.p), w)
+
+
+def _smoothed_bound(factors: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bound of each grid from proxy factors ``(..., N)`` and by-step weights ``(..., N, K)``."""
     signed = _point_totals(w)
-    factors = proxy(spec.schedule, lam_full[..., :-1], spec.p)
     return np.sum(factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING), axis=-1)
-
-
-@lru_cache(maxsize=64)
-def _perturbation_rows(n_free: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate index ``i`` and mask ``i[:, None] > i`` of the finite-difference stack."""
-    i = np.arange(n_free)
-    lower = i[:, None] > i
-    i.setflags(write=False)
-    lower.setflags(write=False)
-    return i, lower
 
 
 def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
@@ -145,6 +140,44 @@ def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
     return float(_evaluate(spec, _full_lambda(spec, lambda_interior), score_error_weight))
 
 
+@lru_cache(maxsize=64)
+def _gradient_plan(orders: OrderSchedule) -> tuple[np.ndarray, ...]:
+    """Indices into :func:`_perturbed_table`'s table of the gradient's grids and windows.
+
+    ``index[r]`` is grid r: rows 2i and 2i + 1 those of ``f(x +- h_i e_i)``, the last
+    the unperturbed grid.  Window u has nodes ``nodes[:, u]`` by age, end ``end[u]``
+    and order mask ``used[:, :, u]``; grid r's step n has window ``window[r, n-1]``.
+    """
+    N = len(orders)
+    n = N - 1
+    i = np.arange(n)
+    # plus[i], minus[i] and restored[i] sit at i, n + i and 2n + i, lam_full[j] at 3n + j
+    index = np.tile(3 * n + np.arange(N + 1), (2 * n + 1, 1))
+    index[:-1, 1:-1] = np.repeat(np.where(i[:, None] > i, 2 * n + i, 3 * n + 1 + i), 2, axis=0)
+    index[2 * i, i + 1] = i
+    index[2 * i + 1, i + 1] = n + i
+    # a window is its nodes by age and its end, with the step, which fixes the order
+    layout = _layout(orders)
+    steps = np.broadcast_to(np.arange(N), (2 * n + 1, N))
+    keys = np.stack([*np.moveaxis(index[:, layout.gather], 1, 0), index[:, 1:], steps], axis=-1)
+    unique, window = np.unique(keys.reshape(-1, keys.shape[-1]), axis=0, return_inverse=True)
+    plan = (index, np.ascontiguousarray(unique[:, :-2].T), unique[:, -2].copy(),
+            layout.used[:, :, unique[:, -1]], window.reshape(steps.shape))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _perturbed_table(lam_full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference steps ``h`` and the table ``[plus, minus, restored, lam_full]``."""
+    x = lam_full[1:-1]
+    gaps = lam_full[1:] - lam_full[:-1]
+    steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
+    plus = x + steps
+    minus = plus - 2.0 * steps
+    return steps, np.concatenate((plus, minus, minus + steps, lam_full))
+
+
 def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.ndarray]:
     """Objective value and central finite-difference gradient in the interior values.
 
@@ -152,10 +185,10 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.
     1e-6 scaled by the coordinate magnitude, capped at half the nearer gap
     so every perturbed grid stays strictly increasing.
 
-    The unperturbed grid and all 2(N - 1) perturbed ones go through one
-    batched evaluation, so the value equals :func:`objective_value` and
-    costs no kernel call of its own.  The perturbed grids hold the values
-    of a loop that moves coordinate i in place to ``x_i + h_i``, then
+    The unperturbed grid and all 2(N - 1) perturbed ones are evaluated
+    together, so the value equals :func:`objective_value` and costs no
+    kernel call of its own.  The perturbed grids hold the values of a
+    loop that moves coordinate i in place to ``x_i + h_i``, then
     ``(x_i + h_i) - 2 h_i``, and restores it by adding ``h_i``:
     coordinates j < i sit at that restored value, which can be an ulp off
     ``x_j``.  Optimizer paths follow round-off, so these exact values are
@@ -164,28 +197,14 @@ def objective_gradient(spec: ObjectiveSpec, lambda_interior) -> tuple[float, np.
     benchmark's ``optimize`` workload went from ``l2_ratio`` 0.708 to
     0.960 and from ``l2_rank_corr`` 0.933 to 0.867.
 
-    The stack is one C-contiguous ``(2(N - 1) + 1, N + 1)`` array, a grid
-    per row, filled in place; its coordinate index and the mask of the
-    coordinates ``j < i`` are built once per N.  The weight kernel takes
-    the stack whole, with the age axis in front of the grid and step axes
-    of every temporary.
+    The grids' nodes are 4N - 2 values and a step's weights depend only on
+    its node window: one kernel call weighs the distinct windows, listed
+    once per order schedule (at most 10 per step, not 2N - 1), and each
+    grid gathers its steps' weights back, bit for bit.
     """
-    lam_full = _full_lambda(spec, lambda_interior)
-    n_free = spec.N - 1
-    x = lam_full[1:-1]
-    gaps = lam_full[1:] - lam_full[:-1]
-    steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
-    plus = x + steps
-    minus = plus - 2.0 * steps
-    restored = minus + steps
-    i, lower = _perturbation_rows(n_free)
-    # rows 2i and 2i + 1 are the grids of f(x + h_i e_i) and f(x - h_i e_i);
-    # the last row is the unperturbed grid
-    points = np.empty((2 * n_free + 1, spec.N + 1))
-    points[:] = lam_full
-    perturbed = points[:-1].reshape(n_free, 2, spec.N + 1)
-    perturbed[:, :, 1:-1] = np.where(lower, restored, x)[:, None, :]
-    perturbed[i, 0, i + 1] = plus
-    perturbed[i, 1, i + 1] = minus
-    f = _evaluate(spec, points)
+    steps, table = _perturbed_table(_full_lambda(spec, lambda_interior))
+    index, nodes, end, used, window = _gradient_plan(spec.orders)
+    w = _window_weights(table[nodes], table[end], used, spec.polynomial_kind, table[-1], window)
+    factors = _proxy(spec.schedule, table[:-1], spec.p)[index[:, :-1]]
+    f = _smoothed_bound(factors, w[:, window].transpose(1, 2, 0))
     return float(f[-1]), (f[0:-1:2] - f[1:-1:2]) / (2.0 * steps)

@@ -22,8 +22,8 @@ weight on the value of age d is then ``w_d = sum_m D[m, d] I_m``, where
   Newton form of the interpolant.  Every ``u_l <= 0``, so the product
   has non-negative coefficients and ``I_m`` is a sum of positive terms.
 
-All weights come from one array kernel, :func:`step_weight_array`,
-which treats every step of a grid, or of a stack of grids, at once.
+All weights come from one array kernel, :func:`_window_weights`, which
+weighs any number of steps at once, each from its node window alone.
 Every weight array keeps them by age: column d of step n's row is the
 weight on node ``lam[n-1-d]``, the order in which a multistep sampler
 reads its past predictions, and the total weight on each evaluation
@@ -31,11 +31,11 @@ point is a sum along one diagonal.  Basis-index order, oldest node
 first, is step n's row read backwards from column ``k_n - 1``.
 
 Inside the kernel the age axis comes first: nodes, moments, integrals
-and weights are contiguous ``(K, ..., N)`` arrays, one block per age,
-so each numpy call runs one loop over every step of every grid rather
-than a K-long inner loop per step (K <= 4).  The kernel returns the
-by-step ``(..., N, K)`` view of its weight array; the diagonal sums of
-the point totals read whole age blocks of it.
+and weights are contiguous ``(K, ..., windows)`` arrays, one block per
+age, so each numpy call runs one loop over every window rather than a
+K-long inner loop per step (K <= 4).  :func:`step_weight_array` gives
+it every step of a grid or stack of grids and returns the by-step
+``(..., N, K)`` view; the point totals' diagonal sums read its age blocks.
 
 Because raw coefficients carry a factor ``exp(lam)`` that can overflow
 for schedules reaching large log-SNR, weights come pre-multiplied by
@@ -123,8 +123,8 @@ def _exp_moments(h: np.ndarray, count: int) -> np.ndarray:
     back as ``inf``, under the caller's ``np.errstate``.  The result is
     age-major: moment m is the contiguous block ``M[m]``.  The powers
     ``h**m`` and their product with the antiderivative coefficients keep
-    the by-step (..., n, m) shape, on which that BLAS product rounds as it
-    always has.
+    the (..., window, m) shape; a window's row of that BLAS product must
+    not depend on how many windows there are, which the tests check.
     """
     m = np.arange(count)
     poly = h[..., None] ** m @ _ANTIDERIVATIVE[:count, :count].T
@@ -244,19 +244,30 @@ def step_weight_array(lam, orders: OrderSchedule, kind: str, shift) -> np.ndarra
     lead = lam.ndim - 1
     nodes = np.ascontiguousarray(lam[..., layout.gather].transpose(lead, *range(lead), lead + 1))
     used = layout.used.reshape(K, K, *(1,) * lead, N)
+    w = _window_weights(nodes, lam[..., 1:], used, kind, shift)
+    return w.transpose(*range(1, lead + 2), 0)
+
+
+def _window_weights(nodes, end, used, kind: str, shift, windows=None) -> np.ndarray:
+    """Age-major weights ``w[d, ...]``, times ``exp(nodes[0] - shift)``, of node windows.
+
+    A window is one step's nodes ``nodes[d, ...]`` by age, end ``end[...]`` and order mask
+    ``used[m, d, ...]``.  Non-finite weights raise ``OverflowError`` naming the first such
+    step; where steps share windows, ``windows[..., n-1]`` is each step's window.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        integrals = _exp_moments(lam[..., 1:] - lam[..., :-1], K)
+        integrals = _exp_moments(end - nodes[0], len(nodes))
         if kind == "lagrange":
             integrals = _newton_integrals(nodes, integrals)
         w = _local_weights(nodes, used, integrals)
-        w *= np.exp(lam[..., :-1] - shift)
+        w *= np.exp(nodes[0] - shift)
     if not np.isfinite(w).all():
-        first = tuple(np.argwhere(~np.isfinite(w).all(axis=0))[0])  # (grid..., step - 1)
-        anchor = np.broadcast_to(shift, w.shape[1:])[first]
-        raise OverflowError(
-            f"weights of step {first[-1] + 1} are not finite at scale anchor {anchor}"
-        )
-    return w.transpose(*range(1, lead + 2), 0)
+        finite = np.isfinite(w).all(axis=0)[... if windows is None else windows]
+        first = tuple(np.argwhere(~finite)[0])  # (grid..., step - 1)
+        anchor = np.broadcast_to(shift, finite.shape)[first]
+        raise OverflowError(f"weights of step {first[-1] + 1} are not finite at scale "
+                            f"anchor {anchor}")
+    return w
 
 
 def weights_lagrange(grid: LambdaGrid, orders: OrderSchedule) -> np.ndarray:

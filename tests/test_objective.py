@@ -6,6 +6,7 @@ import pytest
 from stepopt.objective import (
     ConstraintViolationError,
     ObjectiveSpec,
+    _evaluate,
     objective_gradient,
     objective_value,
     score_error_weight,
@@ -202,14 +203,15 @@ class TestObjectiveGradient:
         # two uncapped steps still get a finite gradient from feasible grids
         from stepopt import objective
 
-        stacks = []
-        evaluate = objective._evaluate
+        tables = []
+        perturbed_table = objective._perturbed_table
 
-        def recorded(spec, lam_full):
-            stacks.append(lam_full.copy())
-            return evaluate(spec, lam_full)
+        def recorded(lam_full):
+            steps, table = perturbed_table(lam_full)
+            tables.append(table)
+            return steps, table
 
-        monkeypatch.setattr(objective, "_evaluate", recorded)
+        monkeypatch.setattr(objective, "_perturbed_table", recorded)
         ve = make_spec(VE, 3, 80.0, 0.002)
         deep = make_spec(VP, 4, 1.0, 1e-300, max_order=3)  # lambda_eps about 346
         cases = [
@@ -217,12 +219,91 @@ class TestObjectiveGradient:
             (deep, deep.lambda_endpoints[1] - np.array([3e-4, 2e-4, 1e-4])),
         ]
         for spec, interior in cases:
-            stacks.clear()
+            tables.clear()
             _, g = objective_gradient(spec, interior)
-            (points,) = stacks
+            (table,) = tables
+            points = table[objective._gradient_plan(spec.orders)[0]]
             assert points.shape == (2 * spec.N - 1, spec.N + 1)
             assert np.all(np.diff(points, axis=-1) > 0)
             assert np.all(np.isfinite(g))
+
+    @pytest.mark.parametrize("kind,cap", [("lagrange", 1), ("lagrange", 2), ("lagrange", 3),
+                                          ("lagrange", 4), ("taylor", 1), ("taylor", 2),
+                                          ("taylor", 3)])
+    def test_windows_match_whole_stack_bitwise(self, kind, cap):
+        # the distinct step windows give the value and gradient that one
+        # evaluation of every finite-difference grid in full gives
+        rng = np.random.default_rng(26 + cap)
+        cosine = NoiseSchedule.from_name("vp-cosine")
+        cases = []
+        for schedule, T, eps in [(VP, 1.0, 1e-3), (cosine, 0.992, 1e-3), (VE, 80.0, 0.002)]:
+            for N in (1, 2, 3, 5, 15, 40):
+                orders = OrderSchedule(
+                    tuple(int(rng.integers(1, min(n, cap) + 1)) for n in range(1, N + 1))
+                )
+                spec = ObjectiveSpec(schedule, N, T, eps, orders, p=int(rng.integers(0, 4)),
+                                     polynomial_kind=kind)
+                lam_T, lam_eps = spec.lambda_endpoints
+                uniform = np.linspace(lam_T, lam_eps, N + 1)[1:-1]
+                jitter = rng.uniform(-0.4, 0.4, N - 1) * (lam_eps - lam_T) / N
+                cases.append((spec, uniform + jitter))
+                cases.append((spec, np.sort(rng.uniform(lam_T, lam_eps, N - 1))))
+        orders = OrderSchedule.warmup(4, cap)
+        close = ObjectiveSpec(VE, 4, 80.0, 0.002, orders, polynomial_kind=kind)
+        cases.append((close, np.array([-1.0, -1.0 + 1e-7, 2.0])))
+        deep = ObjectiveSpec(VP, 4, 1.0, 1e-300, orders, polynomial_kind=kind)
+        cases.append((deep, deep.lambda_endpoints[1] - np.array([3e-4, 2e-4, 1e-4])))
+        for spec, interior in cases:
+            value, g = objective_gradient(spec, interior)
+            stack, steps = _finite_difference_stack(spec, interior)
+            f = _evaluate(spec, stack)
+            assert value == f[-1]
+            assert np.array_equal(g, (f[0:-1:2] - f[1:-1:2]) / (2.0 * steps))
+
+    @pytest.mark.parametrize("kind", ["lagrange", "taylor"])
+    @pytest.mark.parametrize("pick", [0, 0.5, 1])
+    def test_non_finite_window_names_the_stack_step(self, monkeypatch, kind, pick):
+        # an inf moment in one window raises as step_weight_array does on
+        # the whole stack, at the first grid and step holding that window
+        from stepopt import objective, weights
+
+        spec = ObjectiveSpec(VP, 6, 1.0, 1e-3, OrderSchedule.warmup(6, 3), polynomial_kind=kind)
+        interior = np.linspace(*spec.lambda_endpoints, 7)[1:-1]
+        _, nodes, end, _, _ = objective._gradient_plan(spec.orders)
+        _, table = objective._perturbed_table(objective._full_lambda(spec, interior))
+        u = round(pick * (end.size - 1))
+        target = table[end[u]] - table[nodes[0, u]]
+        moments = weights._exp_moments
+
+        def injected(h, count):
+            out = moments(h, count)
+            out[0][h == target] = np.inf
+            return out
+
+        monkeypatch.setattr(weights, "_exp_moments", injected)
+        with pytest.raises(OverflowError) as windowed:
+            objective_gradient(spec, interior)
+        stack, _ = _finite_difference_stack(spec, interior)
+        with pytest.raises(OverflowError) as stacked:
+            step_weight_array(stack, spec.orders, kind, stack[:, -1:])
+        assert str(windowed.value) == str(stacked.value)
+        assert str(windowed.value).startswith("weights of step ")
+
+    def test_plan_grows_linearly_and_is_built_once(self):
+        # distinct windows grow as N, the stack's (grid, step) pairs as N^2
+        from stepopt import objective
+
+        for N in (15, 40):
+            index, _, end, _, window = objective._gradient_plan(OrderSchedule.warmup(N, 3))
+            assert index.shape == (2 * N - 1, N + 1)
+            assert window.shape == (2 * N - 1, N)
+            assert end.size <= 10 * N
+        objective._gradient_plan.cache_clear()
+        for _ in range(2):
+            spec = make_spec(VP, 15, 1.0, 1e-3, max_order=3)
+            objective_gradient(spec, np.linspace(*spec.lambda_endpoints, 16)[1:-1])
+        info = objective._gradient_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_no_time_map_calls_once_spec_exists(self, monkeypatch):
         # endpoints and the attainable log-SNR range are fixed per spec and
@@ -277,6 +358,31 @@ class TestObjectiveGradient:
             value, g = objective_gradient(spec, interior)
             assert value == objective_value(spec, interior)
             assert np.array_equal(g, _in_place_loop_gradient(spec, interior))
+
+
+def _finite_difference_stack(spec, interior):
+    """Every finite-difference grid in full, one per row, and the steps ``h``.
+
+    Rows 2i and 2i + 1 move coordinate i to ``x_i + h_i`` and
+    ``(x_i + h_i) - 2 h_i``, coordinates j < i sit at the restored
+    ``x_j - h_j + h_j``, and the last row is the unperturbed grid.
+    """
+    lam_full = np.concatenate(([spec.lambda_endpoints[0]], interior, [spec.lambda_endpoints[1]]))
+    n = spec.N - 1
+    x = lam_full[1:-1]
+    gaps = np.diff(lam_full)
+    steps = np.minimum(1e-6 * np.maximum(1.0, np.abs(x)), 0.5 * np.minimum(gaps[:-1], gaps[1:]))
+    plus = x + steps
+    minus = plus - 2.0 * steps
+    restored = minus + steps
+    i = np.arange(n)
+    stack = np.empty((2 * n + 1, spec.N + 1))
+    stack[:] = lam_full
+    perturbed = stack[:-1].reshape(n, 2, spec.N + 1)
+    perturbed[:, :, 1:-1] = np.where(i[:, None] > i, restored, x)[:, None, :]
+    perturbed[i, 0, i + 1] = plus
+    perturbed[i, 1, i + 1] = minus
+    return stack, steps
 
 
 def _in_place_loop_gradient(spec, interior):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stepopt import cli, objective, optimizer
+from stepopt import cli, objective, optimizer, weights
 from stepopt.objective import ObjectiveSpec, objective_value
 from stepopt.optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from stepopt.schedules import (
@@ -210,13 +210,14 @@ class TestKernelCalls:
                              polynomial_kind=kind)
         evaluations = []
         requests = []
-        evaluate = objective._evaluate
+        kernel = weights._window_weights
 
-        def counted_evaluate(spec, lam_full):
-            evaluations.append(lam_full.shape)
-            return evaluate(spec, lam_full)
+        def counted_kernel(nodes, *args):
+            evaluations.append(nodes.shape)
+            return kernel(nodes, *args)
 
-        monkeypatch.setattr(objective, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(weights, "_window_weights", counted_kernel)
+        monkeypatch.setattr(objective, "_window_weights", counted_kernel)
         gradient = optimizer.objective_gradient
 
         def requested(spec, x):
