@@ -106,8 +106,8 @@ def _weight_table(schedule_file: ScheduleFile) -> str:
     anchor = float(lam[-1])
     w = step_weight_array(lam, schedule_file.spec.orders, schedule_file.polynomial_kind, anchor)
     steps = []
-    for n, k in enumerate(schedule_file.orders, start=1):
-        pairs = enumerate(w[n - 1, k - 1 :: -1].tolist())
+    for n, (k, row) in enumerate(zip(schedule_file.orders, w.tolist()), start=1):
+        pairs = enumerate(row[k - 1 :: -1])
         steps.append(_STEP % (n, ",\n".join([_PAIR % pair for pair in pairs])))
     return _TABLE % (anchor, ",\n".join(steps))
 
@@ -235,11 +235,11 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by later ones.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparsers by command, built once and shared.
 
-    Parsing leaves the parser unchanged, so repeated ``main`` calls in one
-    process stay independent; callers must not add to it.
+    Parsing leaves them unchanged, so repeated ``main`` calls in one
+    process stay independent; callers must not add to them.
     """
     parser = argparse.ArgumentParser(
         prog="stepopt",
@@ -275,13 +275,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output weight-table JSON")
     p.set_defaults(func=_cmd_dump_weights)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` as the full parser parses it; a known command's flags go to its subparser alone.
+
+    The full parser takes the rest: no or an unknown command, a top-level
+    flag, leftover arguments and ``--=...``, which only it finds ambiguous.
+    """
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None and not any(a.startswith("--=") for a in argv):
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

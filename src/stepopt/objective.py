@@ -112,15 +112,10 @@ def _full_lambda(spec: ObjectiveSpec, lambda_interior) -> np.ndarray:
     return full
 
 
-def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray, proxy=_proxy) -> np.ndarray:
-    """Objective of each full grid stacked along the leading axes of ``lam_full``.
-
-    ``proxy(schedule, lam, p)`` gives ``sigma^p / alpha``.  The default
-    skips the range check, which every row passes: each holds the checked
-    endpoints of ``spec`` and strictly increasing nodes between them.
-    """
+def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
+    """Objective of each full grid stacked along the leading axes of ``lam_full``."""
     w = step_weight_array(lam_full, spec.orders, spec.polynomial_kind, lam_full[..., -1:])
-    return _smoothed_bound(proxy(spec.schedule, lam_full[..., :-1], spec.p), w)
+    return _smoothed_bound(score_error_weight(spec.schedule, lam_full[..., :-1], spec.p), w)
 
 
 def _smoothed_bound(factors: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -135,9 +130,7 @@ def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:
     Raises :class:`ConstraintViolationError` on non-monotone input; the
     constraint is never silently repaired.
     """
-    # one row: the public, checked proxy costs little here, and this call is
-    # where the benchmark's per-layer score_error_weight_us times it
-    return float(_evaluate(spec, _full_lambda(spec, lambda_interior), score_error_weight))
+    return float(_evaluate(spec, _full_lambda(spec, lambda_interior)))
 
 
 @lru_cache(maxsize=64)

@@ -100,18 +100,23 @@ def optimize_steps(
         return lam_T + np.cumsum(delta + free * s)[:-1]
 
     visited = []  # (x, f) of the start point, then of each accepted iterate
+    evaluated = {}  # logits' bytes -> (f, gradient); L-BFGS-B asks for some points again
 
     def fun(z):
-        s = softmax(z)
-        x = interior(s)
-        f, g = objective_gradient(spec, x)
-        if not visited:
-            visited.append((x, f))
-            if on_accept is not None:
-                on_accept(0, x.copy(), f)
-        v = np.zeros(spec.N)
-        v[:-1] = np.cumsum(g[::-1])[::-1]
-        return f, free * s * (v - s @ v)
+        key = z.tobytes()
+        if key not in evaluated:
+            s = softmax(z)
+            x = interior(s)
+            f, g = objective_gradient(spec, x)
+            if not visited:
+                visited.append((x, f))
+                if on_accept is not None:
+                    on_accept(0, x.copy(), f)
+            v = np.zeros(spec.N)
+            v[:-1] = np.cumsum(g[::-1])[::-1]
+            evaluated[key] = (f, free * s * (v - s @ v))
+        f, gradient = evaluated[key]
+        return f, gradient.copy()
 
     def accepted(intermediate_result):
         visited.append((interior(softmax(intermediate_result.x)), float(intermediate_result.fun)))

@@ -104,10 +104,10 @@ class ScheduleFile:
             )
         if type(self.tool_version) is not str:
             raise ValueError("tool_version must be a string")
-        if any(type(v) is not int for v in (self.N, self.p, *self.orders)):
+        if {*map(type, (self.N, self.p, *self.orders))} != {int}:
             raise ValueError("N, p and the orders must be integers")
         numbers = (self.T, self.eps, self.objective, *self.lam, *self.t)
-        if any(type(v) not in (int, float) for v in numbers):
+        if not {*map(type, numbers)} <= {int, float}:
             raise ValueError("T, eps, objective, lambda and t must be numbers")
         if not all(map(math.isfinite, numbers)):
             raise ValueError("T, eps, objective, lambda and t must be finite")
@@ -172,9 +172,9 @@ class ScheduleFile:
             T=float(grid.T),
             eps=float(grid.eps),
             N=grid.n_steps,
-            lam=[float(v) for v in grid.lam],
-            t=[float(v) for v in grid.t],
-            orders=[int(k) for k in spec.orders.k],
+            lam=grid.lam.tolist(),
+            t=grid.t.tolist(),
+            orders=list(spec.orders.k),
             polynomial_kind=spec.polynomial_kind,
             p=spec.p,
             objective=float(objective),
@@ -205,16 +205,20 @@ class ScheduleFile:
     @cached_property
     def grid(self) -> LambdaGrid:
         """The file's nodes as a grid, built once by validation."""
-        return LambdaGrid(
-            lam=np.array(self.lam), t=np.array(self.t), T=self.T, eps=self.eps
-        )
+        return LambdaGrid(lam=self.lam, t=self.t, T=self.T, eps=self.eps)
 
     def emit(self) -> str:
-        payload = {key: getattr(self, _ATTRIBUTE.get(key, key)) for key in _KEYS}
-        for key in _OPTIONAL_KEYS:
-            if getattr(self, key) is not None:
-                payload[key] = getattr(self, key)
-        return json.dumps(payload, indent=2) + "\n"
+        """The file's text as ``json.dumps(payload, indent=2) + "\\n"`` gives it, in one pass."""
+        # validation leaves ints, finite floats, bools, strings and non-empty lists of numbers
+        items = []
+        for key in _KEYS + _OPTIONAL_KEYS:
+            value = getattr(self, _ATTRIBUTE.get(key, key))
+            if isinstance(value, (list, tuple)):
+                items.append(f'  "{key}": [\n    ' + ",\n    ".join(map(repr, value)) + "\n  ]")
+            elif value is not None:  # None: an optional key the file leaves out
+                text = json.dumps(value) if isinstance(value, (str, bool)) else repr(value)
+                items.append(f'  "{key}": {text}')
+        return "{\n" + ",\n".join(items) + "\n}\n"
 
     @classmethod
     def parse(cls, text: str) -> "ScheduleFile":
@@ -235,9 +239,9 @@ class ScheduleFile:
         """
         lam, t = self.grid.lam[1:-1], self.grid.t[1:-1]
         mapped = self.spec.schedule.t_of_lambda(lam)
-        off = np.flatnonzero(~(np.abs(mapped - t) <= _NODE_RTOL * t))
-        if off.size:
-            i = int(off[0]) + 1
+        ok = np.abs(mapped - t) <= _NODE_RTOL * t
+        if not ok.all():
+            i = int(np.flatnonzero(~ok)[0]) + 1
             raise ValueError(
                 f"t[{i}] = {self.t[i]!r} does not match lambda[{i}] = {self.lam[i]!r}, "
                 f"which {self.schedule_family} maps to t = {float(mapped[i - 1])!r}"

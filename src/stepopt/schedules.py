@@ -125,13 +125,10 @@ class NoiseSchedule:
         """``x`` as a float array, if all of it lies in [lo - slack, hi + slack]; NaN fails."""
         x = np.asarray(x, dtype=float)
         ok = (x >= lo - slack) & (x <= hi + slack)
-        if not np.all(ok):
+        if not ok.all():
             bad = np.atleast_1d(x)[~np.atleast_1d(ok)][0]
             raise DomainError(f"{what} {bad} outside valid domain [{lo}, {hi}] of {self.name}")
         return x
-
-    def _check_t(self, t):
-        return self._check_range(t, *self.t_domain, "time")
 
     def _check_lambda(self, lam):
         """``lam`` as a float array, if every value is within 1e-5 of the attainable range."""
@@ -152,7 +149,7 @@ class NoiseSchedule:
 
     def lambda_of_t(self, t):
         """Half log-SNR log(alpha_t / sigma_t); strictly decreasing in t."""
-        t = self._check_t(t)
+        t = self._check_range(t, *self.t_domain, "time")
         if self.family == "ve_edm":
             return -np.log(t)
         m = self._log_alpha(t)
@@ -190,7 +187,7 @@ class NoiseSchedule:
             e = c0 * c0 * d * (2.0 - d)
             sin_dtheta = c0 * (e / (np.sqrt(r0 * r0 + e) + r0) + d * r0)
             t = (1.0 + s) * (2.0 / math.pi) * np.arcsin(sin_dtheta)
-        return np.clip(t, *self.t_domain)
+        return t.clip(*self.t_domain)
 
     # -- coefficients as functions of the half log-SNR --------------------
 
@@ -235,9 +232,9 @@ class LambdaGrid:
         object.__setattr__(self, "t", t)
         if lam.ndim != 1 or lam.shape != t.shape or lam.size < 2:
             raise ValueError("grid needs matching 1-d arrays with at least 2 nodes")
-        if not np.all(np.diff(lam) > 0):
+        if not (lam[1:] > lam[:-1]).all():
             raise ValueError("half log-SNR nodes must be strictly increasing")
-        if not np.all(np.diff(t) < 0):
+        if not (t[1:] < t[:-1]).all():
             raise ValueError("time nodes must be strictly decreasing")
         if t[0] != self.T or t[-1] != self.eps:
             raise ValueError("time endpoints must equal (T, eps) exactly")

@@ -1,6 +1,7 @@
 import argparse
 import builtins
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -603,6 +604,41 @@ class TestRepeatedCalls:
         assert ScheduleFile.read(out).N == 3
 
 
+def _tool(name):
+    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParsing:
+    """``main`` parses a known command's flags with its subparser alone, as the full parser would."""
+
+    @pytest.mark.parametrize("argv", [
+        ["baseline", "--scheme", "edm", "--schedule", "vp-cosine", "--N", "6", "--T", "0.9",
+         "--eps", "0.01", "--order", "1,2,2,2,2,2", "--p", "2", "--kind", "taylor", "--rho", "5",
+         "--cosine-shift", "0.02", "--out", "s.json", "--dump-weights", "w.json"],
+        ["baseline", "--sched", "ve-edm", "--scheme", "edm", "--N=4", "--out", "s.json"],
+        ["optimize", "--init", "uniform-t", "--margin", "0.001", "--max-iters", "10",
+         "--schedule", "vp-linear", "--N", "4", "--beta-min", "0.2", "--beta-max", "10",
+         "--out", "o.json"],
+        ["simulate", "--model", "m.json", "--steps", "a.json", "--steps", "b.json",
+         "--seeds", "8", "--rng-seed", "3", "--out", "r.json", "--csv", "r.csv"],
+        ["dump-weights", "--steps", "a.json", "--out", "w.json"],
+    ], ids=["baseline", "abbreviated", "optimize", "simulate", "dump-weights"])
+    def test_same_namespace(self, argv):
+        assert cli._parse_args(argv) == cli._build_parser()[0].parse_args(argv)
+
+    @pytest.mark.parametrize("argv", _tool("same_outputs").USAGE, ids=shlex.join)
+    def test_same_exit_code_and_output(self, argv, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            cli._build_parser()[0].parse_args(argv)
+        expected = (full.value.code, *capsys.readouterr())
+        assert (main(argv), *capsys.readouterr()) == expected
+
+
 class TestOutputs:
     """Every output goes through ``schedule_file.write_texts``, which overwrites in place."""
 
@@ -780,6 +816,25 @@ class TestScheduleFile:
         assert parsed.emit() == text
         # and once more through the dataclass
         assert ScheduleFile.parse(parsed.emit()).emit() == text
+
+    @pytest.mark.parametrize("family,flags,changes", [
+        ("vp-linear", ("--N", "4", "--beta-min", "0.2", "--beta-max", "10"),
+         {"T": 1, "converged": True, "tool_version": "0.1.0+\u00e9t\u00e9"}),
+        ("vp-cosine", ("--N", "4", "--cosine-shift", "0.02"), {"converged": False, "objective": 2}),
+        # node 1 at the integer lambda 1, whose ve-edm time is exp(-1)
+        ("ve-edm", ("--N", "2"), {"T": 80, "lambda": 1, "t": math.exp(-1)}),
+    ], ids=["ints-parameters-converged-non-ascii", "shift-not-converged", "int-node"])
+    def test_emit_matches_json_indent_encoder(self, tmp_path, family, flags, changes):
+        sched = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "uniform-lambda", "--schedule", family, *flags,
+                   "--out", str(sched)) == 0
+        payload = json.loads(sched.read_text())
+        for key in ("lambda", "t"):
+            if key in changes:
+                payload[key][1] = changes.pop(key)
+        payload.update(changes)
+        text = json.dumps(payload, indent=2) + "\n"
+        assert ScheduleFile.parse(text).emit() == text
 
     def test_grid_round_trip(self, tmp_path):
         out = tmp_path / "s.json"

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from stepopt import cli, objective, optimizer, weights
 from stepopt.objective import ObjectiveSpec, objective_value
@@ -165,17 +166,30 @@ class TestStopReason:
     """``optimize`` says why L-BFGS-B stopped; its stdout line keeps the form the bench parses."""
 
     def _counted(self, monkeypatch, spec, config):
-        calls = []
+        """The run's result, after checking its counts; and the logits it was asked for."""
+        calls, requests = [], []
         gradient = optimizer.objective_gradient
+        minimize = scipy.optimize.minimize
 
         def counted(spec, x):
             calls.append(None)
             return gradient(spec, x)
 
+        def recorded(fun, *args, **kwargs):
+            def requested(z):
+                requests.append(z.tobytes())
+                return fun(z)
+
+            return minimize(requested, *args, **kwargs)
+
         monkeypatch.setattr(optimizer, "objective_gradient", counted)
+        monkeypatch.setattr(scipy.optimize, "minimize", recorded)
         result = optimize_steps(spec, config)
-        assert result.evaluations == len(calls) > result.iterations
-        return result
+        # evaluations is scipy's count of requests; a point asked for again
+        # is served without another objective call
+        assert result.evaluations == len(requests)
+        assert len(calls) == len(set(requests)) > result.iterations
+        return result, requests
 
     def _run(self, tmp_path, capsys, *flags):
         capsys.readouterr()
@@ -185,15 +199,16 @@ class TestStopReason:
         return captured.err
 
     def test_converged_run(self, tmp_path, capsys, monkeypatch):
-        result = self._counted(monkeypatch, ve_spec(2), OptimizerConfig(init="uniform-t"))
+        result, _ = self._counted(monkeypatch, ve_spec(2), OptimizerConfig(init="uniform-t"))
         assert result.converged and result.message.startswith("CONVERGENCE")
         flags = ("--schedule", "ve-edm", "--N", "2", "--order", "1", "--init", "uniform-t")
         assert self._run(tmp_path, capsys, *flags) == ""
 
     def test_abnormal_run_names_message_and_counts(self, tmp_path, capsys, monkeypatch):
         spec = ObjectiveSpec(VP, 15, 1.0, 1e-3, OrderSchedule.warmup(15, 3))
-        result = self._counted(monkeypatch, spec, OptimizerConfig(init="edm"))
+        result, requests = self._counted(monkeypatch, spec, OptimizerConfig(init="edm"))
         assert not result.converged and result.message.startswith("ABNORMAL")
+        assert len(set(requests)) < len(requests)
         err = self._run(tmp_path, capsys, "--schedule", "vp-linear", "--N", "15", "--init", "edm")
         assert err == (
             f"note: L-BFGS-B stopped ({result.message.strip()}) after {result.iterations} "

@@ -17,7 +17,8 @@ commands, one subprocess each, in a fresh directory of its own:
   20 x (Lagrange p 1, Taylor p 2);
 * edge cases: N 1 and 2, order caps 1 and 4, a mixed order list, Taylor
   p 3, eps 1e-300, ve-edm at N 30, and a time outside the domain, which
-  exits 1.
+  exits 1;
+* the help and usage-error lines of ``USAGE``, which write no file.
 
 Every output file, exit code and stderr is compared, and stdout too
 once the wall time ``optimize`` prints is masked.  Each tree's own path
@@ -47,6 +48,22 @@ MODELS = {
     "mixture": {"dim": 2, "components": [{"pi": 0.5, "mu": [2.0, 2.0], "s": 0.5},
                                          {"pi": 0.5, "mu": [-2.0, -2.0], "s": 0.5}]},
 }
+# help and usage errors: no command, a top-level flag, an unknown command or
+# flag, an abbreviated flag, a flag=value and leftover arguments, which the
+# full parser and a command's own subparser must print alike
+USAGE = [
+    [], ["-h"], ["--version"], ["bogus", "--N", "4"],
+    *([command, "-h"] for command in ("baseline", "optimize", "simulate", "dump-weights")),
+    ["baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4", "--out", "u.json",
+     "--bogus", "1"],
+    ["baseline", "--version"],
+    ["baseline", "--sched", "vp-linear", "--N", "4", "--out", "u.json"],
+    ["optimize", "--schedule", "vp-linear", "--N=0", "--out", "u.json"],
+    ["optimize", "--schedule", "vp-linear", "--N", "4", "--out", "u.json", "--=x"],
+    ["simulate", "--model", "m.json", "--out", "u.json"],
+    ["dump-weights", "--steps", "edm.json", "--out", "u.json", "extra"],
+    ["dump-weights", "--steps", "edm.json", "--out", "u.json", "--"],
+]
 # the wall time in optimize's "... in 12 iterations, 0.123 s" line
 _WALL_TIME = re.compile(r"( in \d+ iterations), \d+\.\d+ s$", re.MULTILINE)
 
@@ -84,7 +101,7 @@ def battery() -> list[list[str]]:
     commands += [_optimize(f"edge-{name}", "--schedule", "vp-linear", *flags)
                  for name, flags in edges.items()]
     commands.append(_optimize("edge-ve-edm-30", "--schedule", "ve-edm", "--N", "30"))
-    return commands
+    return commands + USAGE
 
 
 def run_battery(tree: Path, work: Path, commands: list[list[str]]) -> list[dict]:
