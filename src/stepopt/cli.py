@@ -30,7 +30,7 @@ from . import __version__
 from .objective import PROXY_EXPONENTS, ConstraintViolationError, ObjectiveSpec, objective_value
 from .optimizer import InfeasibleError, OptimizerConfig, optimize_steps
 from .schedule_file import ScheduleFile, write_texts
-from .schedules import SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
+from .schedules import PARAMETERS, SCHEDULE_NAMES, SCHEMES, DomainError, NoiseSchedule, scheme_grid
 from .simulator import evaluate_schedules, load_model, non_finite_message
 from .weights import POLYNOMIAL_KINDS, OrderSchedule, step_weight_array
 
@@ -38,8 +38,6 @@ __all__ = ["main", "entry_point"]
 
 # default end time per family; the default start time is the top of its domain
 _DEFAULT_EPS = {"vp-linear": 1e-3, "vp-cosine": 1e-3, "ve-edm": 0.002}
-# NoiseSchedule fields, one flag each, passed only when given
-_PARAMETER_FLAGS = ("beta_min", "beta_max", "cosine_shift")
 
 
 class UsageError(ValueError):
@@ -64,10 +62,9 @@ def _spec_from_args(args) -> ObjectiveSpec:
     :class:`DomainError`, a numeric failure.
     """
     try:
-        given = {name: getattr(args, name) for name in _PARAMETER_FLAGS}
-        schedule = NoiseSchedule.from_name(
-            args.schedule, **{name: value for name, value in given.items() if value is not None}
-        )
+        # a family flag is passed only when given, so the schedule keeps its default
+        given = {name: value for name in PARAMETERS if (value := getattr(args, name)) is not None}
+        schedule = NoiseSchedule.from_name(args.schedule, **given)
         if "," in args.order:
             orders = OrderSchedule(tuple(int(v) for v in args.order.split(",")))
         else:
@@ -228,7 +225,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default=ObjectiveSpec.polynomial_kind)
     p.add_argument("--rho", type=_int_at_least(1), default=OptimizerConfig.rho,
                    help="exponent of the edm scheme")
-    for name in _PARAMETER_FLAGS:
+    for name in PARAMETERS:
         p.add_argument("--" + name.replace("_", "-"), type=float, default=None)
     p.add_argument("--out", required=True, help="output schedule JSON")
     p.add_argument("--dump-weights", default=None, help="also write the weight table JSON")

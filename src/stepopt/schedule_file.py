@@ -11,14 +11,14 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .objective import ObjectiveSpec
-from .schedules import FAMILY_PARAMETERS, SCHEMES, LambdaGrid, NoiseSchedule
+from .schedules import PARAMETERS, SCHEMES, LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule
 
 __all__ = ["ScheduleFile", "SCHEMA_VERSION", "write_texts"]
@@ -29,8 +29,7 @@ _KEYS = (
     "schema_version", "schedule_family", "T", "eps", "N", "lambda", "t", "orders",
     "polynomial_kind", "p", "objective", "init", "tool_version",
 )
-_PARAMETER_KEYS = ("beta_min", "beta_max", "cosine_shift")
-_OPTIONAL_KEYS = (*_PARAMETER_KEYS, "converged")
+_OPTIONAL_KEYS = (*PARAMETERS, "converged")
 _ALLOWED_KEYS = frozenset(_KEYS + _OPTIONAL_KEYS)
 _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 # relative tolerance of an interior node's t against t_of_lambda(lambda),
@@ -90,9 +89,8 @@ class ScheduleFile:
     init: str
     schema_version: int = SCHEMA_VERSION
     tool_version: str = __version__
-    beta_min: float | None = None
-    beta_max: float | None = None
-    cosine_shift: float | None = None
+    # the family parameters the file records, by NoiseSchedule field name
+    family_parameters: dict[str, float] = field(default_factory=dict)
     converged: bool | None = None
 
     def __post_init__(self):
@@ -120,10 +118,6 @@ class ScheduleFile:
         # building the spec checks the family and its parameters, p, the
         # polynomial kind, the orders and T and eps against the time domain
         self.spec
-        # a foreign parameter at its default passes the schedule's own check
-        foreign = self.family_parameters.keys() - FAMILY_PARAMETERS[self.spec.schedule.family]
-        if foreign:
-            raise ValueError(f"{sorted(foreign)} do not apply to {self.schedule_family}")
         if len(self.lam) != self.N + 1 or len(self.t) != self.N + 1:
             raise ValueError("node arrays must have N + 1 entries")
         # node order and exact endpoint times, as a grid requires them
@@ -179,19 +173,10 @@ class ScheduleFile:
             p=spec.p,
             objective=float(objective),
             init=init,
+            family_parameters=spec.schedule.parameters,
             converged=converged,
-            **spec.schedule.parameters,
         )
         return out
-
-    @property
-    def family_parameters(self) -> dict[str, float]:
-        """The family parameters the file records, by ``NoiseSchedule`` field name."""
-        return {
-            name: getattr(self, name)
-            for name in _PARAMETER_KEYS
-            if getattr(self, name) is not None
-        }
 
     @cached_property
     def spec(self) -> ObjectiveSpec:
@@ -210,9 +195,11 @@ class ScheduleFile:
     def emit(self) -> str:
         """The file's text as ``json.dumps(payload, indent=2) + "\\n"`` gives it, in one pass."""
         # validation leaves ints, finite floats, bools, strings and non-empty lists of numbers
+        values = {key: getattr(self, _ATTRIBUTE.get(key, key)) for key in _KEYS}
+        values.update(self.family_parameters, converged=self.converged)
         items = []
         for key in _KEYS + _OPTIONAL_KEYS:
-            value = getattr(self, _ATTRIBUTE.get(key, key))
+            value = values.get(key)
             if isinstance(value, (list, tuple)):
                 items.append(f'  "{key}": [\n    ' + ",\n    ".join(map(repr, value)) + "\n  ]")
             elif value is not None:  # None: an optional key the file leaves out
@@ -228,7 +215,9 @@ class ScheduleFile:
         unknown = payload.keys() - _ALLOWED_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return cls(**fields, **{key: payload.get(key) for key in _OPTIONAL_KEYS})
+        # a JSON null reads as an absent key
+        parameters = {key: payload[key] for key in PARAMETERS if payload.get(key) is not None}
+        return cls(**fields, family_parameters=parameters, converged=payload.get("converged"))
 
     def _check_interior_times(self) -> None:
         """Raise ``ValueError`` unless each interior node's ``t`` is ``t_of_lambda(lambda)``.

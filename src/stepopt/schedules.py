@@ -40,6 +40,7 @@ __all__ = [
     "lambda_range",
     "FAMILIES",
     "FAMILY_PARAMETERS",
+    "PARAMETERS",
     "SCHEDULE_NAMES",
     "SCHEMES",
 ]
@@ -49,6 +50,8 @@ FAMILY_PARAMETERS = {
     "vp_linear": ("beta_min", "beta_max"), "vp_cosine": ("cosine_shift",), "ve_edm": (),
 }
 FAMILIES = tuple(FAMILY_PARAMETERS)
+# every family parameter, in the order flags and schedule-file keys list them
+PARAMETERS = tuple(name for names in FAMILY_PARAMETERS.values() for name in names)
 
 # baseline grid schemes, in the order best-of-3 optimization tries them
 SCHEMES = ("uniform-t", "uniform-lambda", "edm")
@@ -96,12 +99,16 @@ class NoiseSchedule:
 
     @classmethod
     def from_name(cls, name: str, **params) -> "NoiseSchedule":
-        """Build a schedule from its CLI name ("vp-linear", "vp-cosine", "ve-edm")."""
+        """Build a schedule from its CLI name, refusing any parameter the family does not take."""
         if name not in SCHEDULE_NAMES:
             raise ValueError(
                 f"unknown schedule name {name!r}; expected one of {sorted(SCHEDULE_NAMES)}"
             )
-        return cls(name.replace("-", "_"), **params)
+        family = name.replace("-", "_")
+        foreign = params.keys() - FAMILY_PARAMETERS[family]
+        if foreign:
+            raise ValueError(f"{sorted(foreign)} do not apply to {name}")
+        return cls(family, **params)
 
     @property
     def name(self) -> str:
@@ -139,11 +146,12 @@ class NoiseSchedule:
         if self.family == "vp_linear":
             return -0.25 * t * t * (self.beta_max - self.beta_min) - 0.5 * t * self.beta_min
         # log(cos(theta_0 + d) / cos(theta_0)) with d = t / (1 + s) * pi / 2,
-        # expanded so that nothing cancels as t -> 0
+        # expanded so that nothing cancels as t -> 0; np.square, as ** 2 would
+        # call pow on a scalar and so map a time alone to other bits
         s = self.cosine_shift
         d = t / (1.0 + s) * (math.pi / 2.0)
         tan0 = math.tan(s / (1.0 + s) * (math.pi / 2.0))
-        return np.log1p(-2.0 * np.sin(0.5 * d) ** 2 - tan0 * np.sin(d))
+        return np.log1p(-2.0 * np.square(np.sin(0.5 * d)) - tan0 * np.sin(d))
 
     # -- half log-SNR and its inverse -------------------------------------
 
@@ -266,7 +274,7 @@ def lambda_range(schedule: NoiseSchedule, N: int, T: float, eps: float) -> tuple
         raise ValueError("need at least one step")
     if not T > eps:
         raise ValueError(f"invalid range: T={T} must exceed eps={eps}")
-    return float(schedule.lambda_of_t(T)), float(schedule.lambda_of_t(eps))
+    return tuple(schedule.lambda_of_t(np.array([T, eps])).tolist())
 
 
 def uniform_t_grid(schedule: NoiseSchedule, N: int, T: float, eps: float) -> LambdaGrid:

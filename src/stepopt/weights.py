@@ -91,7 +91,11 @@ class OrderSchedule:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        k = tuple(int(v) for v in self.k)
+        k = tuple(self.k)
+        # int() would truncate 2.7 and take True as 1
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in k):
+            raise ValueError(f"orders must be integers, got {k!r}")
+        k = tuple(map(int, k))
         object.__setattr__(self, "k", k)
         if len(k) < 1:
             raise ValueError("order schedule must cover at least one step")

@@ -19,7 +19,7 @@ import stepopt
 from stepopt import cli, simulator
 from stepopt.cli import main
 from stepopt.schedule_file import ScheduleFile, write_texts
-from stepopt.schedules import NoiseSchedule
+from stepopt.schedules import NoiseSchedule, uniform_t_grid
 from stepopt.weights import OrderSchedule, weights_lagrange, weights_taylor
 
 README = Path(__file__).parents[1] / "README.md"
@@ -346,9 +346,13 @@ class TestExitCodes:
         ("--schedule", "vp-linear", "--cosine-shift", "0.02"),
         ("--schedule", "ve-edm", "--beta-max", "5"),
         ("--schedule", "vp-cosine", "--beta-min", "0.2"),
-    ], ids=["linear-shift-nan", "linear-shift", "edm-beta-max", "cosine-beta-min"])
+        ("--schedule", "ve-edm", "--beta-min", "0.1"),
+        ("--schedule", "vp-linear", "--cosine-shift", "0.008"),
+    ], ids=["linear-shift-nan", "linear-shift", "edm-beta-max", "cosine-beta-min",
+            "edm-beta-min-default", "linear-shift-default"])
     def test_flag_of_another_family_is_2(self, tmp_path, family_flags, capsys):
-        # the flag used to be dropped without a word, exit 0
+        # the flag used to be dropped without a word, exit 0; at its default
+        # value it still was
         assert run(
             "baseline", "--scheme", "edm", "--N", "4", *family_flags,
             "--out", str(tmp_path / "x.json"),
@@ -990,6 +994,14 @@ class TestScheduleFile:
             bad = _edited(default, tmp_path / "typed.json", beta_max=value)
             with pytest.raises(ValueError, match="must be numbers"):
                 ScheduleFile.read(bad)
+
+    def test_from_grid_refuses_a_foreign_parameter_at_its_default(self):
+        # the key used to be dropped without a word
+        grid = uniform_t_grid(NoiseSchedule.from_name("vp-linear"), 4, 1.0, 1e-3)
+        message = re.escape("['cosine_shift'] do not apply to vp-linear")
+        with pytest.raises(ValueError, match=message):
+            ScheduleFile.from_grid(grid, "vp-linear", OrderSchedule.warmup(4, 3), "lagrange", 1,
+                                   1.0, "uniform-t", cosine_shift=0.008)
 
     def test_rejects_unknown_key(self, tmp_path):
         # a misspelt "converged" used to be dropped without a word, exit 0

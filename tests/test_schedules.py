@@ -9,6 +9,7 @@ from stepopt.schedules import (
     LambdaGrid,
     NoiseSchedule,
     edm_grid,
+    lambda_range,
     scheme_grid,
     uniform_lambda_grid,
     uniform_t_grid,
@@ -70,6 +71,23 @@ class TestLambdaOfT:
         below = np.nextafter(1e-300, 0.0)
         with pytest.raises(DomainError, match=rf"time {below} outside valid domain \[1e-300, "):
             schedule.lambda_of_t(below)
+
+    def test_a_time_alone_maps_to_its_bits_in_an_array(self):
+        # vp-cosine squared a scalar's sine through pow and an array's with a
+        # product, so about 1 time in 2000 missed the array's last bit
+        rng = np.random.default_rng(28)
+        schedules = [
+            *(NoiseSchedule.from_name("vp-cosine", cosine_shift=s) for s in (1e-5, 0.008, 1.0)),
+            *(NoiseSchedule.from_name("vp-linear", beta_min=lo, beta_max=hi)
+              for lo, hi in ((0.1, 20.0), (1e-6, 1e-5), (1e-3, 1e6))),
+            VE,
+        ]
+        for schedule in schedules:
+            lo, hi = schedule.t_domain
+            t = np.concatenate([rng.uniform(lo, hi, 3000),
+                                np.exp(rng.uniform(math.log(lo), math.log(hi), 3000))])
+            alone = [schedule.lambda_of_t(x).item() for x in t.tolist()]
+            assert schedule.lambda_of_t(t).tolist() == alone, schedule
 
 
 class TestTOfLambda:
@@ -261,6 +279,17 @@ def test_grid_invariants_all_step_counts(builder, schedule, lo, hi):
         assert grid.t[0] == T and grid.t[-1] == eps
 
 
+def test_lambda_range_is_the_end_nodes_of_a_uniform_t_grid():
+    # lambda_range mapped T and eps one at a time, an array maps the grid
+    rng = np.random.default_rng(28)
+    cosine_small = NoiseSchedule.from_name("vp-cosine", cosine_shift=1e-5)
+    for schedule in (VP_LINEAR, VP_COSINE, cosine_small, VE):
+        lo, hi = schedule.t_domain
+        for eps, T in np.sort(rng.uniform(lo, hi, (2000, 2))).tolist():
+            grid = uniform_t_grid(schedule, 1, T, eps)
+            assert lambda_range(schedule, 1, T, eps) == (grid.lam[0], grid.lam[-1])
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         LambdaGrid(lam=np.array([0.0, 1.0]), t=np.array([1.0, 2.0]), T=1.0, eps=2.0)
@@ -287,8 +316,9 @@ def test_parameters_are_those_off_their_defaults():
     assert NoiseSchedule.from_name("vp-linear", beta_max=10.0).parameters == {"beta_max": 10.0}
     cosine = NoiseSchedule.from_name("vp-cosine", cosine_shift=0.02)
     assert cosine.parameters == {"cosine_shift": 0.02}
-    # a foreign parameter at its default is no change
-    assert NoiseSchedule.from_name("ve-edm", beta_min=0.1).parameters == {}
+    # a foreign parameter is refused even at its default
+    with pytest.raises(ValueError, match=re.escape("['beta_min'] do not apply to ve-edm")):
+        NoiseSchedule.from_name("ve-edm", beta_min=0.1)
 
 
 def test_from_name_round_trip():

@@ -499,6 +499,14 @@ class TestOrderSchedule:
         with pytest.raises(ValueError):
             OrderSchedule(())
 
+    def test_orders_must_be_integers(self):
+        # int() used to turn 2.7 into 2, True into 1 and "2" into 2
+        for bad in ((1, 2.7), (True, 2), (1, "2"), (1.0,), (1, np.float64(2.0))):
+            with pytest.raises(ValueError, match="orders must be integers"):
+                OrderSchedule(bad)
+        orders = OrderSchedule(np.array([1, 2, 2]))
+        assert orders.k == (1, 2, 2) and {*map(type, orders.k)} == {int}
+
 
 class TestAggregate:
     def test_bookkeeping_n3(self):

@@ -18,6 +18,11 @@ commands, one subprocess each, in a fresh directory of its own:
 * edge cases: N 1 and 2, order caps 1 and 4, a mixed order list, Taylor
   p 3, eps 1e-300, ve-edm at N 30, and a time outside the domain, which
   exits 1;
+* family parameters: ``baseline --dump-weights`` and ``dump-weights`` on
+  vp-linear with ``--beta-min 0.2 --beta-max 10`` and on vp-cosine with
+  ``--cosine-shift 0.02``, a second vp-linear baseline with those
+  parameters and a ``simulate`` over the two vp-linear files, and a
+  vp-cosine uniform-t baseline at ``--T 0.5``;
 * the help and usage-error lines of ``USAGE``, which write no file.
 
 Every output file, exit code and stderr is compared, and stdout too
@@ -101,7 +106,26 @@ def battery() -> list[list[str]]:
     commands += [_optimize(f"edge-{name}", "--schedule", "vp-linear", *flags)
                  for name, flags in edges.items()]
     commands.append(_optimize("edge-ve-edm-30", "--schedule", "ve-edm", "--N", "30"))
-    return commands + USAGE
+    return commands + _parameter_commands() + USAGE
+
+
+def _parameter_commands() -> list[list[str]]:
+    """Commands whose files record family parameters, which later ones read back."""
+    linear = ("--schedule", "vp-linear", "--beta-min", "0.2", "--beta-max", "10")
+    cosine = ("--schedule", "vp-cosine", "--cosine-shift", "0.02")
+    commands = []
+    for name, flags in (("linear-params", linear), ("cosine-params", cosine)):
+        commands += [["baseline", "--scheme", "uniform-lambda", *flags, "--N", "8",
+                      "--out", f"{name}.json", "--dump-weights", f"{name}-weights.json"],
+                     ["dump-weights", "--steps", f"{name}.json", "--out", f"{name}-dumped.json"]]
+    return commands + [
+        ["baseline", "--scheme", "edm", *linear, "--N", "8", "--out", "linear-params-edm.json"],
+        ["simulate", "--model", "mixture-model.json", "--steps", "linear-params.json",
+         "--steps", "linear-params-edm.json", "--seeds", "64", "--rng-seed", "5",
+         "--out", "params-report.json"],
+        ["baseline", "--scheme", "uniform-t", "--schedule", "vp-cosine", "--N", "8",
+         "--T", "0.5", "--out", "cosine-t-half.json"],
+    ]
 
 
 def run_battery(tree: Path, work: Path, commands: list[list[str]]) -> list[dict]:
