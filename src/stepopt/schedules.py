@@ -25,7 +25,8 @@ times (decreasing) and as half log-SNR values (increasing).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,29 +40,30 @@ __all__ = [
     "scheme_grid",
     "lambda_range",
     "FAMILIES",
-    "FAMILY_PARAMETERS",
     "PARAMETERS",
     "SCHEDULE_NAMES",
     "SCHEMES",
 ]
 
-# the parameters of each family; a schedule keeps the others at their defaults
-FAMILY_PARAMETERS = {
-    "vp_linear": ("beta_min", "beta_max"), "vp_cosine": ("cosine_shift",), "ve_edm": (),
+# the one table of per-family facts: the parameters with their defaults,
+# the closed time domain and the end time the command line defaults to;
+# vp_cosine's log-SNR is unbounded at t = 1, and below t = 1e-300 the VP
+# maps would lose digits
+_Family = namedtuple("_Family", "defaults t_domain eps")
+_FAMILIES = {
+    "vp_linear": _Family({"beta_min": 0.1, "beta_max": 20.0}, (1e-300, 1.0), 1e-3),
+    "vp_cosine": _Family({"cosine_shift": 0.008}, (1e-300, 0.992), 1e-3),
+    "ve_edm": _Family({}, (0.002, 80.0), 0.002),
 }
-FAMILIES = tuple(FAMILY_PARAMETERS)
+FAMILIES = tuple(_FAMILIES)
 # every family parameter, in the order flags and schedule-file keys list them
-PARAMETERS = tuple(name for names in FAMILY_PARAMETERS.values() for name in names)
+PARAMETERS = tuple(name for family in _FAMILIES.values() for name in family.defaults)
 
 # baseline grid schemes, in the order best-of-3 optimization tries them
 SCHEMES = ("uniform-t", "uniform-lambda", "edm")
 
 # CLI / JSON names for the families, in the same order
 SCHEDULE_NAMES = tuple(family.replace("_", "-") for family in FAMILIES)
-
-# closed time domain of each family: vp_cosine's log-SNR is unbounded at
-# t = 1, and below t = 1e-300 the VP maps would lose digits
-_T_DOMAINS = {"vp_linear": (1e-300, 1.0), "vp_cosine": (1e-300, 0.992), "ve_edm": (0.002, 80.0)}
 
 
 class DomainError(ValueError):
@@ -72,22 +74,29 @@ class DomainError(ValueError):
 class NoiseSchedule:
     """Forward-process coefficients for one named schedule family.
 
-    Build one with :meth:`from_name` rather than instantiating directly.
+    Build one by CLI name with :meth:`from_name` or directly by family.
+    A parameter left out (``None``) takes the family's default from the
+    family table; one of another family is refused at any value.
     """
 
     family: str
-    beta_min: float = 0.1
-    beta_max: float = 20.0
-    cosine_shift: float = 0.008
+    # None: not given; construction fills in the family's own from the table
+    beta_min: float | None = None
+    beta_max: float | None = None
+    cosine_shift: float | None = None
     # range of attainable half log-SNR values (min at t_max, max at t_min)
     lambda_domain: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown schedule family {self.family!r}")
-        foreign = self.parameters.keys() - FAMILY_PARAMETERS[self.family]
+        defaults = _FAMILIES[self.family].defaults
+        foreign = [n for n in PARAMETERS if n not in defaults and getattr(self, n) is not None]
         if foreign:
             raise ValueError(f"{sorted(foreign)} do not apply to {self.name}")
+        for name, default in defaults.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         # chained comparisons, so NaN and infinite parameters fail too
         if self.family == "vp_linear" and not 0 < self.beta_min < self.beta_max < math.inf:
             raise ValueError("vp_linear requires finite 0 < beta_min < beta_max")
@@ -99,16 +108,12 @@ class NoiseSchedule:
 
     @classmethod
     def from_name(cls, name: str, **params) -> "NoiseSchedule":
-        """Build a schedule from its CLI name, refusing any parameter the family does not take."""
+        """Build a schedule from its CLI name; construction refuses a foreign parameter."""
         if name not in SCHEDULE_NAMES:
             raise ValueError(
                 f"unknown schedule name {name!r}; expected one of {sorted(SCHEDULE_NAMES)}"
             )
-        family = name.replace("-", "_")
-        foreign = params.keys() - FAMILY_PARAMETERS[family]
-        if foreign:
-            raise ValueError(f"{sorted(foreign)} do not apply to {name}")
-        return cls(family, **params)
+        return cls(name.replace("-", "_"), **params)
 
     @property
     def name(self) -> str:
@@ -116,17 +121,22 @@ class NoiseSchedule:
 
     @property
     def parameters(self) -> dict[str, float]:
-        """The parameters off their field defaults; construction allows only the family's."""
+        """The family's parameters that differ from their defaults, as a file records them."""
         return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.init and f.name != "family" and getattr(self, f.name) != f.default
+            name: getattr(self, name)
+            for name, default in _FAMILIES[self.family].defaults.items()
+            if getattr(self, name) != default
         }
 
     @property
     def t_domain(self) -> tuple[float, float]:
         """The closed time domain (t_min, t_max)."""
-        return _T_DOMAINS[self.family]
+        return _FAMILIES[self.family].t_domain
+
+    @property
+    def default_eps(self) -> float:
+        """The end time the command line takes when none is given."""
+        return _FAMILIES[self.family].eps
 
     def _check_range(self, x, lo: float, hi: float, what: str, slack: float = 0.0):
         """``x`` as a float array, if all of it lies in [lo - slack, hi + slack]; NaN fails."""

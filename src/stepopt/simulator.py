@@ -126,14 +126,6 @@ class SimulationReport:
     # state is; the errors of such a grid are inf
     diverged_step: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.schedule_label,
-            "mean_l2": self.mean_l2_error,
-            "median_l2": self.median_l2_error,
-            "seeds": int(self.per_seed_errors.size),
-        }
-
 
 def standard_test_mixture() -> AnalyticModel:
     """Fixed two-component planar mixture, as in the README's library example.

@@ -84,6 +84,18 @@ class TestBaseline:
         data = json.loads(out.read_text())
         assert data["t"][1] == pytest.approx(math.sqrt(80.0 * 0.002), rel=1e-9)
 
+    @pytest.mark.parametrize("schedule,T,eps", [
+        ("vp-linear", 1.0, 1e-3), ("vp-cosine", 0.992, 1e-3), ("ve-edm", 80.0, 0.002),
+    ])
+    def test_default_T_and_eps_of_each_family(self, tmp_path, schedule, T, eps):
+        # T is the top of the family's time domain
+        out = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "uniform-t", "--schedule", schedule,
+                   "--N", "3", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert (data["T"], data["eps"]) == (T, eps)
+        assert (data["t"][0], data["t"][-1]) == (T, eps)
+
     def test_deterministic_output(self, tmp_path):
         args = (
             "baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",

@@ -304,11 +304,28 @@ def test_grid_validation():
 @pytest.mark.parametrize("name,params", [
     ("vp-linear", {"cosine_shift": 0.02}), ("vp-linear", {"cosine_shift": math.nan}),
     ("vp-cosine", {"beta_min": 0.2}), ("ve-edm", {"beta_max": 5.0, "cosine_shift": 0.02}),
-], ids=["linear-shift", "linear-shift-nan", "cosine-beta-min", "edm-two"])
+    ("ve-edm", {"beta_min": 0.1}), ("vp-linear", {"cosine_shift": 0.008}),
+    ("vp-cosine", {"beta_max": 20.0}), ("ve-edm", {"beta_min": 0.1, "beta_max": 20.0}),
+], ids=["linear-shift", "linear-shift-nan", "cosine-beta-min", "edm-two",
+        "edm-beta-min-default", "linear-shift-default", "cosine-beta-max-default",
+        "edm-two-defaults"])
 def test_parameter_of_another_family_is_rejected(name, params):
-    # such a value used to be kept and ignored by every map
-    with pytest.raises(ValueError, match=re.escape(f"{sorted(params)} do not apply to {name}")):
+    # such a value used to be kept and ignored by every map; built directly,
+    # a schedule took one at its default without a word
+    message = re.escape(f"{sorted(params)} do not apply to {name}")
+    with pytest.raises(ValueError, match=message):
         NoiseSchedule.from_name(name, **params)
+    with pytest.raises(ValueError, match=message):
+        NoiseSchedule(name.replace("-", "_"), **params)
+
+
+def test_a_default_left_out_or_given_is_the_same_schedule():
+    # simulate's shared-file check compares schedules by value and hash
+    given = NoiseSchedule.from_name("vp-linear", beta_min=0.1)
+    assert NoiseSchedule("vp_linear") == given
+    assert hash(NoiseSchedule("vp_linear")) == hash(given)
+    assert NoiseSchedule("vp_cosine").cosine_shift == 0.008
+    assert NoiseSchedule("ve_edm") == VE
 
 
 def test_parameters_are_those_off_their_defaults():

@@ -21,8 +21,10 @@ commands, one subprocess each, in a fresh directory of its own:
 * family parameters: ``baseline --dump-weights`` and ``dump-weights`` on
   vp-linear with ``--beta-min 0.2 --beta-max 10`` and on vp-cosine with
   ``--cosine-shift 0.02``, a second vp-linear baseline with those
-  parameters and a ``simulate`` over the two vp-linear files, and a
-  vp-cosine uniform-t baseline at ``--T 0.5``;
+  parameters and a ``simulate`` over the two vp-linear files, a
+  vp-cosine uniform-t baseline at ``--T 0.5``, and a baseline given a
+  parameter of another family at its default (``--beta-min 0.1`` on
+  ve-edm, ``--cosine-shift 0.008`` on vp-linear), which exits 2;
 * the help and usage-error lines of ``USAGE``, which write no file.
 
 Every output file, exit code and stderr is compared, and stdout too
@@ -110,7 +112,7 @@ def battery() -> list[list[str]]:
 
 
 def _parameter_commands() -> list[list[str]]:
-    """Commands whose files record family parameters, which later ones read back."""
+    """Commands whose files record family parameters, read back later, and two refusals."""
     linear = ("--schedule", "vp-linear", "--beta-min", "0.2", "--beta-max", "10")
     cosine = ("--schedule", "vp-cosine", "--cosine-shift", "0.02")
     commands = []
@@ -125,6 +127,11 @@ def _parameter_commands() -> list[list[str]]:
          "--out", "params-report.json"],
         ["baseline", "--scheme", "uniform-t", "--schedule", "vp-cosine", "--N", "8",
          "--T", "0.5", "--out", "cosine-t-half.json"],
+        # a parameter of another family at its default value, which exits 2
+        ["baseline", "--scheme", "edm", "--schedule", "ve-edm", "--beta-min", "0.1", "--N", "4",
+         "--out", "edm-foreign.json"],
+        ["baseline", "--scheme", "edm", "--schedule", "vp-linear", "--cosine-shift", "0.008",
+         "--N", "4", "--out", "linear-foreign.json"],
     ]
 
 
