@@ -127,8 +127,9 @@ def optimize_steps(
     res = minimize(fun, z0, jac=True, method="L-BFGS-B", callback=accepted,
                    options={"maxiter": config.max_iters})
     x, f = visited[-1] if visited[-1][1] < visited[0][1] else visited[0]
+    lam = np.concatenate(([lam_T], x, [lam_eps]))
     return OptimizedSchedule(
-        grid=_finish_grid(spec, x),
+        grid=LambdaGrid.from_lambda(spec.schedule, lam, spec.T, spec.eps),
         objective=f,
         initial_objective=visited[0][1],
         iterations=res.nit,
@@ -137,9 +138,3 @@ def optimize_steps(
         message=str(res.message),
         evaluations=int(res.nfev),
     )
-
-
-def _finish_grid(spec: ObjectiveSpec, interior: np.ndarray) -> LambdaGrid:
-    lam_T, lam_eps = spec.lambda_endpoints
-    lam = np.concatenate(([lam_T], interior, [lam_eps]))
-    return LambdaGrid.from_lambda(spec.schedule, lam, spec.T, spec.eps)

@@ -269,8 +269,7 @@ class LambdaGrid:
         lam = np.asarray(lam, dtype=float)
         t = np.empty_like(lam)
         t[0], t[-1] = T, eps
-        if lam.size > 2:
-            t[1:-1] = schedule.t_of_lambda(lam[1:-1])
+        t[1:-1] = schedule.t_of_lambda(lam[1:-1])
         return cls(lam=lam, t=t, T=T, eps=eps)
 
     @property

@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from helpers import basis_order, gauss_legendre_oracle, grid_from_lambda
 
 from stepopt.objective import ObjectiveSpec, objective_value
 from stepopt.optimizer import OptimizerConfig, optimize_steps
 from stepopt.schedules import (
-    LambdaGrid,
     NoiseSchedule,
     edm_grid,
     uniform_lambda_grid,
@@ -45,24 +45,6 @@ def _report(criterion, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _gauss_legendre(coeffs, a, b, shift, n=64):
-    x, w = np.polynomial.legendre.leggauss(n)
-    lam = 0.5 * (b - a) * x + 0.5 * (a + b)
-    p = np.polynomial.polynomial.polyval(lam, np.asarray(coeffs, dtype=float))
-    return float(np.sum(w * np.exp(lam - shift) * p) * 0.5 * (b - a))
-
-
-def _grid_from_lambda(lam):
-    lam = np.asarray(lam, dtype=float)
-    t = np.exp(-lam)
-    return LambdaGrid(lam=lam, t=t, T=t[0], eps=t[-1])
-
-
-def basis_order(w, orders, n):
-    """Step n of by-age weights ``w`` by basis index j, the node ``lam[n - k_n + j]``."""
-    return w[n - 1, orders.k[n - 1] - 1 :: -1]
-
-
 def _optimize_best_of_three(spec):
     return min(
         (
@@ -82,7 +64,7 @@ def test_criterion_1_weight_sum_identity():
         lam = np.sort(rng.uniform(-6.0, 7.0, N + 1))
         while np.any(np.diff(lam) < 1e-3):
             lam = np.sort(rng.uniform(-6.0, 7.0, N + 1))
-        grid = _grid_from_lambda(lam)
+        grid = grid_from_lambda(lam)
         for build, cap in ((weights_lagrange, 4), (weights_taylor, 3)):
             orders = OrderSchedule(
                 tuple(int(rng.integers(1, min(n, cap) + 1)) for n in range(1, N + 1))
@@ -112,7 +94,7 @@ def test_criterion_2_quadrature_oracle():
         orders = OrderSchedule.warmup(deg + 1, deg + 1)
         w = step_weight_array(lam, orders, "lagrange", a)[-1, ::-1]
         mine = float(w @ np.polynomial.polynomial.polyval(lam[:-1], coeffs))
-        oracle = _gauss_legendre(coeffs, a, a + width, shift=a)
+        oracle = gauss_legendre_oracle(coeffs, a, a + width, shift=a)
         worst = max(worst, abs(mine - oracle) / abs(oracle))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 5.0
@@ -177,7 +159,7 @@ def test_criterion_6_constant_prediction_exactness():
         while np.any(np.diff(lam) < 1e-4):
             interior = np.sort(rng.uniform(lam_T + 0.01, lam_eps - 0.01, N - 1))
             lam = np.concatenate(([lam_T], interior, [lam_eps]))
-        grid = _grid_from_lambda(lam)
+        grid = grid_from_lambda(lam)
         orders = OrderSchedule(
             tuple(int(rng.integers(1, min(n, 4) + 1)) for n in range(1, N + 1))
         )

@@ -1,12 +1,7 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
+from helpers import load_tool
 
-_PATH = Path(__file__).parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+bench_pairs = load_tool("bench_pairs")
 
 END_TO_END = [{"name": "wall_s", "better": "lower", "bound": 0.25},
               {"name": "ops_per_s", "better": "higher", "bound": 0.25}]

@@ -1,7 +1,6 @@
 import argparse
 import builtins
 import dataclasses
-import importlib.util
 import json
 import math
 import os
@@ -14,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import basis_order, load_tool
 
 import stepopt
 from stepopt import cli, simulator
@@ -620,14 +620,6 @@ class TestRepeatedCalls:
         assert ScheduleFile.read(out).N == 3
 
 
-def _tool(name):
-    path = Path(__file__).parents[1] / "tools" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestParsing:
     """``main`` parses a known command's flags with its subparser alone, as the full parser would."""
 
@@ -646,7 +638,7 @@ class TestParsing:
     def test_same_namespace(self, argv):
         assert cli._parse_args(argv) == cli._build_parser()[0].parse_args(argv)
 
-    @pytest.mark.parametrize("argv", _tool("same_outputs").USAGE, ids=shlex.join)
+    @pytest.mark.parametrize("argv", load_tool("same_outputs").USAGE, ids=shlex.join)
     def test_same_exit_code_and_output(self, argv, capsys):
         capsys.readouterr()
         with pytest.raises(SystemExit) as full:
@@ -1021,11 +1013,6 @@ class TestScheduleFile:
         with pytest.raises(ValueError, match="unknown keys"):
             ScheduleFile.read(bad)
         assert run("dump-weights", "--steps", bad, "--out", str(tmp_path / "w.json")) == 2
-
-
-def basis_order(w, orders, n):
-    """Step n of by-age weights ``w`` by basis index j, the node ``lam[n - k_n + j]``."""
-    return w[n - 1, orders.k[n - 1] - 1 :: -1]
 
 
 def _json_weight_table(sched) -> str:

@@ -1,12 +1,8 @@
-import importlib.util
 import shutil
-from pathlib import Path
 
-_ROOT = Path(__file__).parents[1]
-_PATH = _ROOT / "tools" / "same_outputs.py"
-_SPEC = importlib.util.spec_from_file_location("same_outputs", _PATH)
-same_outputs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(same_outputs)
+from helpers import ROOT, load_tool
+
+same_outputs = load_tool("same_outputs")
 
 
 def _slice():
@@ -17,7 +13,7 @@ def _slice():
 
 
 def test_same_tree_has_no_difference(tmp_path):
-    trees = {"parent": _ROOT, "change": _ROOT}
+    trees = {"parent": ROOT, "change": ROOT}
     assert same_outputs.compare(trees, _slice(), tmp_path) == []
     written = {p.name for p in (tmp_path / "change-outputs").iterdir()}
     assert {"edm.json", "edm-weights.json", "edm-dumped.json", "edge-n2.json",
@@ -26,13 +22,13 @@ def test_same_tree_has_no_difference(tmp_path):
 
 def test_changed_output_is_reported(tmp_path):
     changed = tmp_path / "changed"
-    shutil.copytree(_ROOT / "src", changed / "src",
+    shutil.copytree(ROOT / "src", changed / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     cli = changed / "src" / "stepopt" / "cli.py"
     source = cli.read_text()
     assert source.count('print(f"wrote {args.out}")') == 1
     cli.write_text(source.replace('print(f"wrote {args.out}")', 'print(f"wrote {args.out} ")'))
-    diffs = same_outputs.compare({"parent": _ROOT, "change": changed}, _slice()[:2], tmp_path)
+    diffs = same_outputs.compare({"parent": ROOT, "change": changed}, _slice()[:2], tmp_path)
     assert len(diffs) == 1
     assert diffs[0].startswith(
         "stepopt dump-weights --steps edm.json --out edm-dumped.json: stdout ")

@@ -7,11 +7,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.integrate
+from helpers import grid_from_lambda
 from scipy.integrate import DOP853, solve_ivp
 
 from stepopt import cli, simulator
 from stepopt.schedules import (
-    LambdaGrid,
     NoiseSchedule,
     edm_grid,
     uniform_lambda_grid,
@@ -40,12 +40,6 @@ FAMILY_RANGES = {"vp-linear": (1.0, 1e-3), "vp-cosine": (0.992, 1e-3), "ve-edm":
 def single_gaussian(mu, s):
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     return AnalyticModel(pis=np.array([1.0]), mus=mu[None, :], stds=np.array([s]))
-
-
-def grid_from_lambda(lam):
-    lam = np.asarray(lam, dtype=float)
-    t = np.exp(-lam)
-    return LambdaGrid(lam=lam, t=t, T=t[0], eps=t[-1])
 
 
 def random_ve_grid(rng, n_max=15):
@@ -798,14 +792,16 @@ class TestEvaluateSchedules:
                 want.mean_l2_error, want.median_l2_error
             )
 
-    @pytest.mark.parametrize("case", ["late-1e300-prediction", "single-gaussian-1e200-start"])
+    @pytest.mark.parametrize("case", ["late-1e300-prediction", "single-gaussian-1e200-start",
+                                      "dim16-gaussian-1e200-start"])
     def test_finite_far_grid_gets_exact_errors(self, monkeypatch, case):
         # "b" ends finite but far out, where the squares of its errors
         # overflow: on the mixture one finite 1e300 prediction at its last
-        # step, on one component a start at 1e200, which the affine
-        # prediction keeps finite (about 5e199 at the end).  "b" is not
-        # diverged, its errors are the exact norms, and "a" and "c" report
-        # exactly what they report without "b" beside them.
+        # step, on one component (in 2 or 16 dimensions) a start at 1e200,
+        # which the affine prediction keeps finite (about 5e199 at the
+        # end).  "b" is not diverged, its errors are the exact norms, and
+        # "a" and "c" report exactly what they report without "b" beside
+        # them.
         real_sample, real_reference = simulator._sample_batch, simulator._reference_batch
         seen = {}
 
@@ -835,8 +831,10 @@ class TestEvaluateSchedules:
         monkeypatch.setattr(simulator, "_reference_batch", reference)
         if case == "late-1e300-prediction":
             model, size = standard_test_mixture(), 1e299
-        else:
+        elif case == "single-gaussian-1e200-start":
             model, size = single_gaussian([1.0, -1.0], 0.5), 1e199
+        else:
+            model, size = single_gaussian(np.linspace(-1.0, 1.0, 16), 0.5), 1e199
         grids = [f(VP, 4, 1.0, 1e-3) for f in (uniform_lambda_grid, uniform_t_grid, edm_grid)]
         rest = (OrderSchedule.warmup(4, 3), "lagrange", 8, 0)
         a, b, c = evaluate_schedules(model, VP, grids, *rest, labels=["a", "b", "c"])
@@ -853,6 +851,31 @@ class TestEvaluateSchedules:
             assert np.array_equal(got.per_seed_errors, want.per_seed_errors)
             assert (got.mean_l2_error, got.median_l2_error) == (
                 want.mean_l2_error, want.median_l2_error)
+
+    def test_one_dimensional_errors_are_absolute(self, monkeypatch):
+        # in one dimension the error of a draw is |x_out - x_ref|, on
+        # whichever side of the reference the draw ends
+        real_sample, real_reference = simulator._sample_batch, simulator._reference_batch
+        seen = {}
+
+        def sample(*args):
+            seen["out"] = real_sample(*args)
+            return seen["out"]
+
+        def reference(*args):
+            seen["ref"] = real_reference(*args)
+            return seen["ref"]
+
+        monkeypatch.setattr(simulator, "_sample_batch", sample)
+        monkeypatch.setattr(simulator, "_reference_batch", reference)
+        grid = uniform_lambda_grid(VP, 3, 1.0, 1e-3)
+        (report,) = evaluate_schedules(
+            single_gaussian([0.5], 0.3), VP, [grid], OrderSchedule.warmup(3, 3), "lagrange", 32, 2
+        )
+        diff = seen["out"][0][0, 0] - seen["ref"][0]  # (dim, G, S) and (dim, S)
+        assert (diff > 0).any() and (diff < 0).any()
+        assert np.array_equal(report.per_seed_errors, np.abs(diff))
+        assert (report.per_seed_errors >= 0).all()
 
     @pytest.mark.parametrize(
         "K,dim,kind",

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import basis_order, gauss_legendre_oracle, grid_from_lambda
 
-from stepopt.schedules import SCHEMES, LambdaGrid, NoiseSchedule, lambda_range, scheme_grid
+from stepopt.schedules import SCHEMES, NoiseSchedule, lambda_range, scheme_grid
 from stepopt.weights import (
     _ANTIDERIVATIVE,
     _SERIES,
@@ -17,14 +18,6 @@ from stepopt.weights import (
 )
 
 E = math.e
-
-
-def gauss_legendre_oracle(coeffs, a, b, shift, n=64):
-    """Independent quadrature route for the weight integrals."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    lam = 0.5 * (b - a) * x + 0.5 * (a + b)
-    p = np.polynomial.polynomial.polyval(lam, np.asarray(coeffs, dtype=float))
-    return float(np.sum(w * np.exp(lam - shift) * p) * 0.5 * (b - a))
 
 
 def taylor_value_polys(local_nodes):
@@ -42,18 +35,6 @@ def taylor_value_polys(local_nodes):
             coeffs.append((coeffs[1] - older) / (local_nodes[-1] - local_nodes[-3]))
         polys.append(coeffs)
     return polys
-
-
-def basis_order(w, orders, n):
-    """Step n of by-age weights ``w`` by basis index j, the node ``lam[n - k_n + j]``."""
-    return w[n - 1, orders.k[n - 1] - 1 :: -1]
-
-
-def grid_from_lambda(lam):
-    """Wrap a raw increasing log-SNR array (times via the VE relation)."""
-    lam = np.asarray(lam, dtype=float)
-    t = np.exp(-lam)
-    return LambdaGrid(lam=lam, t=t, T=t[0], eps=t[-1])
 
 
 def random_lam(rng, N, lo=-6.0, hi=7.0, min_gap=1e-3):

@@ -11,8 +11,11 @@ commands, one subprocess each, in a fresh directory of its own:
 
 * ``baseline --dump-weights`` of every scheme, ``dump-weights`` of one
   of those files, and ``simulate`` with JSON and CSV output of the three
-  baselines on a single Gaussian and on the standard two-component
-  mixture;
+  baselines at 256 draws on a single Gaussian in two dimensions and in
+  one, and on the standard two-component mixture;
+* the same ``simulate`` on the mixture at 4096 draws, where a rounding
+  change in the errors shows in the reported statistics more often than
+  at 256;
 * best-of-3 ``optimize --dump-weights`` over 3 families x N 5, 10, 15,
   20 x (Lagrange p 1, Taylor p 2);
 * edge cases: N 1 and 2, order caps 1 and 4, a mixed order list, Taylor
@@ -52,6 +55,7 @@ FAMILIES = ("vp-linear", "vp-cosine", "ve-edm")
 SCHEMES = ("uniform-t", "uniform-lambda", "edm")
 MODELS = {
     "gaussian": {"dim": 2, "components": [{"pi": 1.0, "mu": [1.0, -0.5], "s": 0.7}]},
+    "gaussian-1d": {"dim": 1, "components": [{"pi": 1.0, "mu": [0.5], "s": 0.7}]},
     "mixture": {"dim": 2, "components": [{"pi": 0.5, "mu": [2.0, 2.0], "s": 0.5},
                                          {"pi": 0.5, "mu": [-2.0, -2.0], "s": 0.5}]},
 }
@@ -86,10 +90,11 @@ def battery() -> list[list[str]]:
                  "--out", f"{scheme}.json", "--dump-weights", f"{scheme}-weights.json"]
                 for scheme in SCHEMES]
     commands.append(["dump-weights", "--steps", "edm.json", "--out", "edm-dumped.json"])
-    commands += [["simulate", "--model", f"{model}-model.json",
-                  *(arg for scheme in SCHEMES for arg in ("--steps", f"{scheme}.json")),
-                  "--seeds", "256", "--rng-seed", "3", "--out", f"{model}-report.json",
-                  "--csv", f"{model}-report.csv"] for model in MODELS]
+    steps = [arg for scheme in SCHEMES for arg in ("--steps", f"{scheme}.json")]
+    runs = [(model, 256, model) for model in MODELS] + [("mixture", 4096, "mixture-4096")]
+    commands += [["simulate", "--model", f"{model}-model.json", *steps, "--seeds", str(seeds),
+                  "--rng-seed", "3", "--out", f"{name}-report.json", "--csv", f"{name}-report.csv"]
+                 for model, seeds, name in runs]
     for family in FAMILIES:
         for N in (5, 10, 15, 20):
             for kind, p in (("lagrange", "1"), ("taylor", "2")):
