@@ -19,6 +19,7 @@ with ``dlog(sigma)/dlam`` equal to ``-alpha^2`` for every family
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import gc
 import json
@@ -256,6 +257,16 @@ def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.n
     return _on_draws(lambda xb: _posterior_mean(model, xb[:, None], alpha, sigma)[:, 0], x)
 
 
+@contextlib.contextmanager
+def _short_ufunc_buffer():
+    """numpy's ufunc buffer at 256 elements, restored on every exit."""
+    old = np.setbufsize(256)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
 def _sample_batch(
     lam: np.ndarray,
     orders: OrderSchedule,
@@ -286,6 +297,10 @@ def _sample_batch(
     The loop runs under one ``np.errstate(all="ignore")``: any overflow
     that matters leaves a non-finite state, which the next check records,
     so no caller's floating-point setting can fail the pass for one grid.
+    It runs with a 256-element ufunc buffer too, as numpy 2.4 copies a
+    (G, 1) coefficient into its 8192-element buffer, 2-3x slower than a
+    scalar; the weights, whose narrow-interval sums that size blocks, are
+    formed before the loop at the caller's size.
     """
     n_steps = lam.shape[1] - 1
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
@@ -296,7 +311,7 @@ def _sample_batch(
     x = np.array(x_start, dtype=float, order="C")
     entered = np.zeros(lam.shape[0], dtype=int)
     history: deque[np.ndarray] = deque(maxlen=max(orders.k))
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"), _short_ufunc_buffer():
         for n in range(1, n_steps + 2):  # the last pass only checks the final state
             if not np.isfinite(x).all():
                 entered[(entered == 0) & ~np.isfinite(x).all(axis=(0, 2))] = n
@@ -364,10 +379,12 @@ def _reference_batch(
     unnormalised flow and ``sum_k r_k`` together; the flow is divided by
     that sum once.  ``1 - alpha^2`` comes from ``log alpha`` through
     ``expm1``, so the coefficient of ``x`` shrinks with ``sigma^2`` at
-    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  Both
-    coefficient arrays and the feature buffer are allocated once per
-    solve.  The sampler and :func:`data_prediction` keep
-    :func:`_posterior_mean`.
+    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  The
+    coefficients are Python floats from one loop over the components,
+    bitwise the array form's, written into one buffer both arrays view.
+    Only the solver's step loop runs with the sampler's 256-element ufunc
+    buffer, for the (S,)-row products.  The sampler and
+    :func:`data_prediction` keep :func:`_posterior_mean`.
     """
     if model.pis.size == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -382,11 +399,12 @@ def _reference_batch(
     from scipy.integrate import DOP853
 
     dim, S = x_start.shape
-    mus = model.mus
-    s2, mu2, log_pi = (v.ravel() for v in model._terms)
-    log_coef = np.empty((mus.shape[0], dim + 2))  # alpha mu_k / var_k, -1 / (2 var_k), constant
-    flow_coef = np.empty((dim + 2, mus.shape[0]))  # of mu_k and of x, over var_k; then 1
-    flow_coef[-1] = 1.0
+    n = model.pis.size * (dim + 2)
+    # s_k^2, |mu_k|^2, log pi_k and mu_k as floats, one tuple per component
+    terms = list(zip(*(v.ravel().tolist() for v in model._terms), model.mus.tolist()))
+    coef = np.empty(2 * n)
+    log_coef = coef[:n].reshape(-1, dim + 2)  # alpha mu_k / var_k, -1 / (2 var_k), constant
+    flow_coef = coef[n:].reshape(dim + 2, -1)  # of mu_k and of x, over var_k; then 1
     features = np.empty((dim + 2, S))
     features[-1] = 1.0
 
@@ -394,13 +412,16 @@ def _reference_batch(
         x = y.reshape(dim, S)
         log_alpha, log_sigma = (float(v) for v in schedule.log_alpha_sigma_of_lambda(lam))
         alpha, sigma2 = math.exp(log_alpha), math.exp(2.0 * log_sigma)
-        a2 = alpha * alpha
-        inv_var = 1.0 / (s2 * a2 + sigma2)
-        log_coef[:, :dim] = mus * (alpha * inv_var)[:, None]
-        log_coef[:, dim] = -0.5 * inv_var
-        log_coef[:, dim + 1] = log_pi + 0.5 * dim * np.log(inv_var) - (0.5 * a2) * mu2 * inv_var
-        flow_coef[:dim] = mus.T * ((alpha * sigma2) * inv_var)
-        flow_coef[dim] = (a2 * (s2 * -math.expm1(2.0 * log_alpha) - sigma2)) * inv_var
+        a2, shrink = alpha * alpha, -math.expm1(2.0 * log_alpha)
+        rows, cols = [], []
+        for s2, mu2, log_pi, mu in terms:
+            iv = 1.0 / (s2 * a2 + sigma2)
+            c, f = alpha * iv, (alpha * sigma2) * iv
+            # numpy's log, not math.log, which can differ in the last bit
+            rows += [m * c for m in mu] + [-0.5 * iv, log_pi + 0.5 * dim * float(np.log(iv))
+                                           - (0.5 * a2) * mu2 * iv]
+            cols.append([m * f for m in mu] + [(a2 * (s2 * shrink - sigma2)) * iv, 1.0])
+        coef[:] = rows + [v for col in zip(*cols) for v in col]
         features[:dim] = x
         np.einsum("ij,ij->j", x, x, out=features[dim])
         r = log_coef @ features  # log-responsibilities, (K, S)
@@ -413,8 +434,9 @@ def _reference_batch(
         return flow.ravel()
 
     solver = DOP853(rhs, lam_T, x_start.ravel(), lam_eps, rtol=1e-10, atol=1e-13)
-    while solver.status == "running":
-        message = solver.step()  # None unless the step failed
+    with _short_ufunc_buffer():
+        while solver.status == "running":
+            message = solver.step()  # None unless the step failed
     y = solver.y
     # The solver keeps itself in a reference cycle (closures over itself)
     # holding about 1 MB of stage arrays at 4096 x 2 draws.  A solve leaves
@@ -496,13 +518,8 @@ def evaluate_schedules(
     with np.errstate(over="ignore", under="ignore"):
         errors = np.hypot.reduce(x_out - x_ref[:, None], axis=0, initial=0.0)  # (G, S)
         errors[entered > 0] = np.inf
-        return [
-            SimulationReport(
-                mean_l2_error=float(np.mean(e)),
-                median_l2_error=float(np.median(e)),
-                per_seed_errors=e,
-                schedule_label=label,
-                diverged_step=int(step) if step else None,
-            )
-            for e, label, step in zip(errors, labels, entered)
-        ]
+        means, medians = errors.mean(axis=1).tolist(), np.median(errors, axis=1).tolist()
+    return [
+        SimulationReport(mean, median, e, label, int(step) if step else None)
+        for e, mean, median, label, step in zip(errors, means, medians, labels, entered)
+    ]

@@ -33,3 +33,30 @@ def test_changed_output_is_reported(tmp_path):
     assert diffs[0].startswith(
         "stepopt dump-weights --steps edm.json --out edm-dumped.json: stdout ")
 
+
+def test_numbers_only_difference_is_measured():
+    parent = '{"label": "schedule-0", "mean_l2": 0.13142277262098745, "seeds": 256}\n'
+    change = parent.replace("0.13142277262098745", "0.13142277262098742")
+    worst = same_outputs.largest_relative_difference(parent, change)
+    assert worst == abs(0.13142277262098745 - 0.13142277262098742) / 0.13142277262098745
+    assert 1e-16 < worst < 3e-16
+    assert same_outputs.file_difference("r.json", parent.encode(), change.encode()) == (
+        f"r.json: contents differ in numbers only, by up to {worst:.3g} relative")
+    csv_parent = "label,mean_l2\nedm,1.5e-3\nuniform-t,inf\n"
+    assert same_outputs.largest_relative_difference(csv_parent, csv_parent) == 0.0
+    assert same_outputs.largest_relative_difference(
+        csv_parent, csv_parent.replace("1.5e-3", "1.5e-4")) == 0.9
+    assert same_outputs.largest_relative_difference(
+        csv_parent, csv_parent.replace("inf", "2.0")) == float("inf")
+
+
+def test_other_differences_are_not_measured():
+    parent = '{"label": "schedule-0", "mean_l2": 0.5}\n'
+    for change in ('{"label": "schedule-1", "mean_l2": 0.5}\n', '{"label": "schedule-0"}\n',
+                   '{"label": "schedule-0", "mean_l2": 0.5, "x": 1}\n'):
+        assert same_outputs.largest_relative_difference(parent, change) is None
+        assert same_outputs.file_difference("r.json", parent.encode(), change.encode()) == (
+            "r.json: contents differ")
+    assert same_outputs.file_difference("w.txt", b"0.5", b"0.6") == "w.txt: contents differ"
+    assert same_outputs.file_difference("w.json", b"0.5", None) == (
+        "w.json: written on one side only")

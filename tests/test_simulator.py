@@ -494,6 +494,48 @@ def _difference_posterior_mean(model, x, alpha, sigma):
     return np.sum(r[:, :, None] * comp_mean, axis=1)
 
 
+def _array_form_flow(model, schedule, lam, x):
+    """The reference's right-hand side on a (dim, S) state, its per-lambda
+    coefficients formed by numpy array operations: the reference for the
+    float operations of the coefficients built from Python floats."""
+    dim, S = x.shape
+    mus = model.mus
+    s2, mu2, log_pi = (v.ravel() for v in model._terms)
+    log_alpha, log_sigma = (float(v) for v in schedule.log_alpha_sigma_of_lambda(lam))
+    alpha, sigma2 = math.exp(log_alpha), math.exp(2.0 * log_sigma)
+    a2 = alpha * alpha
+    inv_var = 1.0 / (s2 * a2 + sigma2)
+    log_coef = np.empty((mus.shape[0], dim + 2))
+    log_coef[:, :dim] = mus * (alpha * inv_var)[:, None]
+    log_coef[:, dim] = -0.5 * inv_var
+    log_coef[:, dim + 1] = log_pi + 0.5 * dim * np.log(inv_var) - (0.5 * a2) * mu2 * inv_var
+    flow_coef = np.empty((dim + 2, mus.shape[0]))
+    flow_coef[:dim] = mus.T * ((alpha * sigma2) * inv_var)
+    flow_coef[dim] = (a2 * (s2 * -math.expm1(2.0 * log_alpha) - sigma2)) * inv_var
+    flow_coef[-1] = 1.0
+    r = log_coef @ np.vstack([x, np.einsum("ij,ij->j", x, x), np.ones(S)])
+    r -= r.max(axis=0)
+    np.exp(r, out=r)
+    out = flow_coef @ r
+    flow = out[dim] * x
+    flow += out[:dim]
+    flow /= out[dim + 1]
+    return flow
+
+
+def _recorded_flows(monkeypatch):
+    """The list to which each DOP853 solver started from now on adds its right-hand side."""
+    flows = []
+
+    class Recording(DOP853):
+        def __init__(self, fun, *args, **kwargs):
+            flows.append(fun)
+            super().__init__(fun, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+    return flows
+
+
 class TestReferenceSolution:
     def test_closed_form_matches_adaptive(self):
         model = single_gaussian([1.5, -0.5], 0.7)
@@ -566,14 +608,7 @@ class TestReferenceSolution:
     def test_matches_solve_ivp_bitwise(self, monkeypatch, name):
         # the directly stepped solver gives exactly the last state that
         # solve_ivp returns for the same right-hand side
-        rhs = []
-
-        class Recording(DOP853):
-            def __init__(self, fun, *args, **kwargs):
-                rhs.append(fun)
-                super().__init__(fun, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+        rhs = _recorded_flows(monkeypatch)
         schedule = NoiseSchedule.from_name(name)
         T, eps = FAMILY_RANGES[name]
         x_T = 2.0 * np.random.default_rng(6).standard_normal((32, 2))
@@ -588,14 +623,7 @@ class TestReferenceSolution:
         # posterior mean, on random mixtures with draws from the marginal at each
         # lambda of the family's range, up to about 346 on the VP families; one
         # component takes the closed form, so K = 1 runs as two equal halves
-        rhs = []
-
-        class Recording(DOP853):
-            def __init__(self, fun, *args, **kwargs):
-                rhs.append(fun)
-                super().__init__(fun, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+        rhs = _recorded_flows(monkeypatch)
         rng = np.random.default_rng(23)
         worst = 0.0
         for trial in range(24):
@@ -625,6 +653,39 @@ class TestReferenceSolution:
                 scale = np.linalg.norm(alpha * pm, axis=0) + np.linalg.norm(alpha**2 * x, axis=0)
                 worst = max(worst, float(np.max(np.linalg.norm(got - want, axis=0) / scale)))
         assert worst <= 1e-13
+
+    def test_flow_kernel_matches_array_form_bitwise(self, monkeypatch):
+        # the coefficients built from Python floats give the right-hand side
+        # of the array-form kernel bit for bit, also under the solver loop's
+        # short ufunc buffer: random mixtures with K 2-6, dim 1-16 and stds
+        # down to 0.05, each family, lambda across its domain
+        flows = _recorded_flows(monkeypatch)
+        rng = np.random.default_rng(29)
+        for trial in range(36):
+            schedule = NoiseSchedule.from_name(sorted(FAMILY_RANGES)[trial % 3])
+            K, dim, S = int(rng.integers(2, 7)), int(rng.integers(1, 17)), 32
+            model = AnalyticModel(rng.dirichlet(np.ones(K)),
+                                  (1.0, 4.0, 12.0)[trial // 3 % 3] * rng.normal(size=(K, dim)),
+                                  np.exp(rng.uniform(math.log(0.05), 0.0, K)))
+            lo, hi = schedule.lambda_domain
+            flows.clear()
+            _reference_batch(model, schedule, np.zeros((dim, S)), lo, lo + 1e-6)
+            (flow,) = flows
+            for lam in np.concatenate(([lo, hi], rng.uniform(lo, hi, 18))):
+                x = 3.0 * rng.normal(size=(dim, S))
+                want = _array_form_flow(model, schedule, lam, x)
+                assert np.array_equal(flow(lam, x.ravel()).reshape(dim, S), want)
+                with simulator._short_ufunc_buffer():
+                    assert np.array_equal(flow(lam, x.ravel()).reshape(dim, S), want)
+        # a width whose 1 / var_k at lambda 0 on ve-edm has an AVX-512 numpy
+        # log one ulp from math.log's, and the ulp reaches the flow at dim 16
+        model = AnalyticModel(np.array([0.5, 0.5]), np.zeros((2, 16)),
+                              np.array([0.28844928433152023, 0.7]))
+        flows.clear()
+        _reference_batch(model, VE, np.zeros((16, 8)), -1.0, -1.0 + 1e-6)
+        x = np.random.default_rng(0).normal(size=(16, 8))
+        want = _array_form_flow(model, VE, 0.0, x)
+        assert np.array_equal(flows[0](0.0, x.ravel()).reshape(16, 8), want)
 
     def test_failed_integration_raises(self, monkeypatch, tmp_path):
         class Failing(DOP853):
@@ -907,3 +968,86 @@ class TestEvaluateSchedules:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e3 * np.finfo(float).eps * np.max(want)
+
+
+class TestUfuncBuffer:
+    # the sampler's and the reference's loops run with a 256-element ufunc
+    # buffer; the weights, the solver's set-up and every other line run at
+    # the caller's size, which comes back on every exit, errors included
+
+    @pytest.fixture(params=[8192, 1024], ids=["default-8192", "caller-1024"])
+    def caller_size(self, request):
+        old = np.setbufsize(request.param)
+        yield request.param
+        np.setbufsize(old)
+
+    def _sample(self, predict, monkeypatch, sizes):
+        def weights(*args):
+            sizes["weights"] = np.getbufsize()
+            return step_weight_array(*args)
+
+        monkeypatch.setattr(simulator, "step_weight_array", weights)
+        grid = uniform_lambda_grid(VP, 6, 1.0, 1e-3)
+        x = np.random.default_rng(3).normal(size=(2, 1, 16))
+        return _sample_batch(grid.lam[None], OrderSchedule.warmup(6, 3), "lagrange", VP,
+                             predict, x)
+
+    def test_sampler_loop_only(self, monkeypatch, caller_size):
+        sizes = {}
+
+        def predict(*args):
+            sizes["loop"] = np.getbufsize()
+            return _posterior_mean(standard_test_mixture(), *args)
+
+        self._sample(predict, monkeypatch, sizes)
+        assert sizes == {"weights": caller_size, "loop": 256}
+        assert np.getbufsize() == caller_size
+
+    def test_sampler_restores_on_error(self, monkeypatch, caller_size):
+        def predict(*args):
+            raise ZeroDivisionError("forced")
+
+        with pytest.raises(ZeroDivisionError, match="forced"):
+            self._sample(predict, monkeypatch, {})
+        assert np.getbufsize() == caller_size
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["finishes", "step-raises"])
+    def test_reference_loop_only(self, monkeypatch, caller_size, fail):
+        sizes = []
+
+        class Recording(DOP853):
+            def __init__(self, *args, **kwargs):
+                sizes.append(np.getbufsize())
+                super().__init__(*args, **kwargs)
+
+            def step(self):
+                sizes.append(np.getbufsize())
+                if fail:
+                    raise ZeroDivisionError("forced")
+                return super().step()
+
+        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+        x_T = np.random.default_rng(4).normal(size=(2, 16))
+        if fail:
+            with pytest.raises(ZeroDivisionError, match="forced"):
+                _reference_batch(standard_test_mixture(), VP, x_T, -5.0, 3.0)
+        else:
+            _reference_batch(standard_test_mixture(), VP, x_T, -5.0, 3.0)
+        assert sizes[0] == caller_size and len(sizes) > 1 and set(sizes[1:]) == {256}
+        assert np.getbufsize() == caller_size
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["finishes", "step-raises"])
+    def test_evaluate_schedules_restores(self, monkeypatch, caller_size, fail):
+        if fail:
+            def predict(*args):
+                raise ZeroDivisionError("forced")
+
+            monkeypatch.setattr(simulator, "_posterior_mean", predict)
+        grid = uniform_lambda_grid(VP, 5, 1.0, 1e-3)
+        args = (standard_test_mixture(), VP, [grid], OrderSchedule.warmup(5, 3), "lagrange", 16, 1)
+        if fail:
+            with pytest.raises(ZeroDivisionError, match="forced"):
+                evaluate_schedules(*args)
+        else:
+            evaluate_schedules(*args)
+        assert np.getbufsize() == caller_size

@@ -32,8 +32,11 @@ commands, one subprocess each, in a fresh directory of its own:
 
 Every output file, exit code and stderr is compared, and stdout too
 once the wall time ``optimize`` prints is masked.  Each tree's own path
-is masked in both streams.  Differences are printed one a line; the
-exit status is 1 if there is any.  Both trees live in a temporary
+is masked in both streams.  Differences are printed one a line; a JSON
+or CSV file that differs only in its numbers is reported with the
+largest relative difference between them, so that a move by rounding
+can be told from a wrong result.  The exit status is 1 if there is any
+difference.  Both trees live in a temporary
 directory that is removed on exit.
 """
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -77,6 +81,8 @@ USAGE = [
 ]
 # the wall time in optimize's "... in 12 iterations, 0.123 s" line
 _WALL_TIME = re.compile(r"( in \d+ iterations), \d+\.\d+ s$", re.MULTILINE)
+# a number in a JSON or CSV file, not the digits inside a word such as "schedule-0"
+_NUMBER = re.compile(r"(?<![\w.-])(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan)(?![\w.])")
 
 
 def _optimize(name: str, *flags: str) -> list[str]:
@@ -161,6 +167,34 @@ def run_battery(tree: Path, work: Path, commands: list[list[str]]) -> list[dict]
     return results
 
 
+def largest_relative_difference(parent: str, change: str) -> float | None:
+    """Largest ``|a - b| / max(|a|, |b|)`` over the numbers of two texts.
+
+    None if the texts differ anywhere outside their numbers; inf where a
+    number is not finite on one side only.
+    """
+    a, b = _NUMBER.split(parent), _NUMBER.split(change)
+    if len(a) != len(b) or a[::2] != b[::2]:
+        return None
+    worst = 0.0
+    for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            d = abs(x - y) / max(abs(x), abs(y))
+            worst = max(worst, d if d == d else math.inf)  # inf / inf: one side not finite
+    return worst
+
+
+def file_difference(name: str, parent: bytes | None, change: bytes | None) -> str:
+    """How output file ``name`` differs between the two trees."""
+    if None in (parent, change):
+        return f"{name}: written on one side only"
+    if name.endswith((".json", ".csv")):
+        worst = largest_relative_difference(parent.decode(), change.decode())
+        if worst is not None:
+            return f"{name}: contents differ in numbers only, by up to {worst:.3g} relative"
+    return f"{name}: contents differ"
+
+
 def compare(trees: dict[str, Path], commands: list[list[str]], tmp: Path) -> list[str]:
     """Run ``commands`` in the ``parent`` and ``change`` trees; one line per difference."""
     runs = {side: run_battery(tree, tmp / f"{side}-outputs", commands)
@@ -174,8 +208,7 @@ def compare(trees: dict[str, Path], commands: list[list[str]], tmp: Path) -> lis
     for name in sorted(files["parent"].keys() | files["change"].keys()):
         parent, change = files["parent"].get(name), files["change"].get(name)
         if parent != change:
-            diffs.append(f"{name}: " + ("written on one side only" if None in (parent, change)
-                                        else "contents differ"))
+            diffs.append(file_difference(name, parent, change))
     return diffs
 
 
