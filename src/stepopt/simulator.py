@@ -259,7 +259,8 @@ def data_prediction(model: AnalyticModel, x, schedule: NoiseSchedule, t) -> np.n
 
 @contextlib.contextmanager
 def _short_ufunc_buffer():
-    """numpy's ufunc buffer at 256 elements, restored on every exit."""
+    """numpy's ufunc buffer at 256 elements, restored on every exit: numpy 2.4
+    copies a stride-0 operand into its 8192-element buffer, 2-3x slower than a scalar."""
     old = np.setbufsize(256)
     try:
         yield
@@ -297,10 +298,8 @@ def _sample_batch(
     The loop runs under one ``np.errstate(all="ignore")``: any overflow
     that matters leaves a non-finite state, which the next check records,
     so no caller's floating-point setting can fail the pass for one grid.
-    It runs with a 256-element ufunc buffer too, as numpy 2.4 copies a
-    (G, 1) coefficient into its 8192-element buffer, 2-3x slower than a
-    scalar; the weights, whose narrow-interval sums that size blocks, are
-    formed before the loop at the caller's size.
+    It runs under :func:`_short_ufunc_buffer` too, and the weights, whose
+    narrow-interval sums the buffer size blocks, are formed before it.
     """
     n_steps = lam.shape[1] - 1
     alphas, sigmas = schedule.alpha_sigma_of_lambda(lam)
@@ -379,12 +378,10 @@ def _reference_batch(
     unnormalised flow and ``sum_k r_k`` together; the flow is divided by
     that sum once.  ``1 - alpha^2`` comes from ``log alpha`` through
     ``expm1``, so the coefficient of ``x`` shrinks with ``sigma^2`` at
-    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  The
-    coefficients are Python floats from one loop over the components,
-    bitwise the array form's, written into one buffer both arrays view.
-    Only the solver's step loop runs with the sampler's 256-element ufunc
-    buffer, for the (S,)-row products.  The sampler and
-    :func:`data_prediction` keep :func:`_posterior_mean`.
+    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  Per call,
+    the K-long factors are Python floats and the ``mu_k`` products two numpy
+    calls, bitwise the array form, and the solver steps under
+    :func:`_short_ufunc_buffer`; the sampler keeps :func:`_posterior_mean`.
     """
     if model.pis.size == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -399,12 +396,12 @@ def _reference_batch(
     from scipy.integrate import DOP853
 
     dim, S = x_start.shape
-    n = model.pis.size * (dim + 2)
-    # s_k^2, |mu_k|^2, log pi_k and mu_k as floats, one tuple per component
-    terms = list(zip(*(v.ravel().tolist() for v in model._terms), model.mus.tolist()))
-    coef = np.empty(2 * n)
-    log_coef = coef[:n].reshape(-1, dim + 2)  # alpha mu_k / var_k, -1 / (2 var_k), constant
-    flow_coef = coef[n:].reshape(dim + 2, -1)  # of mu_k and of x, over var_k; then 1
+    mus = model.mus
+    s2, mu2, log_pi = (v.ravel().tolist() for v in model._terms)
+    mu_factors = np.empty((2, mus.shape[0]))  # of mu_k in log_coef and in flow_coef
+    log_coef = np.empty((mus.shape[0], dim + 2))  # alpha mu_k / var_k, -1 / (2 var_k), constant
+    flow_coef = np.empty((dim + 2, mus.shape[0]))  # of mu_k and of x, over var_k; then 1
+    flow_coef[-1] = 1.0
     features = np.empty((dim + 2, S))
     features[-1] = 1.0
 
@@ -412,16 +409,16 @@ def _reference_batch(
         x = y.reshape(dim, S)
         log_alpha, log_sigma = (float(v) for v in schedule.log_alpha_sigma_of_lambda(lam))
         alpha, sigma2 = math.exp(log_alpha), math.exp(2.0 * log_sigma)
-        a2, shrink = alpha * alpha, -math.expm1(2.0 * log_alpha)
-        rows, cols = [], []
-        for s2, mu2, log_pi, mu in terms:
-            iv = 1.0 / (s2 * a2 + sigma2)
-            c, f = alpha * iv, (alpha * sigma2) * iv
-            # numpy's log, not math.log, which can differ in the last bit
-            rows += [m * c for m in mu] + [-0.5 * iv, log_pi + 0.5 * dim * float(np.log(iv))
-                                           - (0.5 * a2) * mu2 * iv]
-            cols.append([m * f for m in mu] + [(a2 * (s2 * shrink - sigma2)) * iv, 1.0])
-        coef[:] = rows + [v for col in zip(*cols) for v in col]
+        a2, shrink, c = alpha * alpha, -math.expm1(2.0 * log_alpha), alpha * sigma2
+        iv = [1.0 / (s * a2 + sigma2) for s in s2]
+        mu_factors.ravel()[:] = [alpha * v for v in iv] + [c * v for v in iv]
+        np.multiply(mus, mu_factors[0, :, None], out=log_coef[:, :dim])
+        np.multiply(mus.T, mu_factors[1], out=flow_coef[:dim])
+        log_coef[:, dim] = [-0.5 * v for v in iv]
+        log_iv = np.log(iv).tolist()  # not math.log, which can differ in the last bit
+        log_coef[:, dim + 1] = [p + 0.5 * dim * g - (0.5 * a2) * m * v
+                                for p, g, m, v in zip(log_pi, log_iv, mu2, iv)]
+        flow_coef[dim] = [(a2 * (s * shrink - sigma2)) * v for s, v in zip(s2, iv)]
         features[:dim] = x
         np.einsum("ij,ij->j", x, x, out=features[dim])
         r = log_coef @ features  # log-responsibilities, (K, S)
@@ -520,6 +517,12 @@ def evaluate_schedules(
         errors[entered > 0] = np.inf
         means, medians = errors.mean(axis=1).tolist(), np.median(errors, axis=1).tolist()
     return [
-        SimulationReport(mean, median, e, label, int(step) if step else None)
+        SimulationReport(
+            mean_l2_error=mean,
+            median_l2_error=median,
+            per_seed_errors=e,
+            schedule_label=label,
+            diverged_step=int(step) if step else None,
+        )
         for e, mean, median, label, step in zip(errors, means, medians, labels, entered)
     ]

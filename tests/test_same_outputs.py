@@ -48,6 +48,15 @@ def test_numbers_only_difference_is_measured():
         csv_parent, csv_parent.replace("1.5e-3", "1.5e-4")) == 0.9
     assert same_outputs.largest_relative_difference(
         csv_parent, csv_parent.replace("inf", "2.0")) == float("inf")
+    # a zero that changes sign is a change of value; a respelt number is not
+    zero = '{"drift": 0.0, "mean_l2": 0.001}\n'
+    assert same_outputs.largest_relative_difference(zero, zero.replace("0.0,", "-0.0,")) == 2.0
+    assert same_outputs.file_difference("r.json", zero.encode(), zero.replace(
+        "0.0,", "-0.0,").encode()) == "r.json: contents differ in numbers only, by up to 2 relative"
+    respelt = zero.replace("0.001", "1e-3")
+    assert same_outputs.largest_relative_difference(zero, respelt) == 0.0
+    assert same_outputs.file_difference("r.json", zero.encode(), respelt.encode()) == (
+        "r.json: contents differ in how numbers are written, not in their values")
 
 
 def test_other_differences_are_not_measured():

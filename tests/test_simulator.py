@@ -657,13 +657,13 @@ class TestReferenceSolution:
     def test_flow_kernel_matches_array_form_bitwise(self, monkeypatch):
         # the coefficients built from Python floats give the right-hand side
         # of the array-form kernel bit for bit, also under the solver loop's
-        # short ufunc buffer: random mixtures with K 2-6, dim 1-16 and stds
+        # short ufunc buffer: random mixtures with K 2-8, dim 1-16 and stds
         # down to 0.05, each family, lambda across its domain
         flows = _recorded_flows(monkeypatch)
         rng = np.random.default_rng(29)
         for trial in range(36):
             schedule = NoiseSchedule.from_name(sorted(FAMILY_RANGES)[trial % 3])
-            K, dim, S = int(rng.integers(2, 7)), int(rng.integers(1, 17)), 32
+            K, dim, S = int(rng.integers(2, 9)), int(rng.integers(1, 17)), 32
             model = AnalyticModel(rng.dirichlet(np.ones(K)),
                                   (1.0, 4.0, 12.0)[trial // 3 % 3] * rng.normal(size=(K, dim)),
                                   np.exp(rng.uniform(math.log(0.05), 0.0, K)))

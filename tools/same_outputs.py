@@ -35,7 +35,8 @@ once the wall time ``optimize`` prints is masked.  Each tree's own path
 is masked in both streams.  Differences are printed one a line; a JSON
 or CSV file that differs only in its numbers is reported with the
 largest relative difference between them, so that a move by rounding
-can be told from a wrong result.  The exit status is 1 if there is any
+can be told from a wrong result, or as differing only in how its numbers
+are written.  The exit status is 1 if there is any
 difference.  Both trees live in a temporary
 directory that is removed on exit.
 """
@@ -171,14 +172,18 @@ def largest_relative_difference(parent: str, change: str) -> float | None:
     """Largest ``|a - b| / max(|a|, |b|)`` over the numbers of two texts.
 
     None if the texts differ anywhere outside their numbers; inf where a
-    number is not finite on one side only.
+    number is not finite on one side only; 2, as for any other number
+    whose sign flips, where a zero changes sign.  0 if the numbers differ
+    only in how they are written, such as ``1e-3`` and ``0.001``.
     """
     a, b = _NUMBER.split(parent), _NUMBER.split(change)
     if len(a) != len(b) or a[::2] != b[::2]:
         return None
     worst = 0.0
     for x, y in zip(map(float, a[1::2]), map(float, b[1::2])):
-        if x != y and not (math.isnan(x) and math.isnan(y)):
+        if x == y == 0.0 and math.copysign(1.0, x) != math.copysign(1.0, y):
+            worst = max(worst, 2.0)
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
             d = abs(x - y) / max(abs(x), abs(y))
             worst = max(worst, d if d == d else math.inf)  # inf / inf: one side not finite
     return worst
@@ -190,6 +195,8 @@ def file_difference(name: str, parent: bytes | None, change: bytes | None) -> st
         return f"{name}: written on one side only"
     if name.endswith((".json", ".csv")):
         worst = largest_relative_difference(parent.decode(), change.decode())
+        if worst == 0.0:
+            return f"{name}: contents differ in how numbers are written, not in their values"
         if worst is not None:
             return f"{name}: contents differ in numbers only, by up to {worst:.3g} relative"
     return f"{name}: contents differ"
