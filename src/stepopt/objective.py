@@ -14,10 +14,9 @@ Endpoints are fixed; only the ``N - 1`` interior log-SNR values vary.
 Gradients are central finite differences with step
 ``min(1e-6 max(1, |x_i|), half the nearer gap)``, so every strictly
 increasing grid has one.  :func:`objective_gradient` returns the value
-and the gradient together, the ``fun`` shape of
-``scipy.optimize.minimize(..., jac=True)``: the unperturbed grid and the
-2(N - 1) perturbed ones, rounded exactly as a loop over the coordinates
-would perturb them, share one kernel call over their distinct windows.
+and the gradient together: the unperturbed grid and the 2(N - 1)
+perturbed ones, rounded exactly as a loop over the coordinates would
+perturb them, share one kernel call over their distinct windows.
 :func:`objective_value` evaluates one grid alone.
 """
 
@@ -121,7 +120,8 @@ def _evaluate(spec: ObjectiveSpec, lam_full: np.ndarray) -> np.ndarray:
 def _smoothed_bound(factors: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Bound of each grid from proxy factors ``(..., N)`` and by-step weights ``(..., N, K)``."""
     signed = _point_totals(w)
-    return np.sum(factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING), axis=-1)
+    terms = factors * np.sqrt(signed * signed + _ABS_SMOOTHING * _ABS_SMOOTHING)
+    return np.add.reduce(terms, axis=-1)
 
 
 def objective_value(spec: ObjectiveSpec, lambda_interior) -> float:

@@ -8,9 +8,10 @@ construction: the ``N`` gaps are ``delta + free * softmax(z)`` with
 ``free = span - N delta``, so any logit vector ``z`` gives a feasible
 grid.  scipy's L-BFGS-B minimizes over ``z`` with the value and
 finite-difference gradient of :func:`objective_gradient`, chained
-through the softmax; one objective call serves each point the solver
-visits.  The procedure is deterministic: no randomness, fixed
-evaluation order.
+through the softmax.  A per-run table keyed on the logits' bytes holds
+each visited point's grid, value and gradient, so one objective call
+answers every request the solver makes at that point.  The procedure
+is deterministic: no randomness, fixed evaluation order.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class OptimizedSchedule:
     converged: bool
     wall_time_seconds: float
     message: str  # scipy's reason for stopping
-    evaluations: int  # objective calls, each a value and a gradient
+    evaluations: int  # scipy's count of value requests
 
 
 def optimize_steps(
@@ -100,32 +101,31 @@ def optimize_steps(
         return lam_T + np.cumsum(delta + free * s)[:-1]
 
     visited = []  # (x, f) of the start point, then of each accepted iterate
-    evaluated = {}  # logits' bytes -> (f, gradient); L-BFGS-B asks for some points again
+    table = {}  # logits' bytes -> (x, f, gradient); L-BFGS-B asks for some points again
 
-    def fun(z):
+    def evaluate(z):
         key = z.tobytes()
-        if key not in evaluated:
+        if key not in table:
             s = softmax(z)
             x = interior(s)
             f, g = objective_gradient(spec, x)
-            if not visited:
-                visited.append((x, f))
-                if on_accept is not None:
-                    on_accept(0, x.copy(), f)
             v = np.zeros(spec.N)
             v[:-1] = np.cumsum(g[::-1])[::-1]
-            evaluated[key] = (f, free * s * (v - s @ v))
-        f, gradient = evaluated[key]
-        return f, gradient.copy()
+            table[key] = (x, f, free * s * (v - s @ v))
+            if not visited:
+                accept(key)
+        return table[key]
 
-    def accepted(intermediate_result):
-        visited.append((interior(softmax(intermediate_result.x)), float(intermediate_result.fun)))
+    def accept(key):
+        x, f, _ = table[key]
+        visited.append((x, f))
         if on_accept is not None:
-            on_accept(len(visited) - 1, visited[-1][0].copy(), visited[-1][1])
+            on_accept(len(visited) - 1, x.copy(), f)
 
     z0 = np.log(np.maximum(np.diff(init.lam) - delta, delta) / free)
-    res = minimize(fun, z0, jac=True, method="L-BFGS-B", callback=accepted,
-                   options={"maxiter": config.max_iters})
+    res = minimize(lambda z: evaluate(z)[1], z0, jac=lambda z: evaluate(z)[2].copy(),
+                   method="L-BFGS-B", options={"maxiter": config.max_iters},
+                   callback=lambda intermediate_result: accept(intermediate_result.x.tobytes()))
     x, f = visited[-1] if visited[-1][1] < visited[0][1] else visited[0]
     lam = np.concatenate(([lam_T], x, [lam_eps]))
     return OptimizedSchedule(

@@ -76,6 +76,9 @@ class AnalyticModel:
             raise ValueError("component standard deviations must be positive")
         if not 1 <= mus.shape[1] <= MAX_DIM:
             raise ValueError(f"dimension must lie in [1, {MAX_DIM}]")
+        # the sampler's start spread; beyond the float range the reference cannot start
+        if not math.isfinite(self._second_moment):
+            raise ValueError("the mixture's second moment overflows the float range")
         for arr in (pis, mus, stds):
             arr.setflags(write=False)
 
@@ -92,11 +95,14 @@ class AnalyticModel:
         terms = self.stds**2, mu2, np.log(np.maximum(self.pis, 1e-300))
         return tuple(v[:, None, None] for v in terms)
 
+    @functools.cached_property
+    def _second_moment(self) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(self.pis * (np.sum(self.mus**2, axis=1) / self.dim + self.stds**2)))
+
     def second_moment_per_dim(self) -> float:
-        """Average of E||x_0||^2 / dim over the mixture."""
-        return float(
-            np.sum(self.pis * (np.sum(self.mus**2, axis=1) / self.dim + self.stds**2))
-        )
+        """Average of E||x_0||^2 / dim over the mixture, found once when the model is built."""
+        return self._second_moment
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,22 @@ def standard_test_mixture() -> AnalyticModel:
     )
 
 
+def _check_keys(payload, allowed: set, what: str) -> None:
+    """Raise ``ValueError`` unless ``payload`` is a JSON object with keys among ``allowed``."""
+    if type(payload) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {type(payload).__name__}")
+    # a misspelt key would otherwise be dropped without a word
+    unknown = payload.keys() - allowed
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {what}")
+
+
 def model_from_dict(payload: dict) -> AnalyticModel:
     """Model from its JSON form; values keep their JSON types, nothing is coerced."""
+    _check_keys(payload, {"dim", "components"}, "a model")
     comps = payload["components"]
     for c in comps:
+        _check_keys(c, {"pi", "mu", "s"}, "a component")
         # bool is an int subclass, so compare types exactly
         if type(c["mu"]) is not list or any(
             type(v) not in (int, float) for v in (c["pi"], c["s"], *c["mu"])

@@ -168,24 +168,21 @@ def _local_weights(nodes: np.ndarray, used: np.ndarray, integrals: np.ndarray) -
 
     Every array is age-major and contiguous: ``nodes[d, ..., n-1] =
     lam[..., n-1-d]``, ``integrals[m]`` holds ``I_m`` of every step, and
-    ``used[m]`` marks the ages d of each step with ``d <= m < k_n``, so each
-    ufunc runs over one contiguous block in place of a K-long inner loop
-    per step.  A running product over m of ``u_d - u_m`` gives
-    ``1 / D[m, d]`` for every age d at once, and the terms are summed from
-    m = 0 up.  Differences of grid values, not of offsets, keep the gap of
-    two close old nodes to the last bit.
+    ``used[m]`` marks the ages d of each step with ``d <= m < k_n``.  All
+    orders go in one pass over ``(K, K, ...)`` arrays indexed ``[m, d]``: a
+    running product over m of ``u_d - u_m`` gives ``1 / D[m, d]``, and the
+    terms are summed over m.  Both run along m in order, m = 0 first, as
+    the axis is not the innermost and K <= 4 stays below numpy's pairwise
+    block, so stacked and single grids agree bitwise.  Differences of grid
+    values, not of offsets, keep the gap of two close old nodes to the last
+    bit.
     """
-    for m in range(len(nodes)):
-        diff = nodes - nodes[m]
-        # the diagonal difference is exactly 0; a factor 1 skips it
-        diff[m] = 1.0
-        prod = diff if m == 0 else np.multiply(prod, diff, out=prod)
-        term = 1.0 / prod
-        term *= integrals[m]
-        term = np.where(used[m], term, 0.0)
-        # an explicit left-to-right sum keeps stacked and single grids bitwise equal
-        w = term if m == 0 else np.add(w, term, out=w)
-    return w
+    diff = nodes - nodes[:, None]
+    # the diagonal difference is exactly 0; a factor 1 skips it
+    diff[np.diag_indices(len(nodes))] = 1.0
+    term = np.divide(1.0, np.multiply.accumulate(diff, axis=0))
+    term *= integrals[:, None]
+    return np.add.reduce(np.where(used, term, 0.0), axis=0)
 
 
 class _Layout(NamedTuple):

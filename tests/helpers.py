@@ -36,3 +36,21 @@ def gauss_legendre_oracle(coeffs, a, b, shift, n=64):
     lam = 0.5 * (b - a) * x + 0.5 * (a + b)
     p = np.polynomial.polynomial.polyval(lam, np.asarray(coeffs, dtype=float))
     return float(np.sum(w * np.exp(lam - shift) * p) * 0.5 * (b - a))
+
+
+def local_weights_by_order(nodes, used, integrals):
+    """``weights._local_weights`` as a loop over the orders m, one age-major block at a time.
+
+    The reference for the one-pass form: the same float operations, with
+    the running product and the sum over m taken one m after another.
+    """
+    for m in range(len(nodes)):
+        diff = nodes - nodes[m]
+        # the diagonal difference is exactly 0; a factor 1 skips it
+        diff[m] = 1.0
+        prod = diff if m == 0 else np.multiply(prod, diff, out=prod)
+        term = 1.0 / prod
+        term *= integrals[m]
+        term = np.where(used[m], term, 0.0)
+        w = term if m == 0 else np.add(w, term, out=w)
+    return w

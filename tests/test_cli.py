@@ -552,6 +552,32 @@ class TestExitCodes:
             assert run("simulate", "--model", str(bad_model), "--steps", str(a),
                        "--seeds", "4", "--out", out) == 2, (where, value)
 
+    def test_model_file_keys_and_overflow_are_refused(self, tmp_path, capsys):
+        steps = str(tmp_path / "a.json")
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--out", steps) == 0
+        capsys.readouterr()
+        model, out = tmp_path / "m.json", str(tmp_path / "r.json")
+        component = {"pi": 1.0, "mu": [0.0, 1.0], "s": 1.0}
+        far = {"pi": 0.5, "mu": [1e200], "s": 1.0}
+        # a misspelt dim skipped the declared-dimension check and exited 0; a mean
+        # of 1e200 overflowed the second moment with a RuntimeWarning and exited 1
+        for payload, message in (
+            ({"dims": 3, "components": [component]}, "unknown keys ['dims'] in a model"),
+            ({"components": [{**component, "sigma": 5}]},
+             "unknown keys ['sigma'] in a component"),
+            ([component], "a model must be a JSON object, not list"),
+            ({"components": ["pi"]}, "a component must be a JSON object, not str"),
+            ({"dim": 1, "components": [{**far, "pi": 1.0}]}, "second moment overflows"),
+            ({"dim": 1, "components": [far, {**far, "mu": [0.0]}]}, "second moment overflows"),
+        ):
+            model.write_text(json.dumps(payload))
+            assert run("simulate", "--model", str(model), "--steps", steps,
+                       "--seeds", "4", "--out", out) == 2, payload
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad input file {model}: ") and message in err, err
+        assert not Path(out).exists()
+
 
 class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""

@@ -90,6 +90,13 @@ class TestAnalyticModel:
                 {"dim": 3, "components": [{"pi": 1.0, "mu": [0.0], "s": 1.0}]}
             )
 
+    @pytest.mark.parametrize("mus,stds", [([[1e200], [0.0]], [1.0, 1.0]),
+                                          ([[0.0], [0.0]], [1.0, 1e160])], ids=["mean", "std"])
+    def test_overflowing_second_moment_rejected(self, mus, stds):
+        # the sampler's start spread would be inf, with a RuntimeWarning
+        with pytest.raises(ValueError, match="second moment overflows"):
+            AnalyticModel(pis=np.array([0.5, 0.5]), mus=np.array(mus), stds=np.array(stds))
+
 
 class TestDataPrediction:
     def test_single_gaussian_balanced_point(self):

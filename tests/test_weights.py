@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import basis_order, gauss_legendre_oracle, grid_from_lambda
+from helpers import basis_order, gauss_legendre_oracle, grid_from_lambda, local_weights_by_order
 
+from stepopt import objective, weights
+from stepopt.objective import ObjectiveSpec
 from stepopt.schedules import SCHEMES, NoiseSchedule, lambda_range, scheme_grid
 from stepopt.weights import (
     _ANTIDERIVATIVE,
@@ -460,6 +462,33 @@ class TestStackedGrids:
                     w = step_weight_array(lam, schedule, kind, shift)
                     assert w.shape == (*lead, N, max(schedule.k))
                     assert np.array_equal(w, by_step_weight_array(lam, schedule, kind, shift))
+
+    @pytest.mark.parametrize("kind,cap", [("lagrange", 4), ("taylor", 3)])
+    def test_one_pass_over_orders_matches_the_loop_bitwise(self, monkeypatch, kind, cap):
+        # warm-up steps clamp their windows at the grid start, so a window repeats a node
+        rng = np.random.default_rng([cap, len(kind)])
+        cases = []
+        for top in range(1, cap + 1):
+            for lead in ((), (4,), (2, 3)):
+                for narrow in (False, True):
+                    N = int(rng.integers(top, 25))
+                    lam = family_stack(rng, "vp-linear", 1e-3, N, lead, narrow)
+                    for orders in (OrderSchedule.warmup(N, top), random_orders(rng, N, top)):
+                        cases.append((lam, orders, lam[..., -1:]))
+        specs = [ObjectiveSpec(NoiseSchedule.from_name("vp-linear"), N, 1.0, 1e-3,
+                               OrderSchedule.warmup(N, cap), polynomial_kind=kind)
+                 for N in (2, 7)]
+        points = [np.sort(rng.uniform(*spec.lambda_endpoints, spec.N - 1)) for spec in specs]
+
+        def outputs():
+            return ([step_weight_array(*case[:2], kind, case[2]) for case in cases]
+                    + [np.array(objective.objective_gradient(spec, x)[1])
+                       for spec, x in zip(specs, points)])
+
+        one_pass = outputs()
+        monkeypatch.setattr(weights, "_local_weights", local_weights_by_order)
+        for fast, slow in zip(one_pass, outputs(), strict=True):
+            assert fast.shape == slow.shape and fast.tobytes() == slow.tobytes()
 
     def test_overflow_in_a_stack_names_the_step(self):
         orders = OrderSchedule.warmup(3, 2)

@@ -21,6 +21,8 @@ commands, one subprocess each, in a fresh directory of its own:
 * edge cases: N 1 and 2, order caps 1 and 4, a mixed order list, Taylor
   p 3, eps 1e-300, ve-edm at N 30, and a time outside the domain, which
   exits 1;
+* ``optimize --max-iters 3``, which stops on the iteration cap, and
+  single-start ``optimize --init edm`` and ``--init uniform-t``;
 * family parameters: ``baseline --dump-weights`` and ``dump-weights`` on
   vp-linear with ``--beta-min 0.2 --beta-max 10`` and on vp-cosine with
   ``--cosine-shift 0.02``, a second vp-linear baseline with those
@@ -86,8 +88,8 @@ _WALL_TIME = re.compile(r"( in \d+ iterations), \d+\.\d+ s$", re.MULTILINE)
 _NUMBER = re.compile(r"(?<![\w.-])(-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Infinity|inf)|NaN|nan)(?![\w.])")
 
 
-def _optimize(name: str, *flags: str) -> list[str]:
-    return ["optimize", "--init", "best-of-3", *flags,
+def _optimize(name: str, *flags: str, init: str = "best-of-3") -> list[str]:
+    return ["optimize", "--init", init, *flags,
             "--out", f"{name}.json", "--dump-weights", f"{name}-weights.json"]
 
 
@@ -120,6 +122,11 @@ def battery() -> list[list[str]]:
     commands += [_optimize(f"edge-{name}", "--schedule", "vp-linear", *flags)
                  for name, flags in edges.items()]
     commands.append(_optimize("edge-ve-edm-30", "--schedule", "ve-edm", "--N", "30"))
+    # a run the iteration cap stops, and runs from a single start
+    commands.append(_optimize("edge-max-iters-3", "--schedule", "vp-linear", "--N", "10",
+                              "--max-iters", "3"))
+    commands += [_optimize(f"init-{init}", "--schedule", "vp-cosine", "--N", "10", init=init)
+                 for init in ("edm", "uniform-t")]
     return commands + _parameter_commands() + USAGE
 
 
