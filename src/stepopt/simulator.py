@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import gc
 import json
 import math
 from collections import deque
@@ -160,14 +159,20 @@ def _check_keys(payload, allowed: set, what: str) -> None:
 def model_from_dict(payload: dict) -> AnalyticModel:
     """Model from its JSON form; values keep their JSON types, nothing is coerced."""
     _check_keys(payload, {"dim", "components"}, "a model")
-    comps = payload["components"]
+    comps = payload.get("components")
+    if type(comps) is not list or not comps:
+        raise ValueError("a model needs a non-empty list of components")
     for c in comps:
         _check_keys(c, {"pi", "mu", "s"}, "a component")
+        if len(c) < 3:  # no unknown keys, so one is missing
+            raise ValueError(f"a component needs pi, mu and s, not only {sorted(c)}")
         # bool is an int subclass, so compare types exactly
         if type(c["mu"]) is not list or any(
             type(v) not in (int, float) for v in (c["pi"], c["s"], *c["mu"])
         ):
             raise ValueError("pi, s and the entries of mu must be numbers")
+    if len({len(c["mu"]) for c in comps}) > 1:
+        raise ValueError("the components' mu lists differ in length")
     if "dim" in payload and type(payload["dim"]) is not int:
         raise ValueError(f"dim must be an integer, got {payload['dim']!r}")
     model = AnalyticModel(
@@ -366,6 +371,109 @@ def multistep_sample(run: SamplerRun, x_T) -> np.ndarray:
     return _on_draws(sample, x_T)
 
 
+def _flow_coefficients(model: AnalyticModel, schedule: NoiseSchedule, lam: np.ndarray) -> list:
+    """Per log-SNR of the 1-D ``lam``, the reference flow's (K, dim + 2) coefficients of
+    ``log r_k`` and (dim + 2, K) ones over ``r`` (see :func:`_reference_batch`), formed
+    on (L, K) blocks with the bits each log-SNR gets alone."""
+    mus, L = model.mus, len(lam)
+    K, dim = mus.shape
+    s2, mu2, log_pi = (v.ravel() for v in model._terms)
+    log_alpha, log_sigma = (v.tolist() for v in schedule.log_alpha_sigma_of_lambda(lam))
+    alpha, sigma2, shrink = np.array([(math.exp(la), math.exp(2.0 * ls), -math.expm1(2.0 * la))
+                                      for la, ls in zip(log_alpha, log_sigma)]).T[:, :, None]
+    a2 = alpha * alpha
+    iv = 1.0 / (s2 * a2 + sigma2)  # 1 / var_k, (L, K)
+    log_coef = np.empty((L, K, dim + 2))
+    np.multiply(mus, (alpha * iv)[:, :, None], out=log_coef[:, :, :dim])
+    log_coef[:, :, dim] = -0.5 * iv
+    # np.log, not math.log, which can differ in the last bit
+    log_coef[:, :, dim + 1] = log_pi + 0.5 * dim * np.log(iv) - 0.5 * a2 * mu2 * iv
+    flow_coef = np.ones((L, dim + 2, K))  # the last row gives sum_k r_k
+    np.multiply(mus.T, ((alpha * sigma2) * iv)[:, None], out=flow_coef[:, :dim])
+    flow_coef[:, dim] = a2 * (s2 * shrink - sigma2) * iv
+    return list(zip(log_coef, flow_coef))
+
+
+def _mixture_flow(features: np.ndarray, coef: tuple, out: np.ndarray) -> None:
+    """Write to the (dim * S,) ``out`` the flow at ``coef`` of the state ``x`` in the
+    (dim + 2, S) ``features`` ``[x; |x|^2; 1]``, whose |x|^2 row this fills."""
+    dim = features.shape[0] - 2
+    x = features[:dim]
+    np.einsum("ij,ij->j", x, x, out=features[dim])
+    r = coef[0] @ features  # log-responsibilities, (K, S)
+    r -= r.max(axis=0)
+    np.exp(r, out=r)
+    sums = coef[1] @ r  # (dim + 2, S), the last row sum_k r_k
+    flow = out.reshape(x.shape)
+    np.multiply(sums[dim], x, out=flow)
+    flow += sums[:dim]
+    flow /= sums[dim + 1]
+
+
+def _dop853(coefficients, flow, state: np.ndarray, t: float, t_bound: float) -> np.ndarray:
+    """The state at ``t_bound`` of DOP853 started at ``t`` from the (n,) ``state``.
+
+    scipy's ``DOP853`` at rtol 1e-10 and atol 1e-13 bit for bit, without
+    the solver object: the class's tableau, initial step, step control and
+    stage arithmetic (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4-5).
+    ``coefficients(lams)`` returns one item per time, and ``flow(item, out)``
+    writes to ``out`` the right-hand side there of the state in ``state``,
+    where each stage state is written.  One ``coefficients`` call covers a
+    step; its last stage time, C = 1, is also the step's end.  A step below
+    scipy's minimum, or a NaN one, raises ``RuntimeError``.
+    """
+    from scipy.integrate import DOP853 as tableau  # lazy: most commands never integrate
+
+    rtol, atol, n = 1e-10, 1e-13, state.size
+    exponent = -1 / (tableau.error_estimator_order + 1)
+    y = state.copy()
+    if t == t_bound:
+        return y
+    K = np.empty((tableau.n_stages + 1, n))  # stage flows; row 0 the flow at (t, y)
+    direction = np.sign(t_bound - t)
+    flow(coefficients(np.array([t]))[0], K[0])
+    # scipy's select_initial_step, with K[1] holding the trial flow
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = (np.linalg.norm(v / scale) / n**0.5 for v in (y, K[0]))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t_bound - t))
+    np.add(y, h0 * direction * K[0], out=state)
+    flow(coefficients(np.array([t + h0 * direction]))[0], K[1])
+    d2 = np.linalg.norm((K[1] - K[0]) / scale) / n**0.5 / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** -exponent
+    h_abs = min(100 * h0, h1, abs(t_bound - t))
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        h_abs = max(h_abs, min_step)  # NaN stays NaN, as in scipy
+        rejected = False
+        while True:
+            if not h_abs >= min_step:  # NaN too, on which scipy's loop never ends
+                raise RuntimeError("reference integration failed: "
+                                   "Required step size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            t_new = t_bound if direction * (t_new - t_bound) > 0 else t_new
+            h = t_new - t
+            h_abs = np.abs(h)
+            coefs = coefficients(t + tableau.C[1:] * h)
+            for s in range(1, tableau.n_stages):
+                np.add(y, np.dot(K[:s].T, tableau.A[s, :s]) * h, out=state)
+                flow(coefs[s - 1], K[s])
+            np.add(y, h * np.dot(K[:-1].T, tableau.B), out=state)  # the step's end
+            flow(coefs[-1], K[-1])
+            scale = atol + np.maximum(np.abs(y), np.abs(state)) * rtol
+            err5, err3 = (np.linalg.norm(np.dot(K.T, e) / scale) ** 2
+                          for e in (tableau.E5, tableau.E3))
+            error_norm = (0.0 if err5 == err3 == 0
+                          else np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n))
+            if error_norm < 1:
+                factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm**exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error_norm**exponent)
+            rejected = True
+        t, y[:], K[0] = t_new, state, K[-1]
+    return y
+
+
 def _reference_batch(
     model: AnalyticModel,
     schedule: NoiseSchedule,
@@ -376,11 +484,10 @@ def _reference_batch(
     """Probability-flow solution for a dim-major (dim, S) batch.
 
     Single Gaussians use the exact closed form; mixtures integrate the
-    flattened (dim, S) state with scipy's DOP853, an adaptive explicit
-    Runge-Kutta method of order 8, at rtol 1e-10 and atol 1e-13.  The
-    solver is stepped directly and only its final state is kept; at this
-    tolerance DOP853 needs about half as many right-hand-side calls as
-    the 4th/5th order RK45.
+    flattened (dim, S) state with :func:`_dop853`, scipy's DOP853, an
+    adaptive explicit Runge-Kutta method of order 8, at rtol 1e-10 and
+    atol 1e-13.  At this tolerance DOP853 needs about half as many
+    right-hand-side calls as the 4th/5th order RK45.
 
     The right-hand side has a flow kernel of its own.  With
     ``var_k = alpha^2 s_k^2 + sigma^2`` and responsibilities ``r_k``, the
@@ -396,10 +503,10 @@ def _reference_batch(
     unnormalised flow and ``sum_k r_k`` together; the flow is divided by
     that sum once.  ``1 - alpha^2`` comes from ``log alpha`` through
     ``expm1``, so the coefficient of ``x`` shrinks with ``sigma^2`` at
-    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  Per call,
-    the K-long factors are Python floats and the ``mu_k`` products two numpy
-    calls, bitwise the array form, and the solver steps under
-    :func:`_short_ufunc_buffer`; the sampler keeps :func:`_posterior_mean`.
+    large lambda, where ``alpha D(x)`` and ``alpha^2 x`` cancel.  Each
+    step forms the coefficients of all its stage log-SNRs in one pass, and
+    the solve runs under :func:`_short_ufunc_buffer`; the sampler keeps
+    :func:`_posterior_mean`.
     """
     if model.pis.size == 1:
         alpha_T, sigma_T = (float(v) for v in schedule.alpha_sigma_of_lambda(lam_T))
@@ -410,59 +517,11 @@ def _reference_batch(
         hat_e = np.sqrt(alpha_e**2 * s**2 + sigma_e**2)
         return alpha_e * mu[:, None] + (hat_e / hat_T) * (x_start - alpha_T * mu[:, None])
 
-    # imported here, so that commands without a mixture reference start without scipy
-    from scipy.integrate import DOP853
-
-    dim, S = x_start.shape
-    mus = model.mus
-    s2, mu2, log_pi = (v.ravel().tolist() for v in model._terms)
-    mu_factors = np.empty((2, mus.shape[0]))  # of mu_k in log_coef and in flow_coef
-    log_coef = np.empty((mus.shape[0], dim + 2))  # alpha mu_k / var_k, -1 / (2 var_k), constant
-    flow_coef = np.empty((dim + 2, mus.shape[0]))  # of mu_k and of x, over var_k; then 1
-    flow_coef[-1] = 1.0
-    features = np.empty((dim + 2, S))
-    features[-1] = 1.0
-
-    def rhs(lam, y):
-        x = y.reshape(dim, S)
-        log_alpha, log_sigma = (float(v) for v in schedule.log_alpha_sigma_of_lambda(lam))
-        alpha, sigma2 = math.exp(log_alpha), math.exp(2.0 * log_sigma)
-        a2, shrink, c = alpha * alpha, -math.expm1(2.0 * log_alpha), alpha * sigma2
-        iv = [1.0 / (s * a2 + sigma2) for s in s2]
-        mu_factors.ravel()[:] = [alpha * v for v in iv] + [c * v for v in iv]
-        np.multiply(mus, mu_factors[0, :, None], out=log_coef[:, :dim])
-        np.multiply(mus.T, mu_factors[1], out=flow_coef[:dim])
-        log_coef[:, dim] = [-0.5 * v for v in iv]
-        log_iv = np.log(iv).tolist()  # not math.log, which can differ in the last bit
-        log_coef[:, dim + 1] = [p + 0.5 * dim * g - (0.5 * a2) * m * v
-                                for p, g, m, v in zip(log_pi, log_iv, mu2, iv)]
-        flow_coef[dim] = [(a2 * (s * shrink - sigma2)) * v for s, v in zip(s2, iv)]
-        features[:dim] = x
-        np.einsum("ij,ij->j", x, x, out=features[dim])
-        r = log_coef @ features  # log-responsibilities, (K, S)
-        r -= r.max(axis=0)
-        np.exp(r, out=r)
-        out = flow_coef @ r  # (dim + 2, S), the last row sum_k r_k
-        flow = out[dim] * x
-        flow += out[:dim]
-        flow /= out[dim + 1]
-        return flow.ravel()
-
-    solver = DOP853(rhs, lam_T, x_start.ravel(), lam_eps, rtol=1e-10, atol=1e-13)
+    features = np.concatenate([x_start, np.ones((2, x_start.shape[1]))])  # [x; |x|^2; 1]
     with _short_ufunc_buffer():
-        while solver.status == "running":
-            message = solver.step()  # None unless the step failed
-    y = solver.y
-    # The solver keeps itself in a reference cycle (closures over itself)
-    # holding about 1 MB of stage arrays at 4096 x 2 draws.  A solve leaves
-    # few other gc-tracked objects behind, so the solver is normally still
-    # in the young generation, whose collection takes about 0.1 ms; left to
-    # the cyclic collector, such garbage piles up in a long-lived process.
-    del solver
-    gc.collect(0)
-    if message is not None:
-        raise RuntimeError(f"reference integration failed: {message}")
-    return y.reshape(x_start.shape)
+        return _dop853(functools.partial(_flow_coefficients, model, schedule),
+                       functools.partial(_mixture_flow, features),
+                       features[:-2].reshape(-1), lam_T, lam_eps).reshape(x_start.shape)
 
 
 def reference_solution(model: AnalyticModel, schedule: NoiseSchedule, x_T, T: float, eps: float) -> np.ndarray:

@@ -578,6 +578,30 @@ class TestExitCodes:
             assert err.startswith(f"error: bad input file {model}: ") and message in err, err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("payload,message", [
+        ({}, "a model needs a non-empty list of components"),
+        ({"components": []}, "a model needs a non-empty list of components"),
+        ({"components": {"a": 1}}, "a model needs a non-empty list of components"),
+        ({"components": [{"pi": 0.5, "mu": [1.0], "s": 1.0},
+                         {"pi": 0.5, "mu": [1.0, 2.0], "s": 1.0}]},
+         "the components' mu lists differ in length"),
+        ({"components": [{"pi": 1.0, "mu": [1.0]}]},
+         "a component needs pi, mu and s, not only ['mu', 'pi']"),
+    ], ids=["no-components", "empty-components", "components-object", "unequal-mu", "missing-s"])
+    def test_model_file_structure_is_named(self, tmp_path, capsys, payload, message):
+        # these printed a bare KeyError, "component counts disagree", numpy's
+        # inhomogeneous-shape text and "a component must be a JSON object, not str"
+        steps = str(tmp_path / "a.json")
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--out", steps) == 0
+        capsys.readouterr()
+        model, out = tmp_path / "m.json", str(tmp_path / "r.json")
+        model.write_text(json.dumps(payload))
+        assert run("simulate", "--model", str(model), "--steps", steps, "--seeds", "4",
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: bad input file {model}: {message}\n"
+        assert not Path(out).exists()
+
 
 class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""

@@ -20,6 +20,14 @@ def test_same_tree_has_no_difference(tmp_path):
             "edge-n2-weights.json"} <= written
 
 
+def test_mixture_run_near_the_end_of_the_domain_has_no_difference(tmp_path):
+    # the vp-linear baselines at eps 1e-300 and the 256-draw mixture run over them
+    commands = [c for c in same_outputs.battery() if any(a.startswith("eps-1e-300-") for a in c)]
+    assert [c[0] for c in commands] == ["baseline"] * 3 + ["simulate"]
+    assert same_outputs.compare({"parent": ROOT, "change": ROOT}, commands, tmp_path) == []
+    assert (tmp_path / "change-outputs" / "mixture-eps-1e-300-report.json").exists()
+
+
 def test_changed_output_is_reported(tmp_path):
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src", changed / "src",

@@ -6,9 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.integrate
 from helpers import grid_from_lambda
-from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate import solve_ivp
 
 from stepopt import cli, simulator
 from stepopt.schedules import (
@@ -35,6 +34,7 @@ from stepopt.weights import OrderSchedule, step_weight_array
 VE = NoiseSchedule.from_name("ve-edm")
 VP = NoiseSchedule.from_name("vp-linear")
 FAMILY_RANGES = {"vp-linear": (1.0, 1e-3), "vp-cosine": (0.992, 1e-3), "ve-edm": (80.0, 0.002)}
+FAILURE = "reference integration failed: Required step size is less than spacing between numbers."
 
 
 def single_gaussian(mu, s):
@@ -530,17 +530,19 @@ def _array_form_flow(model, schedule, lam, x):
     return flow
 
 
-def _recorded_flows(monkeypatch):
-    """The list to which each DOP853 solver started from now on adds its right-hand side."""
-    flows = []
+def _kernel_flows(model, schedule, lams, x):
+    """The reference's flow kernel on the (dim, S) state ``x`` at each log-SNR of
+    ``lams``, from one coefficient call on all of them, as the stepper makes."""
+    features = np.concatenate([x, np.ones((2, x.shape[1]))])
+    out = np.empty((len(lams), x.size))
+    for coef, row in zip(simulator._flow_coefficients(model, schedule, np.asarray(lams)), out):
+        simulator._mixture_flow(features, coef, row)
+    return out.reshape(len(lams), *x.shape)
 
-    class Recording(DOP853):
-        def __init__(self, fun, *args, **kwargs):
-            flows.append(fun)
-            super().__init__(fun, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
-    return flows
+def _kernel_rhs(model, schedule, S):
+    """The reference's flow kernel as a ``fun(lam, y)`` for scipy on a flat (dim * S,) state."""
+    return lambda lam, y: _kernel_flows(model, schedule, [lam], y.reshape(-1, S))[0].ravel()
 
 
 class TestReferenceSolution:
@@ -604,33 +606,36 @@ class TestReferenceSolution:
             assert sol.success
             assert np.max(np.abs(sol.y[:, -1] - got)) <= 1e-9
 
-    def test_frees_its_solver(self):
-        # the DOP853 solver sits in a reference cycle; the reference frees it
-        gc.collect()
+    def test_leaves_no_reference_cycles(self):
+        # with the collector off during a solve, it finds nothing to free afterwards
         x_T = np.random.default_rng(2).normal(size=(64, 2))
-        reference_solution(standard_test_mixture(), VP, x_T, 1.0, 1e-3)
-        assert not any(isinstance(obj, DOP853) for obj in gc.get_objects())
+        gc.collect()
+        gc.disable()
+        try:
+            reference_solution(standard_test_mixture(), VP, x_T, 1.0, 1e-3)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", sorted(FAMILY_RANGES))
-    def test_matches_solve_ivp_bitwise(self, monkeypatch, name):
-        # the directly stepped solver gives exactly the last state that
-        # solve_ivp returns for the same right-hand side
-        rhs = _recorded_flows(monkeypatch)
+    def test_matches_solve_ivp_bitwise(self, name):
+        # the reference gives exactly the last state that solve_ivp returns
+        # for the module's own flow kernel
         schedule = NoiseSchedule.from_name(name)
         T, eps = FAMILY_RANGES[name]
         x_T = 2.0 * np.random.default_rng(6).standard_normal((32, 2))
         got = reference_solution(standard_test_mixture(), schedule, x_T, T, eps)
         lam_T, lam_eps = (float(v) for v in schedule.lambda_of_t(np.array([T, eps])))
-        sol = solve_ivp(rhs[0], (lam_T, lam_eps), np.ravel(x_T.T), method="DOP853",
-                        rtol=1e-10, atol=1e-13)
+        sol = solve_ivp(_kernel_rhs(standard_test_mixture(), schedule, 32), (lam_T, lam_eps),
+                        np.ravel(x_T.T), method="DOP853", rtol=1e-10, atol=1e-13)
         assert np.array_equal(got, sol.y[:, -1].reshape(2, -1).T)
 
-    def test_flow_kernel_matches_posterior_mean(self, monkeypatch):
+    def test_flow_kernel_matches_posterior_mean(self):
         # the reference's right-hand side against alpha D(x) - alpha^2 x from the
         # posterior mean, on random mixtures with draws from the marginal at each
         # lambda of the family's range, up to about 346 on the VP families; one
-        # component takes the closed form, so K = 1 runs as two equal halves
-        rhs = _recorded_flows(monkeypatch)
+        # component is a mixture of two equal halves, as the reference never
+        # integrates a single Gaussian
         rng = np.random.default_rng(23)
         worst = 0.0
         for trial in range(24):
@@ -646,9 +651,6 @@ class TestReferenceSolution:
                                   np.repeat(stds, halves))
             S = 64
             lo, hi = schedule.lambda_domain
-            rhs.clear()
-            _reference_batch(model, schedule, np.zeros((dim, S)), lo, lo + 1e-6)
-            (flow,) = rhs
             for lam in np.linspace(lo, hi, 25):
                 alpha, sigma = (float(v) for v in schedule.alpha_sigma_of_lambda(lam))
                 k = rng.choice(K, size=S, p=pis)
@@ -656,17 +658,16 @@ class TestReferenceSolution:
                 x = alpha * clean + sigma * rng.normal(size=(dim, S))
                 pm = _posterior_mean(model, x[:, None], np.array([alpha]), np.array([sigma]))[:, 0]
                 want = alpha * pm - alpha**2 * x
-                got = flow(lam, x.ravel()).reshape(dim, S)
+                (got,) = _kernel_flows(model, schedule, [lam], x)
                 scale = np.linalg.norm(alpha * pm, axis=0) + np.linalg.norm(alpha**2 * x, axis=0)
                 worst = max(worst, float(np.max(np.linalg.norm(got - want, axis=0) / scale)))
         assert worst <= 1e-13
 
-    def test_flow_kernel_matches_array_form_bitwise(self, monkeypatch):
-        # the coefficients built from Python floats give the right-hand side
-        # of the array-form kernel bit for bit, also under the solver loop's
-        # short ufunc buffer: random mixtures with K 2-8, dim 1-16 and stds
-        # down to 0.05, each family, lambda across its domain
-        flows = _recorded_flows(monkeypatch)
+    def test_flow_kernel_matches_array_form_bitwise(self):
+        # the coefficients formed for 20 log-SNRs at once give the right-hand
+        # side of the per-lambda array-form kernel bit for bit, also under the
+        # solver loop's short ufunc buffer: random mixtures with K 2-8, dim 1-16
+        # and stds down to 0.05, each family, lambda across its domain
         rng = np.random.default_rng(29)
         for trial in range(36):
             schedule = NoiseSchedule.from_name(sorted(FAMILY_RANGES)[trial % 3])
@@ -675,32 +676,33 @@ class TestReferenceSolution:
                                   (1.0, 4.0, 12.0)[trial // 3 % 3] * rng.normal(size=(K, dim)),
                                   np.exp(rng.uniform(math.log(0.05), 0.0, K)))
             lo, hi = schedule.lambda_domain
-            flows.clear()
-            _reference_batch(model, schedule, np.zeros((dim, S)), lo, lo + 1e-6)
-            (flow,) = flows
-            for lam in np.concatenate(([lo, hi], rng.uniform(lo, hi, 18))):
-                x = 3.0 * rng.normal(size=(dim, S))
-                want = _array_form_flow(model, schedule, lam, x)
-                assert np.array_equal(flow(lam, x.ravel()).reshape(dim, S), want)
-                with simulator._short_ufunc_buffer():
-                    assert np.array_equal(flow(lam, x.ravel()).reshape(dim, S), want)
+            lams = np.concatenate(([lo, hi], rng.uniform(lo, hi, 18)))
+            x = 3.0 * rng.normal(size=(dim, S))
+            want = [_array_form_flow(model, schedule, lam, x) for lam in lams]
+            assert np.array_equal(_kernel_flows(model, schedule, lams, x), want)
+            with simulator._short_ufunc_buffer():
+                assert np.array_equal(_kernel_flows(model, schedule, lams, x), want)
         # a width whose 1 / var_k at lambda 0 on ve-edm has an AVX-512 numpy
         # log one ulp from math.log's, and the ulp reaches the flow at dim 16
         model = AnalyticModel(np.array([0.5, 0.5]), np.zeros((2, 16)),
                               np.array([0.28844928433152023, 0.7]))
-        flows.clear()
-        _reference_batch(model, VE, np.zeros((16, 8)), -1.0, -1.0 + 1e-6)
         x = np.random.default_rng(0).normal(size=(16, 8))
         want = _array_form_flow(model, VE, 0.0, x)
-        assert np.array_equal(flows[0](0.0, x.ravel()).reshape(16, 8), want)
+        assert np.array_equal(_kernel_flows(model, VE, [0.0], x)[0], want)
 
     def test_failed_integration_raises(self, monkeypatch, tmp_path):
-        class Failing(DOP853):
-            def _step_impl(self):
-                return False, "forced"
+        # a flow that turns NaN after the first step has its steps rejected until
+        # they fall below scipy's minimum
+        calls = []
+        real_flow = simulator._mixture_flow
 
-        monkeypatch.setattr(scipy.integrate, "DOP853", Failing)
-        with pytest.raises(RuntimeError, match="forced"):
+        def nan_flow(features, coef, out):
+            calls.append(coef)
+            real_flow(features, coef, out)
+            out *= np.nan if len(calls) > 14 else 1.0
+
+        monkeypatch.setattr(simulator, "_mixture_flow", nan_flow)
+        with pytest.raises(RuntimeError, match=FAILURE):
             reference_solution(standard_test_mixture(), VP, np.ones((3, 2)), 1.0, 1e-3)
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"components": [
@@ -710,8 +712,50 @@ class TestReferenceSolution:
         steps = str(tmp_path / "a.json")
         assert cli.main(["baseline", "--scheme", "uniform-lambda", "--schedule", "vp-linear",
                          "--N", "3", "--out", steps]) == 0
+        calls.clear()
         assert cli.main(["simulate", "--model", str(model), "--steps", steps, "--seeds", "4",
                          "--out", str(tmp_path / "r.json")]) == 1
+
+
+class TestDop853:
+    def test_matches_solve_ivp_bitwise(self):
+        # the stepper against scipy's solver on the module's flow kernel: random
+        # mixtures with K 2-8, dim 1-16 and stds down to 0.05, each family over its
+        # default range and the VP families also to eps 1e-300 (log-SNR about 346),
+        # among them solves in which scipy rejects a step
+        rng = np.random.default_rng(31)
+        rejecting = 0
+        for trial in range(24):
+            name = sorted(FAMILY_RANGES)[trial % 3]
+            schedule = NoiseSchedule.from_name(name)
+            T, eps = FAMILY_RANGES[name]
+            eps = 1e-300 if trial % 4 == 3 and name != "ve-edm" else eps
+            K, dim, S = int(rng.integers(2, 9)), int(rng.integers(1, 17)), 16
+            model = AnalyticModel(rng.dirichlet(np.ones(K)),
+                                  (1.0, 4.0, 12.0)[trial // 3 % 3] * rng.normal(size=(K, dim)),
+                                  np.exp(rng.uniform(math.log(0.05), 0.0, K)))
+            lam_T, lam_eps = (float(v) for v in schedule.lambda_of_t(np.array([T, eps])))
+            x = 3.0 * rng.normal(size=(dim, S))
+            got = _reference_batch(model, schedule, x, lam_T, lam_eps)
+            sol = solve_ivp(_kernel_rhs(model, schedule, S), (lam_T, lam_eps), x.ravel(),
+                            method="DOP853", rtol=1e-10, atol=1e-13)
+            assert sol.success
+            assert np.array_equal(got, sol.y[:, -1].reshape(dim, S)), trial
+            # one call at the start, one for the initial step, 12 per step tried
+            rejecting += sol.nfev > 2 + 12 * (len(sol.t) - 1)
+        assert rejecting
+
+    def test_nan_flow_raises(self):
+        # a flow that turns NaN past log-SNR 0 has its steps rejected until they
+        # fall below scipy's minimum
+        state = np.ones(4)
+
+        def flow(lam, out):
+            np.negative(state, out=out)
+            out *= np.nan if lam > 0.0 else 1.0
+
+        with pytest.raises(RuntimeError, match=FAILURE):
+            simulator._dop853(list, flow, state, -1.0, 1.0)
 
 
 class TestEvaluateSchedules:
@@ -978,9 +1022,9 @@ class TestEvaluateSchedules:
 
 
 class TestUfuncBuffer:
-    # the sampler's and the reference's loops run with a 256-element ufunc
-    # buffer; the weights, the solver's set-up and every other line run at
-    # the caller's size, which comes back on every exit, errors included
+    # the sampler's loop and the reference's solve run with a 256-element
+    # ufunc buffer; the weights and every other line run at the caller's
+    # size, which comes back on every exit, errors included
 
     @pytest.fixture(params=[8192, 1024], ids=["default-8192", "caller-1024"])
     def caller_size(self, request):
@@ -1021,26 +1065,22 @@ class TestUfuncBuffer:
     @pytest.mark.parametrize("fail", [False, True], ids=["finishes", "step-raises"])
     def test_reference_loop_only(self, monkeypatch, caller_size, fail):
         sizes = []
+        real_flow = simulator._mixture_flow
 
-        class Recording(DOP853):
-            def __init__(self, *args, **kwargs):
-                sizes.append(np.getbufsize())
-                super().__init__(*args, **kwargs)
+        def flow(*args):
+            sizes.append(np.getbufsize())
+            if fail and len(sizes) > 2:  # in the first step, after the initial-step choice
+                raise ZeroDivisionError("forced")
+            real_flow(*args)
 
-            def step(self):
-                sizes.append(np.getbufsize())
-                if fail:
-                    raise ZeroDivisionError("forced")
-                return super().step()
-
-        monkeypatch.setattr(scipy.integrate, "DOP853", Recording)
+        monkeypatch.setattr(simulator, "_mixture_flow", flow)
         x_T = np.random.default_rng(4).normal(size=(2, 16))
         if fail:
             with pytest.raises(ZeroDivisionError, match="forced"):
                 _reference_batch(standard_test_mixture(), VP, x_T, -5.0, 3.0)
         else:
             _reference_batch(standard_test_mixture(), VP, x_T, -5.0, 3.0)
-        assert sizes[0] == caller_size and len(sizes) > 1 and set(sizes[1:]) == {256}
+        assert len(sizes) > 2 and set(sizes) == {256}
         assert np.getbufsize() == caller_size
 
     @pytest.mark.parametrize("fail", [False, True], ids=["finishes", "step-raises"])

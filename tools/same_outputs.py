@@ -16,6 +16,12 @@ commands, one subprocess each, in a fresh directory of its own:
 * the same ``simulate`` on the mixture at 4096 draws, where a rounding
   change in the errors shows in the reported statistics more often than
   at 256;
+* 256-draw ``simulate`` runs that check the mixture reference's bytes on
+  every family, at large K x dim and at log-SNR about 346: on the mixture
+  over vp-cosine and over ve-edm baselines of the three schemes, on a
+  narrow 8-component 8-D mixture (standard deviations down to 0.05) over
+  the vp-linear baselines, and on the mixture over vp-linear baselines
+  at ``--eps 1e-300``;
 * best-of-3 ``optimize --dump-weights`` over 3 families x N 5, 10, 15,
   20 x (Lagrange p 1, Taylor p 2);
 * edge cases: N 1 and 2, order caps 1 and 4, a mixed order list, Taylor
@@ -65,7 +71,15 @@ MODELS = {
     "gaussian-1d": {"dim": 1, "components": [{"pi": 1.0, "mu": [0.5], "s": 0.7}]},
     "mixture": {"dim": 2, "components": [{"pi": 0.5, "mu": [2.0, 2.0], "s": 0.5},
                                          {"pi": 0.5, "mu": [-2.0, -2.0], "s": 0.5}]},
+    "narrow-mixture": {"dim": 8, "components": [
+        {"pi": 0.125, "mu": [float((3 * k + 5 * d) % 11 - 5) for d in range(8)],
+         "s": 0.05 * (k + 1)} for k in range(8)]},
 }
+# baselines of the three schemes beside the vp-linear ones, and the mixture
+# run over each set: (file prefix, baseline flags)
+MIXTURE_BASELINES = (("vp-cosine", ("--schedule", "vp-cosine")),
+                     ("ve-edm", ("--schedule", "ve-edm")),
+                     ("eps-1e-300", ("--schedule", "vp-linear", "--eps", "1e-300")))
 # help and usage errors: no command, a top-level flag, an unknown command or
 # flag, an abbreviated flag, a flag=value and leftover arguments, which the
 # full parser and a command's own subparser must print alike
@@ -104,6 +118,12 @@ def battery() -> list[list[str]]:
     commands += [["simulate", "--model", f"{model}-model.json", *steps, "--seeds", str(seeds),
                   "--rng-seed", "3", "--out", f"{name}-report.json", "--csv", f"{name}-report.csv"]
                  for model, seeds, name in runs]
+    for prefix, flags in MIXTURE_BASELINES:
+        commands += [["baseline", "--scheme", scheme, *flags, "--N", "10",
+                      "--out", f"{prefix}-{scheme}.json"] for scheme in SCHEMES]
+        files = [arg for scheme in SCHEMES for arg in ("--steps", f"{prefix}-{scheme}.json")]
+        commands.append(["simulate", "--model", "mixture-model.json", *files, "--seeds", "256",
+                         "--rng-seed", "3", "--out", f"mixture-{prefix}-report.json"])
     for family in FAMILIES:
         for N in (5, 10, 15, 20):
             for kind, p in (("lagrange", "1"), ("taylor", "2")):
