@@ -52,6 +52,15 @@ def _int_at_least(lowest: int):
     return integer
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """Flag type of ``--order``: one integer, or a comma list of them."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or a comma list of integers, got {text!r}") from None
+
+
 def _spec_from_args(args) -> ObjectiveSpec:
     """The objective the spec flags describe; a flag the library rejects is a usage error.
 
@@ -62,10 +71,10 @@ def _spec_from_args(args) -> ObjectiveSpec:
         # a family flag is passed only when given, so the schedule keeps its default
         given = {name: value for name in PARAMETERS if (value := getattr(args, name)) is not None}
         schedule = NoiseSchedule.from_name(args.schedule, **given)
-        if "," in args.order:
-            orders = OrderSchedule(tuple(int(v) for v in args.order.split(",")))
+        if len(args.order) > 1:
+            orders = OrderSchedule(args.order)
         else:
-            orders = OrderSchedule.warmup(args.N, int(args.order))
+            orders = OrderSchedule.warmup(args.N, *args.order)
         T = args.T if args.T is not None else schedule.t_domain[1]
         eps = args.eps if args.eps is not None else schedule.default_eps
         return ObjectiveSpec(schedule, args.N, T, eps, orders, p=args.p, polynomial_kind=args.kind)
@@ -79,7 +88,7 @@ def _read_input(read, path):
     """Read a schedule or model file; one that is missing or fails validation is bad input."""
     try:
         return read(path)
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"bad input file {path}: {exc}") from None
 
 
@@ -202,14 +211,15 @@ def _cmd_simulate(args) -> int:
         csv.writer(table).writerows([["label", "N", "mean_l2", "median_l2"]] + [
             [label, N, repr(mean), repr(median)] for label, N, mean, median in rows])
         outputs.append((args.csv, table.getvalue()))
-    write_texts(*outputs)
+    write_texts(*outputs, inputs=(args.model, *args.steps))
     for r in reports:
         print(f"{r.schedule_label}: mean_l2={r.mean_l2_error:.6g} median_l2={r.median_l2_error:.6g}")
     return 0
 
 
 def _cmd_dump_weights(args) -> int:
-    write_texts((args.out, _weight_table(_read_input(ScheduleFile.read, args.steps))))
+    table = _weight_table(_read_input(ScheduleFile.read, args.steps))
+    write_texts((args.out, table), inputs=(args.steps,))
     print(f"wrote {args.out}")
     return 0
 
@@ -219,7 +229,7 @@ def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=_int_at_least(1), required=True, help="number of steps")
     p.add_argument("--T", type=float, default=None, help="start time (family default)")
     p.add_argument("--eps", type=float, default=None, help="end time (family default)")
-    p.add_argument("--order", default="3", help="max order, or comma list k1,k2,...")
+    p.add_argument("--order", type=_orders, default="3", help="max order, or comma list k1,k2,...")
     p.add_argument("--p", type=int, default=ObjectiveSpec.p, choices=PROXY_EXPONENTS,
                    help="error-proxy exponent (1: pixel-space, 2: latent-space)")
     p.add_argument("--kind", choices=POLYNOMIAL_KINDS, default=ObjectiveSpec.polynomial_kind)

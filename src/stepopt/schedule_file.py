@@ -1,4 +1,4 @@
-"""On-disk JSON format for schedules.
+"""On-disk JSON format for schedules, and the number and key rules model files share.
 
 Files are UTF-8 JSON with a fixed key order; floats rely on Python's
 shortest-round-trip repr (17 significant digits where needed), so
@@ -7,6 +7,7 @@ emit -> parse -> emit reproduces the bytes exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -30,7 +31,6 @@ _KEYS = (
     "polynomial_kind", "p", "objective", "init", "tool_version",
 )
 _OPTIONAL_KEYS = (*PARAMETERS, "converged")
-_ALLOWED_KEYS = frozenset(_KEYS + _OPTIONAL_KEYS)
 _ATTRIBUTE = {"lambda": "lam"}  # the one key that is a Python keyword
 # relative tolerance of an interior node's t against t_of_lambda(lambda),
 # far above the few-ulp spread of the map between libm builds
@@ -40,14 +40,49 @@ _NODE_RTOL = 1e-10
 _END_TOL = 4e-13
 
 
-def write_texts(*outputs) -> None:
+def _json_int(text: str) -> int:
+    """A JSON integer; one beyond the float range, which every number read must fit, is refused."""
+    if len(text) > 308 and math.isinf(float(text)):  # 308 digits stay below 1e308
+        raise ValueError(f"a {len(text.lstrip('-'))}-digit integer is beyond the float range")
+    return int(text)
+
+
+def _check_keys(payload, required: tuple, optional: tuple, what: str) -> None:
+    """Raise ``ValueError`` unless ``payload`` is an object of ``required`` and ``optional`` keys."""
+    if type(payload) is not dict:
+        raise ValueError(f"{what} must be a JSON object, not {type(payload).__name__}")
+    # a misspelt key would otherwise be dropped without a word
+    if unknown := payload.keys() - {*required, *optional}:
+        raise ValueError(f"unknown keys {sorted(unknown)} in {what}")
+    if not payload.keys() >= {*required}:
+        names = ", ".join(required[:-1]) + " and " + required[-1]
+        raise ValueError(f"{what} needs {names}, not only {sorted(payload)}")
+
+
+def _regular_files(paths) -> dict:
+    """``{(st_dev, st_ino): path}`` of the paths that name an existing regular file."""
+    found = {}
+    for path in paths:
+        with contextlib.suppress(OSError):  # not there (yet): opening it tells why
+            info = os.stat(path)
+            if stat.S_ISREG(info.st_mode):  # /dev/null may be read and written
+                found[info.st_dev, info.st_ino] = path
+    return found
+
+
+def write_texts(*outputs, inputs=()) -> None:
     """Write each ``(path, text)`` as UTF-8 over its path in place, every path opened first.
 
-    No ``O_TRUNC``, so no ext4 truncate-and-flush.  If any path cannot be
-    opened, or two paths name the same regular file (by any spelling or
-    link), no output is written; on any failure the files this call
-    created are removed, and the others keep what was written to them.
+    No ``O_TRUNC``, so no ext4 truncate-and-flush.  If an output is one
+    of the regular files ``inputs`` names, any path cannot be opened, or
+    two paths name the same regular file (by any spelling or link), no
+    output is written; on any failure the files this call created are
+    removed, and the others keep what was written to them.
     """
+    read = _regular_files(inputs)
+    for key, path in (_regular_files(path for path, _ in outputs) if read else {}).items():
+        if key in read:
+            raise OSError(f"output {path} would overwrite input {read[key]}")
     fds, created = [], []
     try:
         for path, _ in outputs:
@@ -102,6 +137,8 @@ class ScheduleFile:
             )
         if type(self.tool_version) is not str:
             raise ValueError("tool_version must be a string")
+        if {type(self.lam), type(self.t), type(self.orders)} != {list}:
+            raise ValueError("lambda, t and orders must be lists")
         if {*map(type, (self.N, self.p, *self.orders))} != {int}:
             raise ValueError("N, p and the orders must be integers")
         numbers = (self.T, self.eps, self.objective, *self.lam, *self.t)
@@ -209,12 +246,9 @@ class ScheduleFile:
 
     @classmethod
     def parse(cls, text: str) -> "ScheduleFile":
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_int)
+        _check_keys(payload, _KEYS, _OPTIONAL_KEYS, "a schedule file")
         fields = {_ATTRIBUTE.get(key, key): payload[key] for key in _KEYS}
-        # a misspelt key would otherwise be dropped without a word
-        unknown = payload.keys() - _ALLOWED_KEYS
-        if unknown:
-            raise ValueError(f"unknown keys {sorted(unknown)}")
         # a JSON null reads as an absent key
         parameters = {key: payload[key] for key in PARAMETERS if payload.get(key) is not None}
         return cls(**fields, family_parameters=parameters, converged=payload.get("converged"))

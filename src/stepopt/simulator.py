@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schedule_file import _check_keys, _json_int
 from .schedules import LambdaGrid, NoiseSchedule
 from .weights import OrderSchedule, step_weight_array
 
@@ -146,26 +147,14 @@ def standard_test_mixture() -> AnalyticModel:
     )
 
 
-def _check_keys(payload, allowed: set, what: str) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a JSON object with keys among ``allowed``."""
-    if type(payload) is not dict:
-        raise ValueError(f"{what} must be a JSON object, not {type(payload).__name__}")
-    # a misspelt key would otherwise be dropped without a word
-    unknown = payload.keys() - allowed
-    if unknown:
-        raise ValueError(f"unknown keys {sorted(unknown)} in {what}")
-
-
 def model_from_dict(payload: dict) -> AnalyticModel:
     """Model from its JSON form; values keep their JSON types, nothing is coerced."""
-    _check_keys(payload, {"dim", "components"}, "a model")
+    _check_keys(payload, (), ("dim", "components"), "a model")
     comps = payload.get("components")
     if type(comps) is not list or not comps:
         raise ValueError("a model needs a non-empty list of components")
     for c in comps:
-        _check_keys(c, {"pi", "mu", "s"}, "a component")
-        if len(c) < 3:  # no unknown keys, so one is missing
-            raise ValueError(f"a component needs pi, mu and s, not only {sorted(c)}")
+        _check_keys(c, ("pi", "mu", "s"), (), "a component")
         # bool is an int subclass, so compare types exactly
         if type(c["mu"]) is not list or any(
             type(v) not in (int, float) for v in (c["pi"], c["s"], *c["mu"])
@@ -189,7 +178,7 @@ def model_from_dict(payload: dict) -> AnalyticModel:
 
 def load_model(path) -> AnalyticModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, parse_int=_json_int))
 
 
 def _posterior_mean(

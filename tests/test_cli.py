@@ -295,6 +295,17 @@ class TestExitCodes:
         message = capsys.readouterr().err.strip().splitlines()[-1]
         assert "argument --N" in message and "--order" not in message
 
+    @pytest.mark.parametrize("order", ["abc", "1,x", "1,,2", "1.5"])
+    def test_malformed_order_names_the_flag(self, tmp_path, order, capsys):
+        # these printed int()'s "invalid literal for int() with base 10", naming no flag
+        out = tmp_path / "x.json"
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--order", order, "--out", str(out)) == 2
+        message = capsys.readouterr().err.strip().splitlines()[-1]
+        assert message == ("stepopt baseline: error: argument --order: must be an integer "
+                           f"or a comma list of integers, got {order!r}")
+        assert not out.exists()
+
     def test_inverted_range_is_2(self, tmp_path):
         # a NaN end time fails T > eps as well
         for range_flags in (("--T", "0.0005", "--eps", "0.001"), ("--eps", "nan")):
@@ -602,6 +613,117 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: bad input file {model}: {message}\n"
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("payload,message", [
+        ([], "a schedule file must be a JSON object, not list"),
+        ({"N": None}, "a schedule file needs schema_version, schedule_family, T, eps, N, "
+                      "lambda, t, orders, polynomial_kind, p, objective, init and tool_version, "
+                      "not only ['T', 'eps', 'init', 'lambda', 'objective', 'orders', 'p', "
+                      "'polynomial_kind', 'schedule_family', 'schema_version', 't', "
+                      "'tool_version']"),
+        ({"orders": 3}, "lambda, t and orders must be lists"),
+        ({"T": 10**399}, "a 400-digit integer is beyond the float range"),
+    ], ids=["list", "no-N", "orders-int", "T-400-digits"])
+    def test_schedule_file_structure_is_named(self, tmp_path, capsys, payload, message):
+        # these printed "list indices must be integers or slices, not str", "'N'",
+        # "Value after * must be an iterable, not int" and, exit 1, "int too large
+        # to convert to float"
+        steps = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--out", str(steps)) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        if type(payload) is dict:  # edits of the valid file; None drops a key
+            edited = json.loads(steps.read_text())
+            edited.update(payload)
+            payload = {k: v for k, v in edited.items() if v is not None}
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "w.json"
+        assert run("dump-weights", "--steps", str(bad), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: bad input file {bad}: {message}\n"
+        assert not out.exists()
+
+
+def _read_outcome(argv, path, capsys) -> str:
+    """``valid``, ``bad input`` (exit 2 naming ``path``), or what else the command did."""
+    try:
+        code = run(*argv)
+    except Exception as exc:  # a reader's bug, which no exit code may hide
+        return type(exc).__name__
+    err = capsys.readouterr().err
+    if code == 0:
+        return "valid"
+    if code == 2 and err.startswith(f"error: bad input file {path}: "):
+        return "bad input"
+    return f"exit {code}: {err.strip()}"
+
+
+class TestMalformedInputs:
+    """Each key of a valid input set in turn to a malformed value is bad input (exit 2)."""
+
+    @staticmethod
+    def _variants(payload: dict, where: dict, key: str):
+        """``(name, text)`` of ``payload`` with ``where[key]`` absent, then set to each bad value."""
+        saved = where.pop(key)
+        yield "absent", json.dumps(payload)
+        for name, value in {"null": None, "[]": [], "{}": {}, '"x"': "x", "true": True,
+                            "400 digits": 10**399, "wrong-shape list": [saved]}.items():
+            where[key] = value
+            yield name, json.dumps(payload)
+        where[key] = saved
+
+    def test_schedule_file_keys(self, tmp_path, capsys):
+        steps = tmp_path / "s.json"
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--out", str(steps)) == 0
+        # a family parameter at its default and converged, both optional
+        payload = {**json.loads(steps.read_text()), "beta_max": 20.0, "converged": True}
+        bad, out = tmp_path / "bad.json", str(tmp_path / "w.json")
+        outcomes = {}
+        for key in list(payload):
+            for name, text in self._variants(payload, payload, key):
+                bad.write_text(text)
+                outcomes[key, name] = _read_outcome(
+                    ("dump-weights", "--steps", str(bad), "--out", out), bad, capsys)
+        for name, value in (("[]", []), ("3", 3), ('"x"', "x"), ("null", None), ("true", True)):
+            bad.write_text(json.dumps(value))
+            outcomes["file", name] = _read_outcome(
+                ("dump-weights", "--steps", str(bad), "--out", out), bad, capsys)
+        valid = {case for case, outcome in outcomes.items() if outcome == "valid"}
+        assert valid == {("beta_max", "absent"), ("beta_max", "null"), ("tool_version", '"x"'),
+                         ("converged", "absent"), ("converged", "null"), ("converged", "true")}
+        assert set(outcomes.values()) == {"valid", "bad input"}, outcomes
+
+    def test_model_file_keys(self, tmp_path, capsys):
+        steps = str(tmp_path / "s.json")
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "3",
+                   "--out", steps) == 0
+        component = {"pi": 1.0, "mu": [1.0, 0.0], "s": 0.5}
+        payload = {"dim": 2, "components": [component]}
+        bad, out = tmp_path / "bad.json", str(tmp_path / "r.json")
+        argv = ("simulate", "--model", str(bad), "--steps", steps, "--seeds", "4", "--out", out)
+        outcomes = {}
+        for where, keys in ((payload, ("dim", "components")), (component, ("pi", "mu", "s"))):
+            for key in keys:
+                for name, text in self._variants(payload, where, key):
+                    bad.write_text(text)
+                    outcomes[key, name] = _read_outcome(argv, bad, capsys)
+        for name, value in (("[]", []), ("3", 3), ('"x"', "x"), ("null", None), ("true", True)):
+            bad.write_text(json.dumps(value))
+            outcomes["file", name] = _read_outcome(argv, bad, capsys)
+        valid = {case for case, outcome in outcomes.items() if outcome == "valid"}
+        assert valid == {("dim", "absent")}
+        assert set(outcomes.values()) == {"valid", "bad input"}, outcomes
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_a_reader_bug_is_not_bad_input(self, tmp_path, monkeypatch, error):
+        # only what reading raises on a bad file, OSError and ValueError, is bad input
+        def read(path):
+            raise error("a bug")
+
+        monkeypatch.setattr(ScheduleFile, "read", read)
+        with pytest.raises(error, match="a bug"):
+            run("dump-weights", "--steps", str(tmp_path / "s.json"), "--out", os.devnull)
+
 
 class TestModuleRun:
     """``python -m stepopt.cli`` behaves like the installed ``stepopt`` command."""
@@ -812,6 +934,38 @@ class TestOutputs:
         assert run(*base, "--out", "b.json", "--dump-weights", "./b.json") == 2
         assert run(*sim, "--out", "to-b.json", "--csv", "b.json") == 2
         assert Path("b.json").read_bytes() == old
+
+    def test_dump_weights_output_naming_its_input_is_2(self, tmp_path, monkeypatch, capsys):
+        # the schedule file was replaced by its own weight table, exit 0
+        monkeypatch.chdir(tmp_path)
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+                   "--out", "s.json") == 0
+        old = Path("s.json").read_bytes()
+        capsys.readouterr()
+        for out in ("s.json", "./s.json", str(tmp_path / "s.json")):
+            assert run("dump-weights", "--steps", "s.json", "--out", out) == 2
+            assert capsys.readouterr().err == f"error: output {out} would overwrite input s.json\n"
+            assert Path("s.json").read_bytes() == old
+
+    def test_simulate_output_naming_an_input_is_2(self, tmp_path, model_file, monkeypatch,
+                                                  capsys):
+        # the model was replaced by the report, exit 0; a new first output is not left behind
+        monkeypatch.chdir(tmp_path)
+        assert run("baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+                   "--out", "s.json") == 0
+        os.symlink(model_file, "to-model.json")
+        inputs = {path: Path(path).read_bytes() for path in (model_file, "s.json")}
+        capsys.readouterr()
+        sim = ("simulate", "--model", model_file, "--steps", "s.json", "--seeds", "4")
+        for outputs, clash, what in [(("--out", model_file), model_file, model_file),
+                                     (("--out", "to-model.json"), "to-model.json", model_file),
+                                     (("--out", "r.json", "--csv", "s.json"), "s.json", "s.json")]:
+            assert run(*sim, *outputs) == 2
+            assert capsys.readouterr().err == f"error: output {clash} would overwrite input {what}\n"
+            assert {path: Path(path).read_bytes() for path in inputs} == inputs
+            assert not os.path.exists("r.json")
+        # a device is not a regular file: it may be read and written
+        write_texts((os.devnull, "report\n"), inputs=(os.devnull, "s.json"))
 
     def test_no_output_is_truncated_on_open(self, tmp_path, model_file, monkeypatch):
         # a writer that opens with O_TRUNC or any writing mode of open()

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 from helpers import ROOT, load_tool
@@ -26,6 +27,18 @@ def test_mixture_run_near_the_end_of_the_domain_has_no_difference(tmp_path):
     assert [c[0] for c in commands] == ["baseline"] * 3 + ["simulate"]
     assert same_outputs.compare({"parent": ROOT, "change": ROOT}, commands, tmp_path) == []
     assert (tmp_path / "change-outputs" / "mixture-eps-1e-300-report.json").exists()
+
+
+def test_malformed_inputs_and_outputs_naming_an_input_exit_2(tmp_path):
+    # the edm baseline the simulate runs read, then every read of a malformed
+    # input and every output naming an input; the inputs keep their bytes
+    commands = [_slice()[0], *same_outputs._input_commands()]
+    results = same_outputs.run_battery(ROOT, tmp_path / "w", commands)
+    assert [r["code"] for r in results] == [0, 2, 2, 2, 2, 2, 0, 2, 2]
+    assert all(r["stderr"].startswith("error: ") for r in results if r["code"])
+    assert json.loads((tmp_path / "w" / "overwrite.json").read_text())["N"] == 4
+    assert json.loads((tmp_path / "w" / "overwrite-model.json").read_text()) == (
+        same_outputs.INPUTS["overwrite-model.json"])
 
 
 def test_changed_output_is_reported(tmp_path):

@@ -36,6 +36,10 @@ commands, one subprocess each, in a fresh directory of its own:
   vp-cosine uniform-t baseline at ``--T 0.5``, and a baseline given a
   parameter of another family at its default (``--beta-min 0.1`` on
   ve-edm, ``--cosine-shift 0.008`` on vp-linear), which exits 2;
+* malformed inputs, each read once: schedule files that are a JSON list,
+  lack ``N`` or hold ``"orders": 3``, and models with a 400-digit
+  ``pi`` or a component without ``s``; then ``dump-weights`` and
+  ``simulate`` each given an input file as an output;
 * the help and usage-error lines of ``USAGE``, which write no file.
 
 Every output file, exit code and stderr is compared, and stdout too
@@ -80,6 +84,20 @@ MODELS = {
 MIXTURE_BASELINES = (("vp-cosine", ("--schedule", "vp-cosine")),
                      ("ve-edm", ("--schedule", "ve-edm")),
                      ("eps-1e-300", ("--schedule", "vp-linear", "--eps", "1e-300")))
+# a valid N = 1 schedule file, the base of the malformed ones below
+_SCHEDULE = {"schema_version": 1, "schedule_family": "vp-linear", "T": 1.0, "eps": 0.001, "N": 1,
+             "lambda": [-5.024978406659204, 4.557714932729898], "t": [1.0, 0.001], "orders": [1],
+             "polynomial_kind": "lagrange", "p": 1, "objective": 152.15648429115976,
+             "init": "uniform-lambda", "tool_version": "0.1.0"}
+# input files beside the models: malformed ones, and a model that an output names
+INPUTS = {
+    "list-steps.json": [],
+    "no-n-steps.json": {key: value for key, value in _SCHEDULE.items() if key != "N"},
+    "int-orders-steps.json": {**_SCHEDULE, "orders": 3},
+    "huge-pi-model.json": {"dim": 1, "components": [{"pi": 10**399, "mu": [0.5], "s": 0.7}]},
+    "no-s-model.json": {"dim": 1, "components": [{"pi": 1.0, "mu": [0.5]}]},
+    "overwrite-model.json": MODELS["gaussian-1d"],
+}
 # help and usage errors: no command, a top-level flag, an unknown command or
 # flag, an abbreviated flag, a flag=value and leftover arguments, which the
 # full parser and a command's own subparser must print alike
@@ -147,7 +165,7 @@ def battery() -> list[list[str]]:
                               "--max-iters", "3"))
     commands += [_optimize(f"init-{init}", "--schedule", "vp-cosine", "--N", "10", init=init)
                  for init in ("edm", "uniform-t")]
-    return commands + _parameter_commands() + USAGE
+    return commands + _parameter_commands() + _input_commands() + USAGE
 
 
 def _parameter_commands() -> list[list[str]]:
@@ -174,6 +192,22 @@ def _parameter_commands() -> list[list[str]]:
     ]
 
 
+def _input_commands() -> list[list[str]]:
+    """Reads of the malformed ``INPUTS``, and commands given an input as an output."""
+    commands = [["dump-weights", "--steps", name, "--out", "malformed-weights.json"]
+                for name in INPUTS if name.endswith("-steps.json")]
+    commands += [["simulate", "--model", name, "--steps", "edm.json", "--seeds", "4",
+                  "--out", "malformed-report.json"]
+                 for name in ("huge-pi-model.json", "no-s-model.json")]
+    return commands + [
+        ["baseline", "--scheme", "edm", "--schedule", "vp-linear", "--N", "4",
+         "--out", "overwrite.json"],
+        ["dump-weights", "--steps", "overwrite.json", "--out", "overwrite.json"],
+        ["simulate", "--model", "overwrite-model.json", "--steps", "edm.json", "--seeds", "4",
+         "--out", "overwrite-model.json"],
+    ]
+
+
 def run_battery(tree: Path, work: Path, commands: list[list[str]]) -> list[dict]:
     """Run ``commands`` with ``tree``'s ``src/`` in the new directory ``work``.
 
@@ -183,6 +217,8 @@ def run_battery(tree: Path, work: Path, commands: list[list[str]]) -> list[dict]
     work.mkdir()
     for name, model in MODELS.items():
         (work / f"{name}-model.json").write_text(json.dumps(model))
+    for name, payload in INPUTS.items():
+        (work / name).write_text(json.dumps(payload))
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     results = []
     for argv in commands:
